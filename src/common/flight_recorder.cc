@@ -26,9 +26,8 @@ std::string FlightRecord::Json() const {
       .Int("dims", dims)
       .Int("k", k)
       .Raw("phases", json::Array(phase_rows))
-      .Int("leg_retries", leg_retries)
+      .Int("reexecutions", reexecutions)
       .Int("faults_injected", faults_injected)
-      .Int("recovered_legs", recovered_legs)
       .Int("heap_allocs", heap_allocs)
       .Int("pool_requests", pool_requests)
       .Bool("ok", ok)

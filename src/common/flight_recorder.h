@@ -10,8 +10,8 @@
 // Bounded ring of per-query structured records — the protocol's black box.
 //
 // `core::SecureKnnSession::RunQuery` appends one record per query: the
-// replay seed, problem shape, per-phase durations/bytes, the transport
-// retry/fault counter deltas the query incurred, the minimum estimated
+// replay seed, problem shape, per-phase durations/bytes, the re-execution
+// and injected-fault counts the query incurred, the minimum estimated
 // noise margin per phase, and the final status. The ring keeps the last
 // `capacity` queries (default 256), so a failure deep into a soak run
 // still has its context. When a record with a non-OK status is added the
@@ -31,8 +31,9 @@ struct FlightRecord {
   // (process_epoch, query_id) by the recorder.
   uint64_t process_epoch = 0;
   uint64_t trace_id = 0;
-  // Replay key: the fault seed for this query (fault_seed + query index in
-  // chaos runs; 0 when no fault injection is active).
+  // Replay key: the fault seed of the query's first attempt (in chaos
+  // runs, fault_seed + the number of attempts before it; 0 when no fault
+  // injection is active).
   uint64_t seed = 0;
   uint64_t num_points = 0;  // n
   uint64_t dims = 0;        // d
@@ -48,10 +49,10 @@ struct FlightRecord {
   };
   std::vector<Phase> phases;
 
-  // Transport counter deltas across this query (from the PR 4 stack).
-  uint64_t leg_retries = 0;
+  // Whole-query re-executions after a transient failure (attempts - 1),
+  // and the injected faults the query incurred across all attempts.
+  uint64_t reexecutions = 0;
   uint64_t faults_injected = 0;
-  uint64_t recovered_legs = 0;
 
   // Allocation counter deltas across this query (bgv.alloc.*): heap_allocs
   // is the number of buffer-pool misses (actual heap allocations),

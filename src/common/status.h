@@ -36,9 +36,9 @@ enum class StatusCode {
 // Returns a stable human-readable name for a status code.
 const char* StatusCodeToString(StatusCode code);
 
-// True for error codes that a retry (of the receive poll, or of the whole
-// protocol leg — the messages are idempotent to re-request, PROTOCOL.md
-// "Frame envelope & recovery") can plausibly cure: kUnavailable,
+// True for error codes that a retry (of the receive poll, or a whole-query
+// re-execution on a fresh transport, PROTOCOL.md "Frame envelope &
+// recovery") can plausibly cure: kUnavailable,
 // kDeadlineExceeded, kDataLoss, kAborted. Everything else — malformed
 // arguments, protocol-logic violations, unimplemented paths — is fatal.
 bool IsTransientCode(StatusCode code);

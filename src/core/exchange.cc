@@ -1,0 +1,161 @@
+#include "core/exchange.h"
+
+#include "bgv/noise_model.h"
+#include "bgv/serialization.h"
+#include "bgv/symmetric.h"
+#include "common/trace.h"
+#include "common/trace_id.h"
+
+namespace sknn {
+namespace core {
+namespace {
+
+constexpr const char* kTracePrefix = "trace id=";
+
+// Serializes and sends one row of indicator ciphertexts, one frame each.
+template <typename Ct>
+Status SendRow(const std::vector<Ct>& row,
+               void (*write)(const Ct&, ByteSink*),
+               net::ResilientChannel* ch) {
+  for (const Ct& ct : row) {
+    ByteSink sink;
+    write(ct, &sink);
+    trace::TraceSpan span("transfer.indicators");
+    SKNN_RETURN_IF_ERROR(
+        ch->SendMessage(net::MessageType::kIndicators, sink.bytes()));
+  }
+  return Status::Ok();
+}
+
+StatusOr<bgv::Ciphertext> DecodeIndicator(const bgv::BgvContext& ctx,
+                                          bool compressed,
+                                          std::vector<uint8_t> bytes) {
+  if (!compressed) return FreshCtFromBytes(ctx, std::move(bytes));
+  // ExpandSeeded stamps the symmetric-encryption noise bound itself.
+  ByteSource src(std::move(bytes));
+  SKNN_ASSIGN_OR_RETURN(bgv::SeededCiphertext seeded,
+                        bgv::ReadSeededCiphertext(&src));
+  return bgv::ExpandSeeded(ctx, seeded);
+}
+
+}  // namespace
+
+std::vector<uint8_t> CtToBytes(const bgv::Ciphertext& ct) {
+  ByteSink sink;
+  bgv::WriteCiphertext(ct, &sink);
+  return sink.TakeBytes();
+}
+
+StatusOr<bgv::Ciphertext> CtFromBytes(std::vector<uint8_t> bytes) {
+  ByteSource src(std::move(bytes));
+  return bgv::ReadCiphertext(&src);
+}
+
+StatusOr<bgv::Ciphertext> FreshCtFromBytes(const bgv::BgvContext& ctx,
+                                           std::vector<uint8_t> bytes) {
+  SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext ct, CtFromBytes(std::move(bytes)));
+  ct.noise_bits = bgv::NoiseModel(ctx).FreshPkNoiseBits();
+  return ct;
+}
+
+std::string TracePreamble(uint64_t trace_id) {
+  return std::string(kTracePrefix) + trace::TraceIdHex(trace_id);
+}
+
+bool ParseTracePreamble(const std::string& preamble, uint64_t* trace_id) {
+  const size_t prefix_len = std::string(kTracePrefix).size();
+  if (preamble.rfind(kTracePrefix, 0) != 0) return false;
+  *trace_id = trace::ParseTraceIdHex(preamble.data() + prefix_len,
+                                     preamble.data() + preamble.size());
+  return *trace_id != 0;
+}
+
+bool MayReexecute(const Status& status, int reexecutions,
+                  const net::RetryPolicy& policy) {
+  return status.IsTransient() && reexecutions < policy.max_query_reexecutions;
+}
+
+Status SendDistances(const PartyA::Query& query, uint64_t trace_id,
+                     net::ResilientChannel* ch) {
+  trace::TraceSpan span("transfer.distances");
+  if (trace_id != 0) {
+    const std::string preamble = TracePreamble(trace_id);
+    SKNN_RETURN_IF_ERROR(ch->SendMessage(
+        net::MessageType::kControl,
+        std::vector<uint8_t>(preamble.begin(), preamble.end())));
+  }
+  for (const bgv::Ciphertext& ct : query.distances()) {
+    SKNN_RETURN_IF_ERROR(
+        ch->SendMessage(net::MessageType::kDistances, CtToBytes(ct)));
+  }
+  return Status::Ok();
+}
+
+Status AbsorbIndicatorRow(const bgv::BgvContext& ctx, bool compressed,
+                          size_t j, PartyA::Query* query,
+                          net::ResilientChannel* ch) {
+  const size_t units = query->distances().size();
+  for (size_t pos = 0; pos < units; ++pos) {
+    std::vector<uint8_t> bytes;
+    {
+      trace::TraceSpan span("transfer.indicators");
+      SKNN_ASSIGN_OR_RETURN(
+          bytes, ch->ReceiveMessage(net::MessageType::kIndicators));
+    }
+    SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext indicator,
+                          DecodeIndicator(ctx, compressed, std::move(bytes)));
+    SKNN_RETURN_IF_ERROR(query->AbsorbIndicator(j, pos, indicator));
+  }
+  return Status::Ok();
+}
+
+StatusOr<std::vector<std::vector<uint8_t>>> FinalizeResults(
+    size_t k, PartyA::Query* query) {
+  std::vector<std::vector<uint8_t>> payloads;
+  payloads.reserve(k);
+  for (size_t j = 0; j < k; ++j) {
+    SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext ct, query->FinalizeResult(j));
+    payloads.push_back(CtToBytes(ct));
+  }
+  return payloads;
+}
+
+StatusOr<size_t> ReceiveDistancesAndSelect(
+    size_t units, size_t k, PartyB* party_b, net::ResilientChannel* ch,
+    std::optional<std::vector<uint8_t>> first_payload) {
+  std::vector<bgv::Ciphertext> received;
+  received.reserve(units);
+  {
+    trace::TraceSpan span("transfer.distances");
+    while (received.size() < units) {
+      std::vector<uint8_t> bytes;
+      if (first_payload) {
+        bytes = std::move(*first_payload);
+        first_payload.reset();
+      } else {
+        SKNN_ASSIGN_OR_RETURN(
+            bytes, ch->ReceiveMessage(net::MessageType::kDistances));
+      }
+      SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext ct, CtFromBytes(std::move(bytes)));
+      received.push_back(std::move(ct));
+    }
+  }
+  return party_b->FindNeighbours(received, k);
+}
+
+Status SendIndicatorRow(bool compressed, size_t j, PartyB* party_b,
+                        net::ResilientChannel* ch) {
+  // B encrypts the whole row in one parallel batch (per-position RNG
+  // forks keep the transcript deterministic), then streams it.
+  if (compressed) {
+    SKNN_ASSIGN_OR_RETURN(std::vector<bgv::SeededCiphertext> row,
+                          party_b->EmitIndicatorsCompressedForResult(j));
+    return SendRow(row, &bgv::WriteSeededCiphertext, ch);
+  }
+  SKNN_ASSIGN_OR_RETURN(std::vector<bgv::Ciphertext> row,
+                        party_b->EmitIndicatorsForResult(j));
+  return SendRow(row, &bgv::WriteCiphertext, ch);
+}
+
+}  // namespace core
+}  // namespace sknn

@@ -88,8 +88,8 @@ class PartyA {
     // Phase 2 (Algorithm 3): absorbs Party B's indicator ciphertexts one
     // at a time (streaming keeps memory at O(1) ciphertexts), accumulating
     // the oblivious dot products T^j. Indicator positions refer to this
-    // query's TRANSFORMED order. Re-entering BeginReturnPhase resets the
-    // accumulators (leg retry). One plaintext multiply (+ inverse rotation
+    // query's TRANSFORMED order. BeginReturnPhase resets the
+    // accumulators. One plaintext multiply (+ inverse rotation
     // in kPacked) per indicator: O(u·k) total.
     Status BeginReturnPhase(size_t k);
     Status AbsorbIndicator(size_t j, size_t transformed_unit_pos,

@@ -5,17 +5,14 @@
 #include <chrono>
 #include <sstream>
 
-#include "bgv/noise_model.h"
-#include "bgv/serialization.h"
-#include "bgv/symmetric.h"
 #include "common/flight_recorder.h"
 #include "common/metrics_registry.h"
 #include "common/rng.h"
 #include "common/trace.h"
 #include "common/trace_id.h"
-#include "common/serial.h"
 #include "common/xxhash.h"
 #include "core/data_owner.h"
+#include "core/exchange.h"
 #include "net/frame.h"
 
 namespace sknn {
@@ -29,17 +26,6 @@ uint64_t NsSince(Clock::time_point start) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                            start)
           .count());
-}
-
-std::vector<uint8_t> CtToBytes(const bgv::Ciphertext& ct) {
-  ByteSink sink;
-  bgv::WriteCiphertext(ct, &sink);
-  return sink.TakeBytes();
-}
-
-StatusOr<bgv::Ciphertext> CtFromBytes(std::vector<uint8_t> bytes) {
-  ByteSource src(std::move(bytes));
-  return bgv::ReadCiphertext(&src);
 }
 
 std::string ToHex(uint64_t v) {
@@ -194,12 +180,7 @@ MetricsRegistry::Counter* ServerCounter(const char* name) {
 // unexpected frame type).
 
 constexpr const char* kDeadlinePrefix = "deadline budget_ms=";
-constexpr const char* kTracePrefix = "trace id=";
 constexpr int kMaxPreambles = 4;
-
-std::string TracePreamble(uint64_t trace_id) {
-  return std::string(kTracePrefix) + trace::TraceIdHex(trace_id);
-}
 
 // Parses "deadline budget_ms=N" into *budget_ms. False on malformed.
 bool ParseDeadlinePreamble(const std::string& preamble, uint64_t* budget_ms) {
@@ -209,16 +190,6 @@ bool ParseDeadlinePreamble(const std::string& preamble, uint64_t* budget_ms) {
   const char* e = preamble.data() + preamble.size();
   auto [ptr, ec] = std::from_chars(b, e, *budget_ms);
   return ec == std::errc() && ptr == e && b != e;
-}
-
-// Parses "trace id=HEX" into *trace_id. False on malformed (including a
-// zero id, which the minting side never produces).
-bool ParseTracePreamble(const std::string& preamble, uint64_t* trace_id) {
-  const size_t prefix_len = std::string(kTracePrefix).size();
-  if (preamble.rfind(kTracePrefix, 0) != 0) return false;
-  *trace_id = trace::ParseTraceIdHex(preamble.data() + prefix_len,
-                                     preamble.data() + preamble.size());
-  return *trace_id != 0;
 }
 
 // Little-endian u64 heartbeat clock payload: B echoes its steady-clock
@@ -477,47 +448,16 @@ void PartyBServer::AcceptLoop() {
 
 Status PartyBServer::ServeQuery(PartyB* party_b, net::ResilientChannel* ch,
                                 std::vector<uint8_t> first_distance_payload) {
-  // One query on this connection: u distance frames in, k_eff * u
-  // indicator frames out. Both counts are derived independently on each
-  // side from the shared deployment (PROTOCOL.md "Socket transport"). The
-  // first distance frame was already consumed by the serve loop's
-  // heartbeat-or-query dispatch and arrives here as a payload.
-  const size_t units = deployment_.layout.num_units();
-  std::vector<bgv::Ciphertext> received;
-  received.reserve(units);
-  {
-    SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext ct,
-                          CtFromBytes(std::move(first_distance_payload)));
-    received.push_back(std::move(ct));
-  }
-  for (size_t i = 1; i < units; ++i) {
-    SKNN_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                          ch->ReceiveMessage(net::MessageType::kDistances));
-    SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext ct, CtFromBytes(std::move(bytes)));
-    received.push_back(std::move(ct));
-  }
-  SKNN_ASSIGN_OR_RETURN(size_t effective_k,
-                        party_b->FindNeighbours(received, deployment_.config.k));
-  for (size_t j = 0; j < effective_k; ++j) {
-    if (deployment_.config.compress_indicators) {
-      SKNN_ASSIGN_OR_RETURN(std::vector<bgv::SeededCiphertext> row,
-                            party_b->EmitIndicatorsCompressedForResult(j));
-      for (size_t pos = 0; pos < units; ++pos) {
-        ByteSink sink;
-        bgv::WriteSeededCiphertext(row[pos], &sink);
-        SKNN_RETURN_IF_ERROR(
-            ch->SendMessage(net::MessageType::kIndicators, sink.bytes()));
-      }
-    } else {
-      SKNN_ASSIGN_OR_RETURN(std::vector<bgv::Ciphertext> row,
-                            party_b->EmitIndicatorsForResult(j));
-      for (size_t pos = 0; pos < units; ++pos) {
-        ByteSink sink;
-        bgv::WriteCiphertext(row[pos], &sink);
-        SKNN_RETURN_IF_ERROR(
-            ch->SendMessage(net::MessageType::kIndicators, sink.bytes()));
-      }
-    }
+  // One query on this connection: u distance frames in, k_eff rows of u
+  // indicator frames out. The first distance frame was already consumed
+  // by the serve loop's heartbeat-or-query dispatch.
+  SKNN_ASSIGN_OR_RETURN(
+      size_t k, ReceiveDistancesAndSelect(deployment_.layout.num_units(),
+                                          deployment_.config.k, party_b, ch,
+                                          std::move(first_distance_payload)));
+  for (size_t j = 0; j < k; ++j) {
+    SKNN_RETURN_IF_ERROR(SendIndicatorRow(
+        deployment_.config.compress_indicators, j, party_b, ch));
   }
   return Status::Ok();
 }
@@ -848,56 +788,25 @@ Status PartyAServer::RunQueryOnWorker(size_t worker_index, Job* job) {
   SKNN_ASSIGN_OR_RETURN(std::unique_ptr<PartyA::Query> query,
                         party_a_->StartQuery(job->query_ct, cancel));
   SKNN_RETURN_IF_ERROR(cancel());
-  // Forward the distributed trace id ahead of the distance frames, so
-  // B's spans for this query carry the same id as the client's and ours.
-  // Untraced queries send nothing — the A<->B wire stays byte-identical.
-  if (job->trace_id != 0) {
-    const std::string preamble = TracePreamble(job->trace_id);
-    SKNN_RETURN_IF_ERROR(ch.SendMessage(
-        net::MessageType::kControl,
-        std::vector<uint8_t>(preamble.begin(), preamble.end())));
-  }
-  for (const bgv::Ciphertext& ct : query->distances()) {
-    ByteSink sink;
-    bgv::WriteCiphertext(ct, &sink);
-    SKNN_RETURN_IF_ERROR(
-        ch.SendMessage(net::MessageType::kDistances, sink.bytes()));
-  }
+  // The distributed trace id rides ahead of the distance frames, so B's
+  // spans for this query carry the same id as the client's and ours.
+  SKNN_RETURN_IF_ERROR(SendDistances(*query, job->trace_id, &ch));
   // B clamps k to the point count the same way (party_b.cc); both sides
   // derive the indicator frame count without a control message.
-  const size_t effective_k =
+  const size_t k =
       std::min<size_t>(deployment_.config.k, deployment_.layout.num_points());
   SKNN_RETURN_IF_ERROR(cancel());
-  SKNN_RETURN_IF_ERROR(query->BeginReturnPhase(effective_k));
-  const size_t units = deployment_.layout.num_units();
-  const bgv::NoiseModel noise_model(*deployment_.ctx);
-  for (size_t j = 0; j < effective_k; ++j) {
+  SKNN_RETURN_IF_ERROR(query->BeginReturnPhase(k));
+  for (size_t j = 0; j < k; ++j) {
     SKNN_RETURN_IF_ERROR(cancel());
-    for (size_t pos = 0; pos < units; ++pos) {
-      SKNN_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                            ch.ReceiveMessage(net::MessageType::kIndicators));
-      bgv::Ciphertext ind;
-      if (deployment_.config.compress_indicators) {
-        ByteSource src(std::move(bytes));
-        SKNN_ASSIGN_OR_RETURN(bgv::SeededCiphertext seeded,
-                              bgv::ReadSeededCiphertext(&src));
-        SKNN_ASSIGN_OR_RETURN(ind,
-                              bgv::ExpandSeeded(*deployment_.ctx, seeded));
-      } else {
-        SKNN_ASSIGN_OR_RETURN(ind, CtFromBytes(std::move(bytes)));
-        ind.noise_bits = noise_model.FreshPkNoiseBits();
-      }
-      SKNN_RETURN_IF_ERROR(query->AbsorbIndicator(j, pos, ind));
-    }
+    SKNN_RETURN_IF_ERROR(
+        AbsorbIndicatorRow(*deployment_.ctx,
+                           deployment_.config.compress_indicators, j,
+                           query.get(), &ch));
   }
   SKNN_RETURN_IF_ERROR(cancel());
-  job->result_payloads.clear();
-  job->result_payloads.reserve(effective_k);
-  for (size_t j = 0; j < effective_k; ++j) {
-    SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext ct, query->FinalizeResult(j));
-    job->result_payloads.push_back(CtToBytes(ct));
-  }
-  job->effective_k = effective_k;
+  SKNN_ASSIGN_OR_RETURN(job->result_payloads, FinalizeResults(k, query.get()));
+  job->effective_k = k;
   return Status::Ok();
 }
 
@@ -1011,13 +920,14 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
     // Execute, with bounded whole-query re-execution: the protocol is
     // stateless per query, so after a broken A<->B exchange the query is
     // re-run from StartQuery (fresh mask and permutation — the leakage
-    // argument is DESIGN.md §8.5) on a fresh connection, at most
-    // max_query_reexecutions times and never past the deadline.
+    // argument is DESIGN.md §8.3) on a fresh connection, at most
+    // retry.max_query_reexecutions times and never past the deadline.
     const auto t0 = Clock::now();
     uint64_t bytes_moved = 0;
     Status status;
+    int attempt = 0;
     trace::TraceSpan exec_span("server.query");
-    for (int attempt = 0;; ++attempt) {
+    for (;; ++attempt) {
       const uint64_t bytes_before = b_raw_[worker_index]->bytes_sent() +
                                     b_raw_[worker_index]->bytes_received();
       status = RunQueryOnWorker(worker_index, job.get());
@@ -1031,12 +941,11 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
       // only cross-process drain is a fresh connection (PROTOCOL.md).
       if (stop_.load(std::memory_order_relaxed)) break;
       try_reconnect();
-      if (!status.IsTransient()) break;  // fatal: re-running cannot cure it
+      if (!MayReexecute(status, attempt, options_.retry)) break;
       if (status.code() == StatusCode::kDeadlineExceeded ||
           (job->has_deadline && Clock::now() >= job->deadline)) {
         break;  // no budget left to re-execute against
       }
-      if (attempt >= options_.max_query_reexecutions) break;
       if (!connected) {
         status = Annotate(status, "party B unreachable after failure");
         break;
@@ -1052,13 +961,14 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
       ServerCounter("server.queries.failed")->Increment();
     }
     // One flight record per server-side query: shape, A-side duration
-    // (re-executions included), A<->B bytes moved across every attempt,
-    // outcome (OPERATIONS.md "Reading the flight recorder").
+    // and A<->B bytes moved across every attempt, re-executions, outcome
+    // (OPERATIONS.md "Reading the flight recorder").
     FlightRecord record;
     record.num_points = deployment_.layout.num_points();
     record.dims = deployment_.layout.dims();
     record.k = deployment_.config.k;
     record.phases.push_back({"server.query", seconds, bytes_moved, -1});
+    record.reexecutions = static_cast<uint64_t>(attempt);
     record.trace_id = job->trace_id;  // 0: recorder derives a unique one
     record.ok = status.ok();
     record.status = status.ok() ? "ok" : status.message();
@@ -1130,15 +1040,11 @@ void PartyAServer::ServeConnection(std::unique_ptr<net::SocketChannel> conn,
       trace::ScopedTraceId scoped_trace(trace_id);
       Status outcome;
       std::shared_ptr<Job> job = std::make_shared<Job>();
-      auto ct = CtFromBytes(std::move(query_payload));
+      auto ct = FreshCtFromBytes(*deployment_.ctx, std::move(query_payload));
       if (!ct.ok()) {
         outcome = ct.status();
       } else {
         job->query_ct = std::move(ct).value();
-        // The wire strips the noise estimate; a client query is a fresh
-        // public-key encryption.
-        job->query_ct.noise_bits =
-            bgv::NoiseModel(*deployment_.ctx).FreshPkNoiseBits();
         job->enqueued_at = Clock::now();
         job->has_deadline = has_deadline;
         job->deadline = deadline;

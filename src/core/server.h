@@ -107,16 +107,14 @@ struct ServerOptions {
   int reconnect_backoff_ms = 50;
   int reconnect_backoff_max_ms = 2000;
   int reconnect_attempt_timeout_ms = 250;
-  // Whole-query re-executions after a broken A<->B exchange: the protocol
-  // is stateless per query, so a query that died mid-flight is re-run
-  // from StartQuery on a fresh connection (fresh mask/permutation — the
-  // leakage argument is DESIGN.md §8.5), at most this many times and
-  // never past the query's deadline.
-  int max_query_reexecutions = 1;
   // Graceful drain: how long Drain() waits for queued + in-flight
   // queries to finish before answering the stragglers with a typed
   // kUnavailable.
   int drain_deadline_ms = 5000;
+  // Receive budgets, backoff, and the whole-query re-execution bound
+  // (`retry.max_query_reexecutions`: a query whose A<->B exchange broke is
+  // re-run from StartQuery on a fresh connection, never past its
+  // deadline; DESIGN.md §8.2).
   net::RetryPolicy retry = ServerRetryPolicy();
 
   // Wire-friendly defaults: protocol phases take real time, so the
@@ -125,7 +123,6 @@ struct ServerOptions {
   static net::RetryPolicy ServerRetryPolicy() {
     net::RetryPolicy p;
     p.max_receive_polls = 500;
-    p.max_leg_retries = 0;  // cross-process legs fail fast; see PROTOCOL.md
     p.base_backoff_us = 200;
     p.max_backoff_us = 5000;
     return p;

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <string>
 
 #include "bgv/noise_model.h"
 #include "bgv/serialization.h"
-#include "bgv/symmetric.h"
 #include "common/flight_recorder.h"
 #include "common/metrics_registry.h"
 #include "common/trace.h"
+#include "core/exchange.h"
 #include "net/frame.h"
 
 namespace sknn {
@@ -21,50 +20,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-// Serializes a ciphertext to count its wire size, returning the bytes.
-std::vector<uint8_t> CtToBytes(const bgv::Ciphertext& ct) {
-  ByteSink sink;
-  bgv::WriteCiphertext(ct, &sink);
-  return sink.TakeBytes();
-}
-
-StatusOr<bgv::Ciphertext> CtFromBytes(std::vector<uint8_t> bytes) {
-  ByteSource src(std::move(bytes));
-  return bgv::ReadCiphertext(&src);
-}
-
-// Runs `body`; on a transient failure (Status::IsTransient) calls `drain`
-// to flush every in-flight or staged frame and re-issues the whole leg,
-// up to max_leg_retries times. Safe because each leg is idempotent to
-// re-request (see RunQuery's doc comment). Fatal errors and retry
-// exhaustion propagate to the caller as typed Status — never a crash or
-// a silently wrong answer.
-Status RunLegWithRecovery(const char* retry_span_name,
-                          const net::RetryPolicy& policy,
-                          const std::function<void()>& drain,
-                          const std::function<Status()>& body,
-                          uint64_t* recovered_legs) {
-  static MetricsRegistry::Counter* recovered =
-      MetricsRegistry::Global().GetCounter("query.recovered");
-  static MetricsRegistry::Counter* leg_retries =
-      MetricsRegistry::Global().GetCounter("net.leg_retries");
-  Status status = body();
-  int tries = 0;
-  while (!status.ok() && status.IsTransient() &&
-         tries < policy.max_leg_retries) {
-    ++tries;
-    leg_retries->Increment();
-    trace::TraceSpan span(retry_span_name);
-    drain();
-    status = body();
-  }
-  if (status.ok() && tries > 0) {
-    recovered->Increment();
-    ++*recovered_legs;
-  }
-  return status;
 }
 
 // Sum of every `net.faults.*` counter — the flight recorder stores the
@@ -161,19 +116,15 @@ StatusOr<QueryResult> SecureKnnSession::RunQuery(
     const std::vector<uint64_t>& query) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   for (const char* name : kNoiseGauges) registry.GetGauge(name)->Set(-1);
-  const uint64_t retries_before =
-      registry.GetCounter("net.leg_retries")->value();
-  const uint64_t recovered_before =
-      registry.GetCounter("query.recovered")->value();
   const uint64_t faults_before = TotalInjectedFaults();
   const uint64_t pool_misses_before =
       registry.GetCounter("bgv.alloc.pool_misses")->value();
   const uint64_t pool_hits_before =
       registry.GetCounter("bgv.alloc.pool_hits")->value();
-  // Mirrors the FaultyLink seed RunQueryInternal will use for this query
-  // (0 when injection is off) — the replay key of the flight record.
+  // The FaultyLink seed of this query's first attempt (0 when injection
+  // is off) — the replay key of the flight record.
   const uint64_t replay_seed =
-      fault_spec_.any() ? fault_seed_ + queries_run_ : 0;
+      fault_spec_.any() ? fault_seed_ + attempts_run_ : 0;
 
   QueryResult result;
   const Status status = RunQueryInternal(query, &result);
@@ -213,11 +164,8 @@ StatusOr<QueryResult> SecureKnnSession::RunQuery(
                            result.timings.client_decrypt_seconds,
                            result.client_bytes_received,
                            gauge("bgv.noise.party_a.retrieve")});
-  record.leg_retries =
-      registry.GetCounter("net.leg_retries")->value() - retries_before;
+  record.reexecutions = result.reexecutions;
   record.faults_injected = TotalInjectedFaults() - faults_before;
-  record.recovered_legs =
-      registry.GetCounter("query.recovered")->value() - recovered_before;
   record.heap_allocs =
       registry.GetCounter("bgv.alloc.pool_misses")->value() -
       pool_misses_before;
@@ -237,57 +185,6 @@ Status SecureKnnSession::RunQueryInternal(const std::vector<uint64_t>& query,
   QueryResult& result = *out;
   party_b_->ResetOps();
   client_->ResetOps();
-
-  // Per-query transport stack: byte-counted raw link (in-memory deques or
-  // a loopback TCP pair, selected by SetTransport), optional seeded fault
-  // injection, framed + retrying endpoints (PROTOCOL.md "Frame envelope &
-  // recovery").
-  net::InMemoryLink mem_link;
-  std::unique_ptr<net::SocketLink> sock_link;
-  net::Channel* a_raw;
-  net::Channel* b_raw;
-  std::function<void()> link_drain;
-  std::function<const net::LinkStats&()> link_stats;
-  if (transport_ == Transport::kSocket) {
-    SKNN_ASSIGN_OR_RETURN(sock_link, net::SocketLink::Create());
-    a_raw = sock_link->a_endpoint();
-    b_raw = sock_link->b_endpoint();
-    link_drain = [&]() { sock_link->Drain(); };
-    link_stats = [&]() -> const net::LinkStats& { return sock_link->stats(); };
-  } else {
-    a_raw = mem_link.a_endpoint();
-    b_raw = mem_link.b_endpoint();
-    link_drain = [&]() { mem_link.Drain(); };
-    link_stats = [&]() -> const net::LinkStats& { return mem_link.stats(); };
-  }
-  std::unique_ptr<net::FaultyLink> faulty;
-  if (fault_spec_.any()) {
-    faulty = std::make_unique<net::FaultyLink>(
-        a_raw, b_raw, fault_spec_, fault_spec_, fault_seed_ + queries_run_);
-    a_raw = faulty->a_endpoint();
-    b_raw = faulty->b_endpoint();
-  }
-  ++queries_run_;
-  net::ResilientChannel a_ch(a_raw, retry_policy_, 2 * queries_run_, "A");
-  net::ResilientChannel b_ch(b_raw, retry_policy_, 2 * queries_run_ + 1, "B");
-  // Leg-recovery drain: no frame from a failed leg attempt — in the raw
-  // queues or staged inside the fault injector — may survive into the
-  // re-issue, so sequence spaces can restart from a clean slate.
-  auto drain = [&]() {
-    link_drain();
-    if (faulty) faulty->Reset();
-    a_ch.ResetEpoch();
-    b_ch.ResetEpoch();
-  };
-  // Publish the link byte counts into the result on every exit path — the
-  // flight record wants the bytes moved before an error, too.
-  struct LinkStatsGuard {
-    const std::function<const net::LinkStats&()>& stats;
-    QueryResult* result;
-    ~LinkStatsGuard() { result->ab_link = stats(); }
-  } link_stats_guard{link_stats, &result};
-
-  const bgv::NoiseModel noise_model(*ctx_);
 
   trace::TraceSpan query_span("query");
 
@@ -312,149 +209,30 @@ Status SecureKnnSession::RunQueryInternal(const std::vector<uint64_t>& query,
     if (frame.type != net::MessageType::kQuery) {
       return DataLossError("client->A frame does not carry a query tag");
     }
-    SKNN_ASSIGN_OR_RETURN(query_at_a, CtFromBytes(std::move(frame.payload)));
-    // Deserialization strips the noise estimate (it never travels on the
-    // wire); A knows this is a fresh public-key encryption, so re-seed the
-    // tracker with the fresh-encryption bound.
-    query_at_a.noise_bits = noise_model.FreshPkNoiseBits();
+    SKNN_ASSIGN_OR_RETURN(query_at_a,
+                          FreshCtFromBytes(*ctx_, std::move(frame.payload)));
   }
   result.timings.query_encrypt_seconds = SecondsSince(t0);
 
-  // Party A: Compute Distances (Algorithm 1, labels 5-6). Computed once
-  // per query: leg retries below re-send these exact ciphertext bytes and
-  // never recompute them, so the mask and permutation stay fixed within
-  // the query. All of A's per-query state (transform, accumulators, op
-  // counts) lives in the Query object, so concurrent sessions on one
-  // PartyA stay isolated (DESIGN.md §9).
-  t0 = std::chrono::steady_clock::now();
-  SKNN_ASSIGN_OR_RETURN(std::unique_ptr<PartyA::Query> a_query,
-                        party_a_->StartQuery(query_at_a));
-  const std::vector<bgv::Ciphertext>& distances = a_query->distances();
-  result.timings.compute_distances_seconds = SecondsSince(t0);
-
-  // Leg 1 — message 2: A streams the masked distance bundle to B; B runs
-  // Find Neighbours (Algorithm 2, label 7).
-  t0 = std::chrono::steady_clock::now();
-  size_t effective_k = 0;
-  Status leg = RunLegWithRecovery(
-      "retry/distances", retry_policy_, drain,
-      [&]() -> Status {
-        {
-          trace::TraceSpan span("transfer.distances");
-          for (const bgv::Ciphertext& ct : distances) {
-            ByteSink sink;
-            bgv::WriteCiphertext(ct, &sink);
-            SKNN_RETURN_IF_ERROR(
-                a_ch.SendMessage(net::MessageType::kDistances, sink.bytes()));
-          }
-        }
-        std::vector<bgv::Ciphertext> received;
-        received.reserve(distances.size());
-        {
-          trace::TraceSpan span("transfer.distances");
-          for (size_t i = 0; i < distances.size(); ++i) {
-            SKNN_ASSIGN_OR_RETURN(
-                std::vector<uint8_t> bytes,
-                b_ch.ReceiveMessage(net::MessageType::kDistances));
-            SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext ct,
-                                  CtFromBytes(std::move(bytes)));
-            received.push_back(std::move(ct));
-          }
-        }
-        SKNN_ASSIGN_OR_RETURN(effective_k,
-                              party_b_->FindNeighbours(received, config_.k));
-        return Status::Ok();
-      },
-      &result.recovered_legs);
-  SKNN_RETURN_IF_ERROR(leg);
-  result.k = effective_k;
-  result.timings.find_neighbours_seconds = SecondsSince(t0);
-
-  // Leg 2 — message 3, interleaved: B streams indicator ciphertexts
-  // (label 8), A absorbs them into the oblivious dot products (label 9).
-  // Streaming keeps peak memory at one indicator ciphertext instead of
-  // k*n. On retry, BeginReturnPhase resets A's accumulators and B
-  // re-emits fresh encryptions of the same selectors.
-  const size_t units = layout_.num_units();
-  double b_seconds = 0;
-  double a_seconds = 0;
-  leg = RunLegWithRecovery(
-      "retry/indicators", retry_policy_, drain,
-      [&]() -> Status {
-        SKNN_RETURN_IF_ERROR(a_query->BeginReturnPhase(effective_k));
-        for (size_t j = 0; j < effective_k; ++j) {
-          // B encrypts the whole row of indicators for result j in one
-          // parallel batch (per-position RNG forks keep the transcript
-          // deterministic), then streams them position by position.
-          auto tbatch = std::chrono::steady_clock::now();
-          std::vector<bgv::Ciphertext> row;
-          std::vector<bgv::SeededCiphertext> row_seeded;
-          if (config_.compress_indicators) {
-            SKNN_ASSIGN_OR_RETURN(
-                row_seeded, party_b_->EmitIndicatorsCompressedForResult(j));
-          } else {
-            SKNN_ASSIGN_OR_RETURN(row, party_b_->EmitIndicatorsForResult(j));
-          }
-          b_seconds += SecondsSince(tbatch);
-          for (size_t pos = 0; pos < units; ++pos) {
-            auto tb = std::chrono::steady_clock::now();
-            ByteSink sink;
-            if (config_.compress_indicators) {
-              bgv::WriteSeededCiphertext(row_seeded[pos], &sink);
-            } else {
-              bgv::WriteCiphertext(row[pos], &sink);
-            }
-            {
-              trace::TraceSpan span("transfer.indicators");
-              SKNN_RETURN_IF_ERROR(b_ch.SendMessage(
-                  net::MessageType::kIndicators, sink.bytes()));
-            }
-            b_seconds += SecondsSince(tb);
-
-            auto ta = std::chrono::steady_clock::now();
-            std::vector<uint8_t> bytes;
-            {
-              trace::TraceSpan span("transfer.indicators");
-              SKNN_ASSIGN_OR_RETURN(
-                  bytes, a_ch.ReceiveMessage(net::MessageType::kIndicators));
-            }
-            bgv::Ciphertext ind_at_a;
-            if (config_.compress_indicators) {
-              ByteSource src(std::move(bytes));
-              SKNN_ASSIGN_OR_RETURN(bgv::SeededCiphertext seeded,
-                                    bgv::ReadSeededCiphertext(&src));
-              SKNN_ASSIGN_OR_RETURN(ind_at_a, bgv::ExpandSeeded(*ctx_, seeded));
-            } else {
-              SKNN_ASSIGN_OR_RETURN(ind_at_a, CtFromBytes(std::move(bytes)));
-              // Fresh public-key indicator: re-seed the noise tracker
-              // (ExpandSeeded stamps the symmetric bound itself).
-              ind_at_a.noise_bits = noise_model.FreshPkNoiseBits();
-            }
-            SKNN_RETURN_IF_ERROR(a_query->AbsorbIndicator(j, pos, ind_at_a));
-            a_seconds += SecondsSince(ta);
-          }
-        }
-        return Status::Ok();
-      },
-      &result.recovered_legs);
-  SKNN_RETURN_IF_ERROR(leg);
-  result.timings.find_neighbours_seconds += b_seconds;
-
-  // Party A finalizes and returns the k encrypted neighbours (label 10,
-  // message 4), framed like the query leg.
-  auto tr = std::chrono::steady_clock::now();
-  std::vector<std::vector<uint8_t>> result_bytes;
-  for (size_t j = 0; j < effective_k; ++j) {
-    SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext ct, a_query->FinalizeResult(j));
-    result_bytes.push_back(
-        net::EncodeFrame(net::MessageType::kResults, j, CtToBytes(ct)));
+  // Labels 5-9, re-executed whole on a transient failure under the same
+  // bound as the servers' workers (DESIGN.md §8.2).
+  std::vector<std::vector<uint8_t>> result_payloads;
+  Status status = RunAttempt(query_at_a, &result, &result_payloads);
+  while (!status.ok() &&
+         MayReexecute(status, result.reexecutions, retry_policy_)) {
+    ++result.reexecutions;
+    status = RunAttempt(query_at_a, &result, &result_payloads);
   }
-  result.timings.return_knn_seconds = a_seconds + SecondsSince(tr);
+  SKNN_RETURN_IF_ERROR(status);
 
-  // Client decrypts. The A->client leg is not carried by `ab_link`; count
-  // its bytes against the transfer span manually.
+  // Party A returns the k encrypted neighbours (label 10, message 4),
+  // framed like the query leg, and the client decrypts. The A->client leg
+  // is not carried by `ab_link`; count its bytes against the transfer span
+  // manually.
   t0 = std::chrono::steady_clock::now();
-  for (std::vector<uint8_t>& bytes : result_bytes) {
+  for (size_t j = 0; j < result_payloads.size(); ++j) {
+    std::vector<uint8_t> bytes =
+        net::EncodeFrame(net::MessageType::kResults, j, result_payloads[j]);
     result.client_bytes_received += bytes.size();
     bgv::Ciphertext ct;
     {
@@ -474,15 +252,88 @@ Status SecureKnnSession::RunQueryInternal(const std::vector<uint64_t>& query,
   }
   result.timings.client_decrypt_seconds = SecondsSince(t0);
 
-  result.party_a_ops = a_query->ops();
   result.party_b_ops = party_b_->ops();
   result.client_ops = client_->ops();
-  // (result.ab_link is filled by link_stats_guard on scope exit.)
   // Mirror the per-party aggregates into the global registry so trace/JSON
   // exports carry them alongside the bgv.evaluator.* counters.
   result.party_a_ops.ExportTo(&MetricsRegistry::Global(), "core.party_a");
   result.party_b_ops.ExportTo(&MetricsRegistry::Global(), "core.party_b");
   result.client_ops.ExportTo(&MetricsRegistry::Global(), "core.client");
+  return Status::Ok();
+}
+
+Status SecureKnnSession::RunAttempt(
+    const bgv::Ciphertext& query_at_a, QueryResult* result,
+    std::vector<std::vector<uint8_t>>* result_payloads) {
+  // A fresh transport stack per attempt: byte-counted raw link (in-memory
+  // deques or a loopback TCP pair, selected by SetTransport), optional
+  // seeded fault injection, framed + retrying endpoints (PROTOCOL.md
+  // "Frame envelope & recovery"). A failed attempt's frames die with its
+  // stack — the in-process counterpart of a server worker's reconnect.
+  net::InMemoryLink mem_link;
+  std::unique_ptr<net::SocketLink> sock_link;
+  net::Channel* a_raw = mem_link.a_endpoint();
+  net::Channel* b_raw = mem_link.b_endpoint();
+  if (transport_ == Transport::kSocket) {
+    SKNN_ASSIGN_OR_RETURN(sock_link, net::SocketLink::Create());
+    a_raw = sock_link->a_endpoint();
+    b_raw = sock_link->b_endpoint();
+  }
+  std::unique_ptr<net::FaultyLink> faulty;
+  if (fault_spec_.any()) {
+    faulty = std::make_unique<net::FaultyLink>(
+        a_raw, b_raw, fault_spec_, fault_spec_, fault_seed_ + attempts_run_);
+    a_raw = faulty->a_endpoint();
+    b_raw = faulty->b_endpoint();
+  }
+  ++attempts_run_;
+  net::ResilientChannel a_ch(a_raw, retry_policy_, 2 * attempts_run_, "A");
+  net::ResilientChannel b_ch(b_raw, retry_policy_, 2 * attempts_run_ + 1,
+                             "B");
+  // Every attempt's link bytes count toward the query, on every exit path.
+  struct AddLinkStatsOnExit {
+    const net::LinkStats& stats;
+    net::LinkStats* total;
+    ~AddLinkStatsOnExit() { *total += stats; }
+  } add_link_stats{sock_link ? sock_link->stats() : mem_link.stats(),
+                   &result->ab_link};
+
+  // Party A: Compute Distances (Algorithm 1, labels 5-6) with a fresh
+  // mask and permutation per attempt. All of A's per-query state lives in
+  // the Query object, so concurrent sessions on one PartyA stay isolated
+  // (DESIGN.md §9).
+  auto t0 = std::chrono::steady_clock::now();
+  SKNN_ASSIGN_OR_RETURN(std::unique_ptr<PartyA::Query> a_query,
+                        party_a_->StartQuery(query_at_a));
+  result->timings.compute_distances_seconds += SecondsSince(t0);
+
+  // Message 2: A streams the masked distance bundle to B; B runs Find
+  // Neighbours (Algorithm 2, label 7).
+  t0 = std::chrono::steady_clock::now();
+  SKNN_RETURN_IF_ERROR(SendDistances(*a_query, /*trace_id=*/0, &a_ch));
+  SKNN_ASSIGN_OR_RETURN(
+      size_t k, ReceiveDistancesAndSelect(layout_.num_units(), config_.k,
+                                          party_b_.get(), &b_ch));
+  result->timings.find_neighbours_seconds += SecondsSince(t0);
+  result->k = k;
+
+  // Message 3, one row at a time: B sends the indicators of result j
+  // (label 8), A absorbs them into the oblivious dot products (label 9).
+  SKNN_RETURN_IF_ERROR(a_query->BeginReturnPhase(k));
+  for (size_t j = 0; j < k; ++j) {
+    t0 = std::chrono::steady_clock::now();
+    SKNN_RETURN_IF_ERROR(SendIndicatorRow(config_.compress_indicators, j,
+                                          party_b_.get(), &b_ch));
+    result->timings.find_neighbours_seconds += SecondsSince(t0);
+    t0 = std::chrono::steady_clock::now();
+    SKNN_RETURN_IF_ERROR(AbsorbIndicatorRow(
+        *ctx_, config_.compress_indicators, j, a_query.get(), &a_ch));
+    result->timings.return_knn_seconds += SecondsSince(t0);
+  }
+  t0 = std::chrono::steady_clock::now();
+  SKNN_ASSIGN_OR_RETURN(*result_payloads, FinalizeResults(k, a_query.get()));
+  result->timings.return_knn_seconds += SecondsSince(t0);
+  result->party_a_ops = a_query->ops();
   return Status::Ok();
 }
 

@@ -58,10 +58,10 @@ struct QueryResult {
   // Bytes from client to A (query) and A to client (results).
   uint64_t client_bytes_sent = 0;
   uint64_t client_bytes_received = 0;
-  // Protocol legs that hit a transient transport error and succeeded on a
-  // re-issue (0 on a clean run; see "Frame envelope & recovery" in
-  // PROTOCOL.md).
-  uint64_t recovered_legs = 0;
+  // Whole-query re-executions after a transient transport error (0 on a
+  // clean run; see "Frame envelope & recovery" in PROTOCOL.md). `ab_link`
+  // and the timings cover every attempt.
+  int reexecutions = 0;
   PhaseTimings timings;
 };
 
@@ -93,13 +93,12 @@ class SecureKnnSession {
   // Fault tolerance: the A<->B traffic travels in framed envelopes over a
   // ResilientChannel pair; on a transient transport error (IsTransient()
   // status — lost, corrupted, duplicated, reordered, or delayed frame)
-  // the affected protocol leg is drained and re-issued, up to
-  // RetryPolicy::max_leg_retries times, before the error is surfaced.
-  // Re-issuing a leg is safe: the retransmitted distance bundle is
-  // byte-identical (no new randomness → no new leakage) and re-emitted
-  // indicators are fresh encryptions of the same plaintext selectors
-  // (covered by semantic security); mask and permutation stay fixed
-  // within the query and are refreshed across queries (DESIGN.md §8).
+  // the session discards the query's transport stack, builds a fresh one
+  // and re-executes the query from PartyA::StartQuery, up to
+  // RetryPolicy::max_query_reexecutions times, before the error is
+  // surfaced — the same recovery as the servers' workers. A re-execution
+  // is a fresh protocol instance (new mask and permutation), so it leaks
+  // nothing the theorems do not already cover (DESIGN.md §8.3).
   //
   // Observability: every call — success or failure — appends one record
   // to `FlightRecorder::Global()` (replay seed, per-phase timings/bytes,
@@ -109,19 +108,20 @@ class SecureKnnSession {
 
   // Enables deterministic fault injection on the A<->B link of every
   // subsequent RunQuery (both directions use `spec`). `seed` makes the
-  // fault pattern reproducible; successive queries use seed, seed+1, ...
+  // fault pattern reproducible; successive attempts (re-executions
+  // included) use seed, seed+1, ...
   void SetFaultInjection(const net::FaultSpec& spec, uint64_t seed);
 
   // Transport carrying the A<->B frames of subsequent queries. kInMemory
   // (default) is the byte-accounted in-process link; kSocket routes the
   // identical frames over a loopback TCP pair (net::SocketLink), so the
-  // whole protocol — including fault injection and leg recovery — can be
+  // whole protocol — including fault injection and re-execution — can be
   // exercised against real kernel sockets.
   enum class Transport { kInMemory, kSocket };
   void SetTransport(Transport transport) { transport_ = transport; }
 
-  // Replaces the default transport retry policy (polls, backoff, leg
-  // retries) for subsequent queries.
+  // Replaces the default transport retry policy (polls, backoff,
+  // re-executions) for subsequent queries.
   void SetRetryPolicy(const net::RetryPolicy& policy) {
     retry_policy_ = policy;
   }
@@ -143,6 +143,11 @@ class SecureKnnSession {
   // by the public wrapper reflects how far the query got.
   Status RunQueryInternal(const std::vector<uint64_t>& query,
                           QueryResult* result);
+  // One attempt at labels 5-9 on a fresh transport stack: StartQuery,
+  // then the A<->B exchange (core/exchange.h). Adds its link bytes and
+  // phase times to `*result`; fills `*result_payloads` on success.
+  Status RunAttempt(const bgv::Ciphertext& query_at_a, QueryResult* result,
+                    std::vector<std::vector<uint8_t>>* result_payloads);
 
   ProtocolConfig config_;
   std::shared_ptr<const bgv::BgvContext> ctx_;
@@ -154,7 +159,7 @@ class SecureKnnSession {
 
   net::FaultSpec fault_spec_;
   uint64_t fault_seed_ = 0;
-  uint64_t queries_run_ = 0;
+  uint64_t attempts_run_ = 0;
   net::RetryPolicy retry_policy_;
   Transport transport_ = Transport::kInMemory;
 };

@@ -80,11 +80,6 @@ class LinkEndpointImpl : public Channel {
 
 }  // namespace
 
-void InMemoryLink::Drain() {
-  a_to_b_.clear();
-  b_to_a_.clear();
-}
-
 InMemoryLink::InMemoryLink() {
   a_ = std::make_unique<LinkEndpointImpl>(&a_to_b_, &b_to_a_, &stats_,
                                           &last_direction_, /*is_a=*/true);

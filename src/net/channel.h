@@ -48,6 +48,14 @@ struct LinkStats {
   uint64_t rounds = 0;
 
   uint64_t total_bytes() const { return bytes_a_to_b + bytes_b_to_a; }
+  LinkStats& operator+=(const LinkStats& other) {
+    messages_a_to_b += other.messages_a_to_b;
+    messages_b_to_a += other.messages_b_to_a;
+    bytes_a_to_b += other.bytes_a_to_b;
+    bytes_b_to_a += other.bytes_b_to_a;
+    rounds += other.rounds;
+    return *this;
+  }
   std::string DebugString() const;
 };
 
@@ -76,11 +84,6 @@ class InMemoryLink {
 
   const LinkStats& stats() const { return stats_; }
   void ResetStats() { stats_ = LinkStats(); }
-
-  // Discards every undelivered message in both directions (sent-byte
-  // accounting is kept: the bytes did cross the simulated wire). Used by
-  // session leg recovery to guarantee a clean queue before a re-issue.
-  void Drain();
 
  private:
   friend class LinkEndpoint;

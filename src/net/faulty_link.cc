@@ -233,14 +233,5 @@ void FaultyLink::OnReceivePoll(Direction* dir, bool raw_queue_empty) {
   }
 }
 
-void FaultyLink::Reset() {
-  ab_.has_hold = false;
-  ab_.hold.clear();
-  ab_.delayed.clear();
-  ba_.has_hold = false;
-  ba_.hold.clear();
-  ba_.delayed.clear();
-}
-
 }  // namespace net
 }  // namespace sknn

@@ -71,11 +71,6 @@ class FaultyLink {
   Channel* a_endpoint() { return a_.get(); }
   Channel* b_endpoint() { return b_.get(); }
 
-  // Discards every held/delayed message (both directions). Part of the
-  // session's leg-recovery drain: combined with InMemoryLink::Drain() it
-  // guarantees no stale frame from a failed leg can surface later.
-  void Reset();
-
   // Total number of injected faults so far (all modes, both directions).
   uint64_t faults_injected() const { return faults_injected_; }
 

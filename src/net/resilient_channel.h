@@ -20,15 +20,16 @@
 //
 //   * empty queue    -> bounded polling with exponential backoff + jitter,
 //                       then kDeadlineExceeded (per-message timeout);
-//   * corrupt frame  -> kDataLoss immediately (the caller re-issues the
-//                       protocol leg; the messages are idempotent);
+//   * corrupt frame  -> kDataLoss immediately (the caller re-executes the
+//                       query on a fresh transport);
 //   * duplicate      -> silently consumed (seq below the expected one);
 //   * reordered      -> stashed until its sequence number comes up;
 //   * desync         -> a valid frame of the wrong MessageType or a stash
 //                       overflow is kDataLoss with a diagnostic.
 //
 // All failure codes are classified by Status::IsTransient(): everything a
-// leg retry can cure is transient; a frame-version mismatch is fatal.
+// query re-execution can cure is transient; a frame-version mismatch is
+// fatal.
 // Counters: net.frames.sent/received, net.frames.overhead_bytes,
 // net.frames.duplicates_dropped, net.frames.reordered_held,
 // net.corrupt_frames, net.retries.
@@ -40,8 +41,11 @@ struct RetryPolicy {
   // Receive polls per message before kDeadlineExceeded (the per-message
   // timeout, expressed in polls so in-memory tests stay deterministic).
   int max_receive_polls = 16;
-  // Full protocol-leg re-issues the session attempts on a transient error.
-  int max_leg_retries = 8;
+  // Whole-query re-executions after a transient failure: the session and
+  // Party A's workers re-run a query from PartyA::StartQuery on a fresh
+  // transport (fresh mask and permutation; DESIGN.md §8.3) at most this
+  // many times before surfacing the typed error.
+  int max_query_reexecutions = 1;
   // Backoff between receive polls: base * multiplier^attempt, capped at
   // max, each scaled by a uniform jitter in [1-jitter, 1+jitter].
   uint64_t base_backoff_us = 20;
@@ -76,9 +80,9 @@ class ResilientChannel : public Channel {
   // ReceiveMessage.
   StatusOr<Frame> ReceiveFrame();
 
-  // Resets both sequence spaces and drops the reorder stash. Only safe
-  // after the underlying link has been fully drained (no in-flight frames
-  // from the old epoch); the session does this as part of leg recovery.
+  // Resets both sequence spaces and drops the reorder stash. Only safe at
+  // an exchange boundary, when no frame of the old epoch is in flight;
+  // both ends of a server connection reset before each query.
   void ResetEpoch();
 
   // Absolute deadline for every subsequent receive: once it passes, a

@@ -177,7 +177,7 @@ StatusOr<bool> SocketChannel::ExtractFrame(std::vector<uint8_t>* out) {
   if (HeaderMagic(buf_.data()) != kFrameMagic) {
     // The stream no longer starts at a frame boundary — a corrupted or
     // truncated frame upstream. There is no resync point inside a TCP
-    // stream, so surface kDataLoss and let leg recovery drain us.
+    // stream, so surface kDataLoss; the caller abandons the connection.
     SocketCounter("desync")->Increment();
     std::ostringstream os;
     os << "stream on " << name_ << " desynchronized: expected frame magic 0x"
@@ -248,33 +248,6 @@ StatusOr<bool> SocketChannel::WaitReadable(int timeout_ms) {
     return true;
   }
   return true;
-}
-
-void SocketChannel::DiscardPending() {
-  buf_.clear();
-  if (fd_ < 0 || peer_eof_) return;
-  uint8_t chunk[64 * 1024];
-  int quiet_polls = 0;
-  // Keep discarding until the stream stays quiet for two short polls —
-  // in-flight loopback bytes land within microseconds.
-  while (quiet_polls < 2) {
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      bytes_received_ += static_cast<uint64_t>(n);
-      SocketCounter("bytes_received")->Add(static_cast<uint64_t>(n));
-      SocketCounter("bytes_discarded")->Add(static_cast<uint64_t>(n));
-      quiet_polls = 0;
-      continue;
-    }
-    if (n == 0 || (n < 0 && errno == ECONNRESET)) {
-      peer_eof_ = true;
-      return;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    pollfd pfd{fd_, POLLIN, 0};
-    const int r = ::poll(&pfd, 1, 2);
-    if (r <= 0) ++quiet_polls;
-  }
 }
 
 SocketListener::~SocketListener() { Close(); }
@@ -440,15 +413,6 @@ StatusOr<std::unique_ptr<SocketLink>> SocketLink::Create() {
   link->b_counting_ = std::make_unique<CountingSocketEndpoint>(
       link->b_.get(), &link->stats_, &link->last_direction_, /*is_a=*/false);
   return link;
-}
-
-void SocketLink::Drain() {
-  // Two passes: bytes still queued in the kernel on one side can surface
-  // after the other side's discard returns.
-  a_->DiscardPending();
-  b_->DiscardPending();
-  a_->DiscardPending();
-  b_->DiscardPending();
 }
 
 }  // namespace net

@@ -16,8 +16,8 @@
 // (net/frame.h) doubles as the stream delimiter, so the byte stream is a
 // pure concatenation of SKNF frames and the receiver re-synchronizes by
 // the header's `payload_len`. A corrupted header (bad magic, absurd
-// length) is a typed kDataLoss — the caller's leg-recovery drain discards
-// the poisoned stream, exactly like the in-memory chaos path.
+// length) is a typed kDataLoss — the caller abandons the poisoned stream
+// and re-executes the query on a fresh connection.
 //
 // All reads are non-blocking and poll-bounded: `Receive` accumulates
 // whatever the kernel has within one `io_poll_ms` window and returns
@@ -67,11 +67,6 @@ class SocketChannel : public Channel {
   // the per-message retry budget. Returns false on timeout, kAborted when
   // the peer disconnected.
   StatusOr<bool> WaitReadable(int timeout_ms);
-
-  // Reads and discards everything the peer has in flight until the stream
-  // stays quiet, and clears the partial-frame reassembly buffer. The
-  // socket half of a leg-recovery drain.
-  void DiscardPending();
 
   void Close();
   bool closed() const { return fd_ < 0; }
@@ -132,7 +127,7 @@ StatusOr<std::unique_ptr<SocketChannel>> ConnectSocket(
     const std::string& name);
 
 // A loopback TCP pair with the same link interface as InMemoryLink: two
-// byte-counted endpoints, LinkStats, and a Drain() for leg recovery. Used
+// byte-counted endpoints and LinkStats. Used
 // by SecureKnnSession's socket transport mode and by the chaos harness to
 // run the full fault matrix over real sockets (a FaultyLink decorates the
 // endpoints exactly as it decorates the in-memory ones).
@@ -150,10 +145,6 @@ class SocketLink {
 
   const LinkStats& stats() const { return stats_; }
   void ResetStats() { stats_ = LinkStats(); }
-
-  // Discards every in-flight byte in both directions and resets the
-  // partial-frame buffers (leg recovery; see InMemoryLink::Drain).
-  void Drain();
 
  private:
   SocketLink() = default;

@@ -42,7 +42,7 @@ ProtocolConfig ChaosConfig() {
 net::RetryPolicy FastRetries() {
   net::RetryPolicy policy;
   policy.max_receive_polls = 16;
-  policy.max_leg_retries = 8;
+  policy.max_query_reexecutions = 8;
   policy.base_backoff_us = 0;
   policy.max_backoff_us = 0;
   return policy;
@@ -96,7 +96,7 @@ bool IsCleanTransportError(const Status& status) {
 struct ChaosTally {
   int ok = 0;
   int typed_errors = 0;
-  int recovered = 0;  // queries that succeeded after >= 1 leg re-issue
+  int recovered = 0;  // queries that succeeded after >= 1 re-execution
 };
 
 // Runs `num_queries` queries under `spec_str` faults and enforces the
@@ -123,9 +123,9 @@ ChaosTally RunChaos(SecureKnnSession* session, const data::Dataset& dataset,
     auto result = session->RunQuery(query);
     if (result.ok()) {
       ++tally.ok;
-      if (result->recovered_legs > 0) ++tally.recovered;
+      if (result->reexecutions > 0) ++tally.recovered;
       // Exactness: a success under faults must be bit-for-bit the same
-      // answer as plaintext k-NN — a recovered leg may never change the
+      // answer as plaintext k-NN — a re-execution may never change the
       // result.
       EXPECT_EQ(SortedDistances(result->neighbours, query),
                 ReferenceDistances(dataset, query, cfg.k))
@@ -192,7 +192,8 @@ TEST_F(ChaosTest, EverySingleFaultModeIsSurvived) {
                                       /*fault_seed=*/seed++, 60);
     EXPECT_EQ(tally.ok + tally.typed_errors, 60);
     // Duplicates, reorders, and short delays are absorbed by the framing
-    // layer without even a leg retry's worth of disruption to the caller.
+    // layer without even a re-execution's worth of disruption to the
+    // caller.
     if (mode.lossless) {
       EXPECT_EQ(tally.typed_errors, 0) << "lossless mode produced errors";
     }
@@ -212,11 +213,12 @@ TEST_F(ChaosTest, MixedFaultSoak) {
       /*fault_seed=*/500, 150);
   EXPECT_EQ(tally.ok + tally.typed_errors, 150);
   EXPECT_GE(tally.ok, 120) << "soak success rate collapsed";
-  EXPECT_GT(tally.recovered, 0) << "soak never exercised leg recovery";
+  EXPECT_GT(tally.recovered, 0) << "soak never exercised re-execution";
 }
 
-// Same session seed + same fault seed => the same success/failure pattern
-// and the same answers: the whole chaos run is replayable.
+// Same session seed + same fault seed => the same success/failure pattern,
+// the same re-execution counts and the same answers: the whole chaos run
+// is replayable.
 TEST_F(ChaosTest, FaultInjectionIsDeterministic) {
   auto run = [&]() {
     auto session = SecureKnnSession::Create(ChaosConfig(), *dataset_, 7);
@@ -233,28 +235,26 @@ TEST_F(ChaosTest, FaultInjectionIsDeterministic) {
         for (uint64_t d : SortedDistances(result->neighbours, query)) {
           entry += std::to_string(d) + ",";
         }
-        entry += " legs=" + std::to_string(result->recovered_legs);
         transcript.push_back(entry);
       } else {
         transcript.push_back("err:" +
                              std::string(StatusCodeToString(
                                  result.status().code())));
       }
+      // The flight record carries the re-execution count on both paths.
+      const FlightRecord record = FlightRecorder::Global().Records().back();
+      transcript.back() += " reexec=" + std::to_string(record.reexecutions);
     }
     return transcript;
   };
   EXPECT_EQ(run(), run());
 }
 
-// Queries that needed a leg re-issue are bit-exact, and the counters that
-// README documents (net.retries/net.leg_retries/query.recovered,
-// net.faults.*, net.corrupt_frames) actually move.
+// Queries that needed a re-execution are bit-exact and report it in
+// QueryResult::reexecutions, and the counters that README documents
+// (net.faults.*, net.corrupt_frames) actually move.
 TEST_F(ChaosTest, RecoveryCountersMove) {
   auto& registry = MetricsRegistry::Global();
-  const uint64_t recovered_before =
-      registry.GetCounter("query.recovered")->value();
-  const uint64_t leg_retries_before =
-      registry.GetCounter("net.leg_retries")->value();
   const uint64_t corrupt_before =
       registry.GetCounter("net.corrupt_frames")->value();
   const uint64_t flips_before =
@@ -263,9 +263,6 @@ TEST_F(ChaosTest, RecoveryCountersMove) {
   const ChaosTally tally =
       RunChaos(session_, *dataset_, "flip:0.25", /*fault_seed=*/900, 30);
   EXPECT_GT(tally.recovered, 0);
-  EXPECT_GT(registry.GetCounter("query.recovered")->value(), recovered_before);
-  EXPECT_GT(registry.GetCounter("net.leg_retries")->value(),
-            leg_retries_before);
   EXPECT_GT(registry.GetCounter("net.corrupt_frames")->value(), corrupt_before);
   EXPECT_GT(registry.GetCounter("net.faults.bitflip")->value(), flips_before);
 }
@@ -287,7 +284,7 @@ TEST_F(ChaosTest, FramingOverheadUnderOnePercent) {
   const std::vector<uint64_t> query = data::UniformQuery(2, 15, 321);
   auto result = (*session)->RunQuery(query);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->recovered_legs, 0u);
+  EXPECT_EQ(result->reexecutions, 0);
   EXPECT_EQ(result->ab_link.rounds, 2u);
 
   const uint64_t messages =
@@ -306,7 +303,7 @@ TEST_F(ChaosTest, FramingOverheadUnderOnePercent) {
 
 // --- Socket transport (net::SocketLink): the identical frames over real
 // loopback TCP. The kernel adds its own behaviours — coalescing, partial
-// reads, buffered in-flight bytes during a drain — so the exactness and
+// reads, a fresh connection per re-execution — so the exactness and
 // typed-error contracts are re-pinned on this transport.
 
 // Clean run over sockets: bit-exact answers, both protocol rounds, and
@@ -326,7 +323,7 @@ TEST_F(ChaosTest, SocketTransportCleanRunIsExact) {
     const std::vector<uint64_t> query = data::UniformQuery(2, 15, 4200 + q);
     auto result = (*session)->RunQuery(query);
     ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->recovered_legs, 0u);
+    EXPECT_EQ(result->reexecutions, 0);
     EXPECT_EQ(SortedDistances(result->neighbours, query),
               ReferenceDistances(*dataset_, query, ChaosConfig().k));
     EXPECT_EQ(result->ab_link.rounds, 2u)
@@ -359,7 +356,7 @@ TEST_F(ChaosTest, SocketTransportSurvivesMixedFaults) {
     auto result = (*session)->RunQuery(query);
     if (result.ok()) {
       ++tally.ok;
-      if (result->recovered_legs > 0) ++tally.recovered;
+      if (result->reexecutions > 0) ++tally.recovered;
       EXPECT_EQ(SortedDistances(result->neighbours, query),
                 ReferenceDistances(*dataset_, query, ChaosConfig().k))
           << "wrong answer under faults over sockets, query " << q;
@@ -374,7 +371,7 @@ TEST_F(ChaosTest, SocketTransportSurvivesMixedFaults) {
   EXPECT_EQ(tally.ok + tally.typed_errors, 40);
   EXPECT_GE(tally.ok, 30) << "socket soak success rate collapsed";
   EXPECT_GT(tally.recovered, 0)
-      << "socket soak never exercised leg recovery";
+      << "socket soak never exercised re-execution";
 }
 
 }  // namespace

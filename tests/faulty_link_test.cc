@@ -212,7 +212,7 @@ TEST(ResilientChannelTest, BitFlipYieldsDataLoss) {
 }
 
 TEST(ResilientChannelTest, EpochResetAfterDrainRecoversDesync) {
-  FaultSpec spec;  // clean link; desync provoked by a manual raw drain
+  FaultSpec spec;  // clean link; desync provoked by a raw-level receive
   InMemoryLink raw;
   FaultyLink link(raw.a_endpoint(), raw.b_endpoint(), spec, spec, 11);
   RetryPolicy policy = FastPolicy();
@@ -220,10 +220,9 @@ TEST(ResilientChannelTest, EpochResetAfterDrainRecoversDesync) {
   ResilientChannel a(link.a_endpoint(), policy, 1, "A");
   ResilientChannel b(link.b_endpoint(), policy, 2, "B");
   ASSERT_TRUE(a.SendMessage(MessageType::kOpaque, Payload(1)).ok());
-  raw.Drain();  // "the network ate it"
+  ASSERT_TRUE(raw.b_endpoint()->Receive().ok());  // "the network ate it"
   EXPECT_FALSE(b.ReceiveMessage(MessageType::kOpaque).ok());
-  // Leg recovery: drain (already empty), reset epochs, re-issue.
-  link.Reset();
+  // The link is empty again: reset epochs, re-send.
   a.ResetEpoch();
   b.ResetEpoch();
   ASSERT_TRUE(a.SendMessage(MessageType::kOpaque, Payload(1)).ok());

@@ -25,7 +25,7 @@ FlightRecord MakeRecord(uint64_t seed, bool ok) {
   r.k = 3;
   r.phases.push_back({"query_encrypt", 0.001, 512, 40.5});
   r.phases.push_back({"compute_distances", 0.25, 0, 12.25});
-  r.leg_retries = 2;
+  r.reexecutions = 2;
   r.ok = ok;
   r.status = ok ? "ok" : "deadline exceeded";
   return r;
@@ -38,7 +38,7 @@ TEST(FlightRecord, JsonShape) {
   EXPECT_NE(json.find("\"k\":3"), std::string::npos);
   EXPECT_NE(json.find("\"query_encrypt\""), std::string::npos);
   EXPECT_NE(json.find("\"compute_distances\""), std::string::npos);
-  EXPECT_NE(json.find("\"leg_retries\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"reexecutions\":2"), std::string::npos);
   EXPECT_NE(json.find("\"ok\":true"), std::string::npos);
 }
 
@@ -94,7 +94,7 @@ core::ProtocolConfig RecorderConfig() {
 net::RetryPolicy FastRetries() {
   net::RetryPolicy policy;
   policy.max_receive_polls = 4;
-  policy.max_leg_retries = 2;
+  policy.max_query_reexecutions = 2;
   policy.base_backoff_us = 0;
   policy.max_backoff_us = 0;
   return policy;
@@ -134,7 +134,7 @@ TEST(FlightRecorderSession, SuccessfulQueryAppendsFivePhaseRecord) {
   EXPECT_GT(rec.phases[2].bytes, 0u);
   EXPECT_GT(rec.phases[3].bytes, 0u);
   for (const auto& phase : rec.phases) EXPECT_GE(phase.seconds, 0.0);
-  EXPECT_EQ(rec.leg_retries, 0u);
+  EXPECT_EQ(rec.reexecutions, 0u);
   EXPECT_EQ(rec.faults_injected, 0u);
 }
 
@@ -166,7 +166,7 @@ TEST(FlightRecorderSession, FailedQueryRecordsErrorAndReplaySeed) {
   const data::Dataset dataset = data::UniformDataset(16, 2, 15, 42);
   auto session = core::SecureKnnSession::Create(RecorderConfig(), dataset, 7);
   ASSERT_TRUE(session.ok()) << session.status();
-  // Drop every frame: the query must fail after exhausting retries.
+  // Drop every frame: the query must fail after exhausting re-executions.
   auto spec = net::ParseFaultSpec("drop:1.0");
   ASSERT_TRUE(spec.ok());
   (*session)->SetFaultInjection(*spec, /*fault_seed=*/4242);
@@ -184,7 +184,8 @@ TEST(FlightRecorderSession, FailedQueryRecordsErrorAndReplaySeed) {
   EXPECT_FALSE(rec.ok);
   EXPECT_FALSE(rec.status.empty());
   EXPECT_NE(rec.status, "ok");
-  EXPECT_EQ(rec.seed, 4242u);  // fault_seed + query index 0: replay key
+  EXPECT_EQ(rec.seed, 4242u);  // the first attempt's fault seed: replay key
+  EXPECT_EQ(rec.reexecutions, 2u);
   EXPECT_GT(rec.faults_injected, 0u);
   // The failure is findable by its replay seed.
   FlightRecord found;

@@ -190,9 +190,9 @@ TEST_F(SerializationRobustnessTest, ProtocolMessagesSurviveFaultyLinkFuzz) {
                         StatusCode::kFailedPrecondition)
             << received.status();
         ++corrupted;
-        // Drain and re-align both ends, as session leg recovery would.
-        raw.Drain();
-        link.Reset();
+        // Drop whatever is left on the link and re-align both ends.
+        while (raw.b_endpoint()->Receive().ok()) {
+        }
         a.ResetEpoch();
         b.ResetEpoch();
         continue;

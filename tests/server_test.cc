@@ -261,6 +261,35 @@ TEST_F(ServerTest, SequentialQueriesOnOneConnection) {
   }
 }
 
+// The served path with plain (public-key) indicator ciphertexts instead of
+// the default seeded-compressed ones: B encodes and A decodes the other
+// half of the shared indicator codec, and the answer is still exact.
+TEST_F(ServerTest, PlainIndicatorsServeExactAnswer) {
+  ProtocolConfig cfg = ServerConfig();
+  cfg.compress_indicators = false;
+  auto dep_a = Deployment::Derive(cfg, *dataset_, 7, /*role_a=*/true);
+  ASSERT_TRUE(dep_a.ok()) << dep_a.status();
+  auto dep_b = Deployment::Derive(cfg, *dataset_, 7, /*role_a=*/false);
+  ASSERT_TRUE(dep_b.ok()) << dep_b.status();
+  auto b = PartyBServer::Start(*dep_b, ServerOptions());
+  ASSERT_TRUE(b.ok()) << b.status();
+  ServerOptions a_options;
+  a_options.peer_port = (*b)->port();
+  a_options.workers = 1;
+  auto a = PartyAServer::Start(*dep_a, a_options);
+  ASSERT_TRUE(a.ok()) << a.status();
+  auto client = RemoteClient::Connect(*dep_b, "127.0.0.1", (*a)->port(),
+                                      ServerOptions());
+  ASSERT_TRUE(client.ok()) << client.status();
+  const std::vector<uint64_t> query = data::UniformQuery(2, 15, 7100);
+  auto answer = (*client)->Query(query);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(SortedDistances(answer.value(), query),
+            ReferenceDistances(*dataset_, query, cfg.k));
+  (*a)->Shutdown();
+  (*b)->Shutdown();
+}
+
 TEST_F(ServerTest, SaturatedQueueShedsWithTypedUnavailable) {
   Servers servers = StartServers(/*workers=*/1, /*queue_capacity=*/1);
   // One worker, one queue slot, and a 400ms artificial delay per query:

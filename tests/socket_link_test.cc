@@ -235,25 +235,6 @@ TEST(SocketLinkTest, WaitReadableSeesTraffic) {
   EXPECT_TRUE(ready.value());
 }
 
-TEST(SocketLinkTest, DiscardPendingClearsInFlightBytes) {
-  RawPair pair = MakePair();
-  for (uint64_t seq = 0; seq < 8; ++seq) {
-    ASSERT_TRUE(
-        pair.dialer->Send(EncodeFrame(MessageType::kOpaque, seq,
-                                      std::vector<uint8_t>(1024, 2)))
-            .ok());
-  }
-  pair.accepted->DiscardPending();
-  // Whatever was in flight is gone; a fresh frame still comes through.
-  ASSERT_TRUE(
-      pair.dialer->Send(EncodeFrame(MessageType::kResults, 99, {5})).ok());
-  auto received = ReceiveBlocking(pair.accepted.get());
-  ASSERT_TRUE(received.ok()) << received.status();
-  auto frame = DecodeFrame(std::move(received).value());
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  EXPECT_EQ(frame->seq, 99u);
-}
-
 // The resilient layer's ordered exactly-once delivery works unchanged
 // over the socket transport (same Channel interface contract).
 TEST(SocketLinkTest, ResilientChannelRunsOverSockets) {

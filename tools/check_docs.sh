@@ -16,7 +16,11 @@
 #      PROTOCOL.md's socket-transport section, and
 #   5. every admin endpoint the telemetry server registers
 #      (RegisterHandler("/...") in src/obs/telemetry_http.cc) must appear
-#      in OPERATIONS.md's endpoint table.
+#      in OPERATIONS.md's endpoint table, and
+#   6. every metric an OPERATIONS.md alert rule (`expr:`) watches must be
+#      exported by some src/ file other than src/core/session.cc — no
+#      server binary runs the in-process session, so an alert on a
+#      session-only metric can never fire.
 #
 # Only the hand-written docs are scanned; SNIPPETS.md and PAPERS.md quote
 # other repositories and would produce false positives.
@@ -96,6 +100,36 @@ while IFS= read -r endpoint; do
   fi
 done < <(grep -A1 'RegisterHandler(' src/obs/telemetry_http.cc \
            | grep -oE '"/[^"]+"' | tr -d '"' | sort -u)
+
+# 6. Alert rules must watch metrics a server binary exports. A metric is
+#    exported when its name appears as a string literal in a src/ file
+#    other than src/core/session.cc (SocketCounter/FaultCounter literals
+#    get their net.socket./net.faults. prefixes); names are compared in
+#    Prometheus form, dots as underscores, with histogram series
+#    suffixes stripped.
+exported_metrics=$(
+  files=$(find src -name '*.cc' -o -name '*.h' | grep -vx 'src/core/session.cc')
+  {
+    grep -hoE '"[a-z][a-z0-9_.]*"' $files | tr -d '"'
+    grep -hoE 'SocketCounter\("[^"]+"\)' $files \
+      | sed 's/.*("\(.*\)")/net.socket.\1/'
+    grep -hoE 'FaultCounter\("[^"]+"\)' $files \
+      | sed 's/.*("\(.*\)")/net.faults.\1/'
+  } | tr '.' '_' | sort -u
+)
+promql_words=" rate irate increase delta sum avg min max count by without on ignoring and or unless offset histogram_quantile "
+while IFS= read -r metric; do
+  [ -z "$metric" ] && continue
+  case "$promql_words" in *" $metric "*) continue ;; esac
+  base="$metric"
+  for suffix in _bucket _sum _count _quantiles; do base="${base%"$suffix"}"; done
+  if ! grep -qxF -e "$metric" -e "$base" <<< "$exported_metrics"; then
+    echo "OPERATIONS.md: alert expression watches \`$metric\`, which no server binary exports"
+    fail=1
+  fi
+done < <(sed -n 's/^[[:space:]]*expr:[[:space:]]*//p' OPERATIONS.md \
+           | sed 's/{[^}]*}//g' | grep -oE '[A-Za-z0-9_.]+' \
+           | grep -E '^[A-Za-z_]' | sort -u)
 
 # 4. Every MessageType on the wire must be specified in PROTOCOL.md.
 while IFS= read -r msg; do

@@ -168,8 +168,8 @@ int RunKnn(const Flags& flags) {
                                     seed + 1000 + static_cast<uint64_t>(q));
     auto result = (*session)->RunQuery(query);
     if (!result.ok()) {
-      // Under fault injection a query may exhaust its leg retries; that is
-      // a clean typed error, not a reason to abandon the run.
+      // Under fault injection a query may exhaust its re-executions; that
+      // is a clean typed error, not a reason to abandon the run.
       std::fprintf(stderr, "query %d: %s%s\n", q,
                    result.status().ToString().c_str(),
                    result.status().IsTransient() ? " (transient)" : "");
@@ -186,9 +186,9 @@ int RunKnn(const Flags& flags) {
         static_cast<unsigned long long>((result->ab_link.rounds + 1) / 2),
         static_cast<double>(result->ab_link.bytes_a_to_b) / 1e6,
         static_cast<double>(result->ab_link.bytes_b_to_a) / 1e6);
-    if (result->recovered_legs > 0) {
-      std::printf("  recovered %llu protocol leg(s) after transient faults\n",
-                  static_cast<unsigned long long>(result->recovered_legs));
+    if (result->reexecutions > 0) {
+      std::printf("  re-executed %d time(s) after transient faults\n",
+                  result->reexecutions);
     }
     std::printf("  neighbours:");
     for (const auto& p : result->neighbours) {
