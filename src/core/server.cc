@@ -36,47 +36,33 @@ std::string ToHex(uint64_t v) {
 
 // ---------------------------------------------------------------------------
 // Handshake (PROTOCOL.md "Socket transport"): one kControl frame each way,
-// raw (seq 0, outside any resilient-channel epoch), exchanged immediately
-// after connect. The dialer announces its role and deployment fingerprint;
-// the acceptor answers welcome or reject. A rejected or mismatched
-// handshake is kFailedPrecondition — fatal, no retry.
+// exchanged immediately after connect as the first epoch (seq 0) of the
+// connection's resilient channel, so it waits for its frame exactly like
+// every later exchange. The dialer announces its role and deployment
+// fingerprint; the acceptor answers welcome or reject. A rejected or
+// mismatched handshake is kFailedPrecondition — fatal, no retry.
 
 constexpr const char* kHelloPrefix = "sknn-hello/1";
 constexpr const char* kWelcomePrefix = "sknn-welcome/1";
 constexpr const char* kRejectPrefix = "sknn-reject/1";
 
-Status SendControl(net::SocketChannel* ch, const std::string& text) {
-  std::vector<uint8_t> payload(text.begin(), text.end());
-  return ch->Send(net::EncodeFrame(net::MessageType::kControl, 0, payload));
+Status SendControl(net::ResilientChannel* ch, const std::string& text) {
+  return ch->SendMessage(net::MessageType::kControl,
+                         std::vector<uint8_t>(text.begin(), text.end()));
 }
 
-// Receives one raw kControl frame within `budget_polls` socket polls.
-StatusOr<std::string> ReceiveControl(net::SocketChannel* ch,
-                                     int budget_polls) {
-  for (int i = 0; i < budget_polls; ++i) {
-    auto bytes = ch->Receive();
-    if (!bytes.ok()) {
-      if (bytes.status().code() == StatusCode::kUnavailable) continue;
-      return std::move(bytes).status();
-    }
-    SKNN_ASSIGN_OR_RETURN(net::Frame frame,
-                          net::DecodeFrame(std::move(bytes).value()));
-    if (frame.type != net::MessageType::kControl) {
-      return DataLossError("expected a control frame during handshake, got " +
-                           std::string(net::MessageTypeToString(frame.type)));
-    }
-    return std::string(frame.payload.begin(), frame.payload.end());
-  }
-  return DeadlineExceededError("no handshake control frame from peer of " +
-                               ch->name());
+StatusOr<std::string> ReceiveControl(net::ResilientChannel* ch) {
+  SKNN_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                        ch->ReceiveMessage(net::MessageType::kControl));
+  return std::string(payload.begin(), payload.end());
 }
 
-Status DialHandshake(net::SocketChannel* ch, const std::string& role,
-                     uint64_t fingerprint, int budget_polls) {
+Status DialHandshake(net::ResilientChannel* ch, const std::string& role,
+                     uint64_t fingerprint) {
   SKNN_RETURN_IF_ERROR(SendControl(
       ch, std::string(kHelloPrefix) + " role=" + role +
               " fp=" + ToHex(fingerprint)));
-  SKNN_ASSIGN_OR_RETURN(std::string reply, ReceiveControl(ch, budget_polls));
+  SKNN_ASSIGN_OR_RETURN(std::string reply, ReceiveControl(ch));
   if (reply.rfind(kWelcomePrefix, 0) == 0) return Status::Ok();
   if (reply.rfind(kRejectPrefix, 0) == 0) {
     return FailedPreconditionError("peer rejected handshake: " + reply);
@@ -84,11 +70,10 @@ Status DialHandshake(net::SocketChannel* ch, const std::string& role,
   return DataLossError("malformed handshake reply: " + reply);
 }
 
-// Acceptor side; returns the dialer's role on success.
-StatusOr<std::string> AcceptHandshake(net::SocketChannel* ch,
-                                      uint64_t fingerprint,
-                                      int budget_polls) {
-  SKNN_ASSIGN_OR_RETURN(std::string hello, ReceiveControl(ch, budget_polls));
+// Acceptor side. The dialer's role is informational (it shows in the
+// hello on a mismatch); both servers accept either role.
+Status AcceptHandshake(net::ResilientChannel* ch, uint64_t fingerprint) {
+  SKNN_ASSIGN_OR_RETURN(std::string hello, ReceiveControl(ch));
   if (hello.rfind(kHelloPrefix, 0) != 0) {
     (void)SendControl(ch, std::string(kRejectPrefix) + " reason=bad-hello");
     return FailedPreconditionError("malformed hello: " + hello);
@@ -103,25 +88,21 @@ StatusOr<std::string> AcceptHandshake(net::SocketChannel* ch,
         "): the two processes derived different deployments — check that "
         "--seed, the dataset, and every protocol flag agree");
   }
-  std::string role = "unknown";
-  const size_t role_pos = hello.find(" role=");
-  if (role_pos != std::string::npos) {
-    const size_t start = role_pos + 6;
-    const size_t end = hello.find(' ', start);
-    role = hello.substr(start, end == std::string::npos ? end : end - start);
-  }
-  SKNN_RETURN_IF_ERROR(SendControl(
-      ch, std::string(kWelcomePrefix) + " fp=" + ToHex(fingerprint)));
-  return role;
+  return SendControl(
+      ch, std::string(kWelcomePrefix) + " fp=" + ToHex(fingerprint));
 }
 
-// Waits for the connection to have traffic, polling `idle_poll_ms` at a
-// time so `stop` stays responsive. Returns false on stop, error when the
-// peer is gone.
-StatusOr<bool> WaitForTraffic(net::SocketChannel* ch, int idle_poll_ms,
+// How long an accept or an idle connection sleeps before re-checking for
+// shutdown or drain. Only bounds how quickly a stop is noticed.
+constexpr int kStopCheckMs = 50;
+
+// Waits for the connection to have traffic, waking every kStopCheckMs so
+// `stop` stays responsive. Returns false on stop, error when the peer is
+// gone.
+StatusOr<bool> WaitForTraffic(net::SocketChannel* ch,
                               const std::atomic<bool>& stop) {
   while (!stop.load(std::memory_order_relaxed)) {
-    SKNN_ASSIGN_OR_RETURN(bool readable, ch->WaitReadable(idle_poll_ms));
+    SKNN_ASSIGN_OR_RETURN(bool readable, ch->WaitReadable(kStopCheckMs));
     if (readable) return true;
   }
   return false;
@@ -430,12 +411,11 @@ void PartyBServer::AcceptLoop() {
   while (!stop_.load(std::memory_order_relaxed)) {
     conn_threads_.ReapFinished();
     if (draining_.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.accept_poll_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(kStopCheckMs));
       continue;
     }
-    auto conn = listener_->Accept(options_.accept_poll_ms,
-                                  "B conn " + std::to_string(conn_id));
+    auto conn =
+        listener_->Accept(kStopCheckMs, "B conn " + std::to_string(conn_id));
     if (!conn.ok()) continue;  // timeout or transient; poll again
     ServerCounter("server.connections.accepted")->Increment();
     conn_threads_.Launch(
@@ -467,10 +447,8 @@ void PartyBServer::ServeConnection(std::unique_ptr<net::SocketChannel> conn,
   MetricsRegistry::Gauge* active =
       MetricsRegistry::Global().GetGauge("server.connections.active");
   active->Add(1);
-  conn->set_io_poll_ms(options_.io_poll_ms);
-  auto role = AcceptHandshake(conn.get(), deployment_.fingerprint,
-                              options_.retry.max_receive_polls);
-  if (role.ok()) {
+  net::ResilientChannel ch(conn.get(), options_.retry, conn_id, "B-serve");
+  if (AcceptHandshake(&ch, deployment_.fingerprint).ok()) {
     // One PartyB per connection: selection state and indicator RNG draws
     // are connection-local, so concurrent A workers cannot interleave
     // (per-connection isolation, DESIGN.md §9). The seed is decorrelated
@@ -480,9 +458,8 @@ void PartyBServer::ServeConnection(std::unique_ptr<net::SocketChannel> conn,
                    deployment_.sk, deployment_.pk,
                    deployment_.party_b_seed ^
                        (0x9E3779B97F4A7C15ull * (conn_id + 1)));
-    net::ResilientChannel ch(conn.get(), options_.retry, conn_id, "B-serve");
     while (!stop_.load(std::memory_order_relaxed)) {
-      auto traffic = WaitForTraffic(conn.get(), options_.idle_poll_ms, stop_);
+      auto traffic = WaitForTraffic(conn.get(), stop_);
       if (!traffic.ok() || !traffic.value()) break;
       // Per-query epoch: sequence spaces restart at the exchange boundary
       // on both ends (the A worker resets before its first frame, whether
@@ -677,20 +654,20 @@ Status PartyAServer::ConnectWorkerToB(size_t worker_index,
       net::ConnectSocket(options_.peer_host, options_.peer_port,
                          connect_timeout_ms,
                          "A->B worker " + std::to_string(worker_index)));
-  conn->set_io_poll_ms(options_.io_poll_ms);
+  auto ch = std::make_unique<net::ResilientChannel>(
+      conn.get(), options_.retry, worker_index,
+      "A-worker-" + std::to_string(worker_index));
   // The handshake wait is bounded by the same budget as the TCP connect:
   // against a stalled network (accepts connections, delivers nothing) a
   // reconnect attempt must cost one bounded step, not the full
   // per-message poll budget.
-  const int handshake_polls = std::max(
-      1, connect_timeout_ms / std::max(1, options_.io_poll_ms));
-  SKNN_RETURN_IF_ERROR(DialHandshake(conn.get(), "party_a",
-                                     deployment_.fingerprint,
-                                     handshake_polls));
+  ch->set_deadline(Clock::now() +
+                   std::chrono::milliseconds(connect_timeout_ms));
+  SKNN_RETURN_IF_ERROR(
+      DialHandshake(ch.get(), "party_a", deployment_.fingerprint));
+  ch->clear_deadline();
   b_raw_[worker_index] = std::move(conn);
-  b_ch_[worker_index] = std::make_unique<net::ResilientChannel>(
-      b_raw_[worker_index].get(), options_.retry, worker_index,
-      "A-worker-" + std::to_string(worker_index));
+  b_ch_[worker_index] = std::move(ch);
   return Status::Ok();
 }
 
@@ -738,7 +715,7 @@ void PartyAServer::AcceptLoop() {
   uint64_t conn_id = 0;
   while (!stop_.load(std::memory_order_relaxed)) {
     conn_threads_.ReapFinished();
-    auto conn = listener_->Accept(options_.accept_poll_ms,
+    auto conn = listener_->Accept(kStopCheckMs,
                                   "A client conn " + std::to_string(conn_id));
     if (!conn.ok()) continue;
     ServerCounter("server.connections.accepted")->Increment();
@@ -983,13 +960,10 @@ void PartyAServer::ServeConnection(std::unique_ptr<net::SocketChannel> conn,
   MetricsRegistry::Gauge* active =
       MetricsRegistry::Global().GetGauge("server.connections.active");
   active->Add(1);
-  conn->set_io_poll_ms(options_.io_poll_ms);
-  auto role = AcceptHandshake(conn.get(), deployment_.fingerprint,
-                              options_.retry.max_receive_polls);
-  if (role.ok()) {
-    net::ResilientChannel ch(conn.get(), options_.retry, conn_id, "A-serve");
+  net::ResilientChannel ch(conn.get(), options_.retry, conn_id, "A-serve");
+  if (AcceptHandshake(&ch, deployment_.fingerprint).ok()) {
     while (!stop_.load(std::memory_order_relaxed)) {
-      auto traffic = WaitForTraffic(conn.get(), options_.idle_poll_ms, stop_);
+      auto traffic = WaitForTraffic(conn.get(), stop_);
       if (!traffic.ok() || !traffic.value()) break;
       ch.ResetEpoch();
       // A query exchange optionally opens with kControl preambles — a
@@ -1125,11 +1099,10 @@ Status RemoteClient::Reconnect() {
   SKNN_ASSIGN_OR_RETURN(
       conn_, net::ConnectSocket(host_, port_, options_.connect_timeout_ms,
                                 "client->A"));
-  conn_->set_io_poll_ms(options_.io_poll_ms);
-  SKNN_RETURN_IF_ERROR(DialHandshake(conn_.get(), "client", fingerprint_,
-                                     options_.retry.max_receive_polls));
-  ch_ = std::make_unique<net::ResilientChannel>(
-      conn_.get(), options_.retry, /*seed=*/port_, "client");
+  auto ch = std::make_unique<net::ResilientChannel>(
+      conn_.get(), options_.retry, port_, "client");
+  SKNN_RETURN_IF_ERROR(DialHandshake(ch.get(), "client", fingerprint_));
+  ch_ = std::move(ch);
   dirty_ = false;
   return Status::Ok();
 }

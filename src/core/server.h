@@ -85,12 +85,6 @@ struct ServerOptions {
   // Party A only: admission queue capacity; a query arriving when
   // `queue_capacity` jobs are already waiting is shed with kUnavailable.
   size_t queue_capacity = 8;
-  int accept_poll_ms = 50;
-  // Per-receive socket poll window; multiplied by retry.max_receive_polls
-  // this bounds how long one end waits for the other's next frame.
-  int io_poll_ms = 20;
-  // How often idle connection threads wake to check for shutdown.
-  int idle_poll_ms = 100;
   int connect_timeout_ms = 5000;
   // --- Resilience knobs (OPERATIONS.md "Failure runbook") ---
   // An idle A worker probes its B connection with a kHeartbeat exchange
@@ -111,20 +105,18 @@ struct ServerOptions {
   // queries to finish before answering the stragglers with a typed
   // kUnavailable.
   int drain_deadline_ms = 5000;
-  // Receive budgets, backoff, and the whole-query re-execution bound
+  // Receive budget and the whole-query re-execution bound
   // (`retry.max_query_reexecutions`: a query whose A<->B exchange broke is
   // re-run from StartQuery on a fresh connection, never past its
   // deadline; DESIGN.md §8.2).
   net::RetryPolicy retry = ServerRetryPolicy();
 
   // Wire-friendly defaults: protocol phases take real time, so the
-  // per-message receive budget is ~10s (500 polls x 20ms) instead of the
-  // in-memory session's few-ms budget.
+  // per-message receive budget is ~10s (500 polls of a socket's 20 ms
+  // window) instead of the in-memory session's instant polls.
   static net::RetryPolicy ServerRetryPolicy() {
     net::RetryPolicy p;
     p.max_receive_polls = 500;
-    p.base_backoff_us = 200;
-    p.max_backoff_us = 5000;
     return p;
   }
 };

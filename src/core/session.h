@@ -120,7 +120,7 @@ class SecureKnnSession {
   enum class Transport { kInMemory, kSocket };
   void SetTransport(Transport transport) { transport_ = transport; }
 
-  // Replaces the default transport retry policy (polls, backoff,
+  // Replaces the default transport retry policy (receive polls,
   // re-executions) for subsequent queries.
   void SetRetryPolicy(const net::RetryPolicy& policy) {
     retry_policy_ = policy;

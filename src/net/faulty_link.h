@@ -24,7 +24,7 @@
 //   reorder  message held back and released after the next send (or on a
 //            receive poll, so the tail message of a leg cannot starve)
 //   delay    message hidden for `delay_polls` receive polls, exercising the
-//            receiver's backoff loop
+//            receiver's poll budget
 //
 // Injection decisions come from a Chacha20Rng fork per direction, so a
 // given (seed, traffic) pair replays bit-identically. Every injected fault

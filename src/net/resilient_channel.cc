@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <sstream>
-#include <thread>
 
 #include "common/metrics_registry.h"
 
@@ -21,11 +20,8 @@ MetricsRegistry::Counter* NetCounter(const char* name) {
 }  // namespace
 
 ResilientChannel::ResilientChannel(Channel* inner, const RetryPolicy& policy,
-                                   uint64_t seed, std::string name)
-    : inner_(inner),
-      policy_(policy),
-      jitter_rng_(seed),
-      name_(std::move(name)) {}
+                                   uint64_t /*id*/, std::string name)
+    : inner_(inner), policy_(policy), name_(std::move(name)) {}
 
 Status ResilientChannel::Send(std::vector<uint8_t> message) {
   return SendMessage(MessageType::kOpaque, message);
@@ -48,23 +44,6 @@ StatusOr<std::vector<uint8_t>> ResilientChannel::Receive() {
 StatusOr<std::vector<uint8_t>> ResilientChannel::ReceiveMessage(
     MessageType expected) {
   return ReceiveInternal(/*check_type=*/true, expected);
-}
-
-void ResilientChannel::Backoff(int attempt) {
-  double delay = static_cast<double>(policy_.base_backoff_us);
-  for (int i = 0; i < attempt; ++i) delay *= policy_.backoff_multiplier;
-  if (delay > static_cast<double>(policy_.max_backoff_us)) {
-    delay = static_cast<double>(policy_.max_backoff_us);
-  }
-  if (policy_.jitter > 0) {
-    const double u =
-        static_cast<double>(jitter_rng_.NextU32()) / 4294967296.0;
-    delay *= 1.0 - policy_.jitter + 2.0 * policy_.jitter * u;
-  }
-  if (delay >= 1.0) {
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(static_cast<int64_t>(delay)));
-  }
 }
 
 StatusOr<Frame> ResilientChannel::NextFrameInOrder() {
@@ -96,11 +75,11 @@ StatusOr<Frame> ResilientChannel::NextFrameInOrder() {
     }
     auto raw = inner_->Receive();
     if (!raw.ok()) {
-      // A peer that closed the connection is not going to retransmit on
-      // this channel: surface the kAborted right away instead of burning
-      // the whole poll budget against a dead socket (the caller's
-      // reconnect/re-execution layer owns recovery).
-      if (raw.status().code() == StatusCode::kAborted) {
+      // Only an empty poll is worth another poll. A closed peer (kAborted)
+      // or a broken stream (kDataLoss) will not heal on this channel:
+      // surface it right away instead of burning the poll budget (the
+      // caller's reconnect/re-execution layer owns recovery).
+      if (raw.status().code() != StatusCode::kUnavailable) {
         return std::move(raw).status();
       }
       if (polls + 1 >= policy_.max_receive_polls) {
@@ -113,7 +92,6 @@ StatusOr<Frame> ResilientChannel::NextFrameInOrder() {
         return DeadlineExceededError(os.str());
       }
       retries->Increment();
-      Backoff(polls);
       ++polls;
       continue;
     }

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
 #include "common/statusor.h"
 #include "net/channel.h"
@@ -18,10 +17,16 @@
 // (net/frame.h) and enforces strict in-order, exactly-once delivery on the
 // receive side:
 //
-//   * empty queue    -> bounded polling with exponential backoff + jitter,
-//                       then kDeadlineExceeded (per-message timeout);
+//   * empty queue    -> poll again, up to the per-message poll budget, then
+//                       kDeadlineExceeded (per-message timeout). There is
+//                       no sleep between polls: the inner channel's
+//                       Receive is the only wait (a socket blocks for up
+//                       to its poll window and returns the moment a frame
+//                       completes; the in-memory link never waits);
 //   * corrupt frame  -> kDataLoss immediately (the caller re-executes the
-//                       query on a fresh transport);
+//                       query on a fresh transport); any other inner
+//                       error (a closed peer, a stream that lost framing)
+//                       is likewise returned at once;
 //   * duplicate      -> silently consumed (seq below the expected one);
 //   * reordered      -> stashed until its sequence number comes up;
 //   * desync         -> a valid frame of the wrong MessageType or a stash
@@ -32,34 +37,29 @@
 // fatal.
 // Counters: net.frames.sent/received, net.frames.overhead_bytes,
 // net.frames.duplicates_dropped, net.frames.reordered_held,
-// net.corrupt_frames, net.retries.
+// net.corrupt_frames, net.retries (empty receive polls).
 
 namespace sknn {
 namespace net {
 
 struct RetryPolicy {
   // Receive polls per message before kDeadlineExceeded (the per-message
-  // timeout, expressed in polls so in-memory tests stay deterministic).
+  // timeout, expressed in polls so in-memory tests stay deterministic; on
+  // a socket each poll lasts at most the channel's poll window).
   int max_receive_polls = 16;
   // Whole-query re-executions after a transient failure: the session and
   // Party A's workers re-run a query from PartyA::StartQuery on a fresh
   // transport (fresh mask and permutation; DESIGN.md §8.3) at most this
   // many times before surfacing the typed error.
   int max_query_reexecutions = 1;
-  // Backoff between receive polls: base * multiplier^attempt, capped at
-  // max, each scaled by a uniform jitter in [1-jitter, 1+jitter].
-  uint64_t base_backoff_us = 20;
-  double backoff_multiplier = 2.0;
-  uint64_t max_backoff_us = 2000;
-  double jitter = 0.5;
 };
 
 class ResilientChannel : public Channel {
  public:
   // Does not take ownership of `inner`. `name` tags error messages and
-  // trace spans (e.g. "A" / "B"). `seed` drives backoff jitter only — it
-  // never affects protocol bytes.
-  ResilientChannel(Channel* inner, const RetryPolicy& policy, uint64_t seed,
+  // trace spans (e.g. "A" / "B"). `id` is not used by the channel; it
+  // stays in the signature so existing callers keep compiling.
+  ResilientChannel(Channel* inner, const RetryPolicy& policy, uint64_t id,
                    std::string name);
 
   // Channel interface: untyped messages travel as MessageType::kOpaque and
@@ -104,11 +104,9 @@ class ResilientChannel : public Channel {
   StatusOr<Frame> NextFrameInOrder();
   StatusOr<std::vector<uint8_t>> ReceiveInternal(bool check_type,
                                                  MessageType expected);
-  void Backoff(int attempt);
 
   Channel* inner_;
   RetryPolicy policy_;
-  Chacha20Rng jitter_rng_;
   std::string name_;
   uint64_t send_seq_ = 0;
   uint64_t next_recv_seq_ = 0;

@@ -133,43 +133,28 @@ Status SocketChannel::Send(std::vector<uint8_t> message) {
   return Status::Ok();
 }
 
-Status SocketChannel::FillFromSocket(int timeout_ms) {
+StatusOr<bool> SocketChannel::ReadAvailable() {
   if (fd_ < 0) return AbortedError("receive on closed socket " + name_);
-  if (peer_eof_) return Status::Ok();
   uint8_t chunk[64 * 1024];
-  bool waited = false;
-  for (;;) {
+  bool read_any = false;
+  while (!peer_eof_) {
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n > 0) {
       buf_.insert(buf_.end(), chunk, chunk + n);
       bytes_received_ += static_cast<uint64_t>(n);
       SocketCounter("bytes_received")->Add(static_cast<uint64_t>(n));
-      // Keep draining without waiting: more may already be queued.
+      read_any = true;
       continue;
     }
-    if (n == 0) {
+    if (n == 0 || errno == ECONNRESET) {
       peer_eof_ = true;
-      return Status::Ok();
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      break;
+    } else if (errno != EINTR) {
+      return AbortedError("recv on " + name_ + ": " + strerror(errno));
     }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (waited || timeout_ms <= 0) return Status::Ok();
-      pollfd pfd{fd_, POLLIN, 0};
-      const int r = ::poll(&pfd, 1, timeout_ms);
-      if (r < 0 && errno != EINTR) {
-        return AbortedError("poll(POLLIN) on " + name_ + ": " +
-                            strerror(errno));
-      }
-      waited = true;  // one wait per fill; the caller owns the retry budget
-      if (r <= 0) return Status::Ok();
-      continue;
-    }
-    if (errno == ECONNRESET) {
-      peer_eof_ = true;
-      return Status::Ok();
-    }
-    return AbortedError("recv on " + name_ + ": " + strerror(errno));
   }
+  return read_any;
 }
 
 StatusOr<bool> SocketChannel::ExtractFrame(std::vector<uint8_t>* out) {
@@ -204,31 +189,45 @@ StatusOr<bool> SocketChannel::ExtractFrame(std::vector<uint8_t>* out) {
 }
 
 StatusOr<std::vector<uint8_t>> SocketChannel::Receive() {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point window_end =
+      Clock::now() + std::chrono::milliseconds(io_poll_ms_);
   std::vector<uint8_t> frame;
-  // First try what is already buffered, then one bounded kernel fill.
-  SKNN_ASSIGN_OR_RETURN(bool complete, ExtractFrame(&frame));
-  if (!complete) {
-    SKNN_RETURN_IF_ERROR(FillFromSocket(io_poll_ms_));
-    SKNN_ASSIGN_OR_RETURN(complete, ExtractFrame(&frame));
-  }
-  if (complete) {
-    SocketCounter("messages_received")->Increment();
-    return frame;
-  }
-  if (peer_eof_) {
-    if (buf_.empty()) {
-      return AbortedError("peer of " + name_ +
-                          " disconnected (clean EOF at a frame boundary)");
+  for (;;) {
+    SKNN_ASSIGN_OR_RETURN(bool complete, ExtractFrame(&frame));
+    if (complete) {
+      SocketCounter("messages_received")->Increment();
+      return frame;
     }
-    const size_t leftover = buf_.size();
-    buf_.clear();
-    return DataLossError("connection " + name_ + " truncated mid-frame: " +
-                         std::to_string(leftover) +
-                         " bytes of an incomplete frame at EOF");
+    SKNN_ASSIGN_OR_RETURN(bool read_any, ReadAvailable());
+    if (read_any) continue;
+    if (peer_eof_) {
+      if (buf_.empty()) {
+        return AbortedError("peer of " + name_ +
+                            " disconnected (clean EOF at a frame boundary)");
+      }
+      const size_t leftover = buf_.size();
+      buf_.clear();
+      return DataLossError("connection " + name_ + " truncated mid-frame: " +
+                           std::to_string(leftover) +
+                           " bytes of an incomplete frame at EOF");
+    }
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        window_end - Clock::now());
+    if (left.count() <= 0) {
+      return UnavailableError(
+          "no complete frame on " + name_ + " within " +
+          std::to_string(io_poll_ms_) + "ms poll window (" +
+          std::to_string(buf_.size()) + " bytes buffered)");
+    }
+    // Sleep until more bytes (or EOF) arrive, never past the window.
+    pollfd pfd{fd_, POLLIN, 0};
+    if (::poll(&pfd, 1, static_cast<int>(left.count())) < 0 &&
+        errno != EINTR) {
+      return AbortedError("poll(POLLIN) on " + name_ + ": " +
+                          strerror(errno));
+    }
   }
-  return UnavailableError("no complete frame on " + name_ + " within " +
-                          std::to_string(io_poll_ms_) + "ms poll window (" +
-                          std::to_string(buf_.size()) + " bytes buffered)");
 }
 
 StatusOr<bool> SocketChannel::WaitReadable(int timeout_ms) {
@@ -241,13 +240,8 @@ StatusOr<bool> SocketChannel::WaitReadable(int timeout_ms) {
   if (r < 0 && errno != EINTR) {
     return AbortedError("poll(POLLIN) on " + name_ + ": " + strerror(errno));
   }
-  if (r <= 0) return false;
-  if (pfd.revents & (POLLHUP | POLLERR)) {
-    // Readable-with-hangup still delivers queued bytes; let Receive sort
-    // EOF-vs-data out. Report readable so the caller proceeds to Receive.
-    return true;
-  }
-  return true;
+  // A hangup also reports readable: Receive sorts EOF from data.
+  return r > 0;
 }
 
 SocketListener::~SocketListener() { Close(); }

@@ -19,10 +19,11 @@
 // length) is a typed kDataLoss — the caller abandons the poisoned stream
 // and re-executes the query on a fresh connection.
 //
-// All reads are non-blocking and poll-bounded: `Receive` accumulates
-// whatever the kernel has within one `io_poll_ms` window and returns
-// kUnavailable when no complete frame arrived, so `ResilientChannel`'s
-// retry/backoff/timeout machinery works unchanged over real sockets.
+// `Receive` waits for the frame at the head of the stream for at most one
+// `io_poll_ms` window and returns the moment that frame is complete;
+// kUnavailable means the window ended without one. `ResilientChannel`
+// counts such empty windows against its per-message poll budget, so a
+// socket receive never sleeps past the arrival of its frame.
 // Error taxonomy (everything transient per Status::IsTransient):
 //   kUnavailable       no complete frame within the poll window
 //   kAborted           peer disconnected at a frame boundary / send to a
@@ -58,8 +59,9 @@ class SocketChannel : public Channel {
   // full send buffer, poll-bounded; a peer reset is kAborted.
   Status Send(std::vector<uint8_t> message) override;
 
-  // Returns the next complete frame (header + payload) from the stream,
-  // or a typed transient error (see file comment).
+  // Returns the next complete frame (header + payload) from the stream as
+  // soon as its last byte is in, waiting at most one poll window, or a
+  // typed transient error (see file comment).
   StatusOr<std::vector<uint8_t>> Receive() override;
 
   // Waits up to `timeout_ms` for the stream to become readable (or for
@@ -72,16 +74,18 @@ class SocketChannel : public Channel {
   bool closed() const { return fd_ < 0; }
   const std::string& name() const { return name_; }
 
-  // Per-receive poll window (milliseconds). ResilientChannel multiplies
-  // this by its poll budget to form the per-message timeout.
+  // Per-receive poll window (milliseconds; 0 = never wait). The longest a
+  // Receive waits; ResilientChannel multiplies it by its poll budget to
+  // form the per-message timeout.
   void set_io_poll_ms(int ms) { io_poll_ms_ = ms; }
 
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t bytes_received() const { return bytes_received_; }
 
  private:
-  // Appends available bytes to buf_; returns false when the peer is gone.
-  Status FillFromSocket(int timeout_ms);
+  // Appends whatever the kernel holds to buf_ without waiting; true when
+  // it read any bytes. Sets peer_eof_ when the peer is gone.
+  StatusOr<bool> ReadAvailable();
   // Extracts one frame from buf_ if complete; nullopt-style via bool.
   StatusOr<bool> ExtractFrame(std::vector<uint8_t>* out);
 

@@ -38,13 +38,11 @@ ProtocolConfig ChaosConfig() {
   return cfg;
 }
 
-// Transport retries with no real sleeping, so the soak stays fast.
+// Enough polls to outlast every delay spec here, and room to re-execute.
 net::RetryPolicy FastRetries() {
   net::RetryPolicy policy;
   policy.max_receive_polls = 16;
   policy.max_query_reexecutions = 8;
-  policy.base_backoff_us = 0;
-  policy.max_backoff_us = 0;
   return policy;
 }
 

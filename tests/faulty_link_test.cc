@@ -1,5 +1,5 @@
 // FaultyLink + ResilientChannel: deterministic fault injection and the
-// receive-side recovery machinery (dedup, reorder stash, poll/backoff,
+// receive-side recovery machinery (dedup, reorder stash, poll budget,
 // typed timeouts), plus FaultSpec parsing.
 
 #include "net/faulty_link.h"
@@ -17,12 +17,10 @@ namespace net {
 namespace {
 
 // Retry policy tuned for tests: enough polls to beat every delay spec
-// used here, no real sleeping.
+// used here.
 RetryPolicy FastPolicy() {
   RetryPolicy p;
   p.max_receive_polls = 32;
-  p.base_backoff_us = 0;
-  p.max_backoff_us = 0;
   return p;
 }
 

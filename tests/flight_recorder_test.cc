@@ -95,8 +95,6 @@ net::RetryPolicy FastRetries() {
   net::RetryPolicy policy;
   policy.max_receive_polls = 4;
   policy.max_query_reexecutions = 2;
-  policy.base_backoff_us = 0;
-  policy.max_backoff_us = 0;
   return policy;
 }
 

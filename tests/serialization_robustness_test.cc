@@ -169,8 +169,6 @@ TEST_F(SerializationRobustnessTest, ProtocolMessagesSurviveFaultyLinkFuzz) {
   spec.trunc = 0.2;
   net::RetryPolicy policy;
   policy.max_receive_polls = 2;
-  policy.base_backoff_us = 0;
-  policy.max_backoff_us = 0;
 
   int corrupted = 0;
   int delivered = 0;

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -63,6 +65,21 @@ std::vector<uint64_t> ReferenceDistances(const data::Dataset& data,
   for (const auto& nb : ref.value()) out.push_back(nb.squared_distance);
   std::sort(out.begin(), out.end());
   return out;
+}
+
+// The acceptor half of the handshake for a fake Party A: swallow the
+// hello, answer welcome (the dialer only checks the prefix).
+bool AnswerHandshake(net::ResilientChannel* ch) {
+  auto hello = ch->ReceiveMessage(net::MessageType::kControl);
+  if (!hello.ok()) {
+    ADD_FAILURE() << hello.status();
+    return false;
+  }
+  const std::string welcome = "sknn-welcome/1";
+  return ch
+      ->SendMessage(net::MessageType::kControl,
+                    std::vector<uint8_t>(welcome.begin(), welcome.end()))
+      .ok();
 }
 
 // Deriving a toy deployment costs a second or two; share one across the
@@ -350,6 +367,33 @@ TEST_F(ServerTest, MismatchedDeploymentIsRejectedAtHandshake) {
       << client.status();
 }
 
+// The handshake's wire form (PROTOCOL.md "Handshake"): one kControl frame
+// each way at seq 0, the same bytes a raw peer writes by hand.
+TEST_F(ServerTest, HandshakeIsOneControlFrameEachWayAtSeqZero) {
+  auto b = PartyBServer::Start(*deployment_b_, ServerOptions());
+  ASSERT_TRUE(b.ok()) << b.status();
+  auto conn = net::ConnectSocket("127.0.0.1", (*b)->port(), 2000, "raw A");
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  std::ostringstream hello;
+  hello << "sknn-hello/1 role=party_a fp=" << std::hex
+        << deployment_b_->fingerprint;
+  const std::string text = hello.str();
+  ASSERT_TRUE((*conn)
+                  ->Send(net::EncodeFrame(
+                      net::MessageType::kControl, 0,
+                      std::vector<uint8_t>(text.begin(), text.end())))
+                  .ok());
+  (*conn)->set_io_poll_ms(5000);
+  auto reply = (*conn)->Receive();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  auto frame = net::DecodeFrame(std::move(reply).value());
+  ASSERT_TRUE(frame.ok()) << frame.status();
+  EXPECT_EQ(frame->type, net::MessageType::kControl);
+  EXPECT_EQ(frame->seq, 0u);
+  const std::string welcome(frame->payload.begin(), frame->payload.end());
+  EXPECT_EQ(welcome.rfind("sknn-welcome/1", 0), 0u) << welcome;
+}
+
 TEST_F(ServerTest, PartyAServerRequiresEncryptedDatabase) {
   ServerOptions options;
   options.peer_port = 1;  // never dialed: the role check fires first
@@ -388,7 +432,7 @@ TEST_F(ServerTest, PartyBStartFailsCleanlyWhenPortTaken) {
 
 // A corrupted or hostile "ok k=..." control frame must surface as a typed
 // kDataLoss, not an exception or an unbounded result loop. The fake
-// Party A speaks just enough of the protocol (raw handshake welcome, then
+// Party A speaks just enough of the protocol (handshake welcome, then
 // framed control replies) to poison the reply.
 TEST_F(ServerTest, MalformedControlReplyIsTypedDataLoss) {
   auto listener = net::SocketListener::Listen("127.0.0.1", 0);
@@ -401,25 +445,9 @@ TEST_F(ServerTest, MalformedControlReplyIsTypedDataLoss) {
       return;
     }
     std::unique_ptr<net::SocketChannel> conn = std::move(conn_or).value();
-    conn->set_io_poll_ms(20);
-    // Handshake: swallow the hello, answer welcome (the dialer only
-    // checks the prefix).
-    StatusOr<std::vector<uint8_t>> hello = conn->Receive();
-    for (int i = 0; i < 500 && !hello.ok() &&
-                    hello.status().code() == StatusCode::kUnavailable;
-         ++i) {
-      hello = conn->Receive();
-    }
-    if (!hello.ok()) {
-      ADD_FAILURE() << hello.status();
-      return;
-    }
-    const std::string welcome = "sknn-welcome/1";
-    (void)conn->Send(net::EncodeFrame(
-        net::MessageType::kControl, 0,
-        std::vector<uint8_t>(welcome.begin(), welcome.end())));
     net::ResilientChannel ch(conn.get(), ServerOptions::ServerRetryPolicy(),
                              1, "fake-A serve");
+    if (!AnswerHandshake(&ch)) return;
     for (const std::string& reply : replies) {
       ch.ResetEpoch();
       auto query = ch.ReceiveMessage(net::MessageType::kQuery);
@@ -616,23 +644,9 @@ TEST_F(ServerTest, DisconnectMidResultStreamIsTypedTransient) {
       return;
     }
     std::unique_ptr<net::SocketChannel> conn = std::move(conn_or).value();
-    conn->set_io_poll_ms(20);
-    StatusOr<std::vector<uint8_t>> hello = conn->Receive();
-    for (int i = 0; i < 500 && !hello.ok() &&
-                    hello.status().code() == StatusCode::kUnavailable;
-         ++i) {
-      hello = conn->Receive();
-    }
-    if (!hello.ok()) {
-      ADD_FAILURE() << hello.status();
-      return;
-    }
-    const std::string welcome = "sknn-welcome/1";
-    (void)conn->Send(net::EncodeFrame(
-        net::MessageType::kControl, 0,
-        std::vector<uint8_t>(welcome.begin(), welcome.end())));
     net::ResilientChannel ch(conn.get(), ServerOptions::ServerRetryPolicy(),
                              1, "fake-A serve");
+    if (!AnswerHandshake(&ch)) return;
     ch.ResetEpoch();
     auto query = ch.ReceiveMessage(net::MessageType::kQuery);
     if (!query.ok()) {

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/frame.h"
@@ -151,6 +154,49 @@ TEST(SocketLinkTest, EmptyStreamIsUnavailable) {
   EXPECT_TRUE(received.status().IsTransient());
 }
 
+// A frame already in the kernel is handed over at once: Receive must not
+// sit out the rest of its poll window after draining it.
+TEST(SocketLinkTest, ReceiveReturnsAsSoonAsItsFrameCompletes) {
+  RawPair pair = MakePair();
+  pair.accepted->set_io_poll_ms(5000);
+  ASSERT_TRUE(
+      pair.dialer->Send(EncodeFrame(MessageType::kDistances, 0, {1, 2}))
+          .ok());
+  const auto t0 = std::chrono::steady_clock::now();
+  auto received = pair.accepted->Receive();
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(received.ok()) << received.status();
+  EXPECT_LT(waited, std::chrono::milliseconds(1000));
+}
+
+// A frame that trickles in over several writes is delivered by one
+// Receive, as long as its last byte lands inside the window.
+TEST(SocketLinkTest, ReceiveWaitsAcrossPartialWritesWithinWindow) {
+  RawPair pair = MakePair();
+  pair.accepted->set_io_poll_ms(5000);
+  const std::vector<uint8_t> payload(300, 5);
+  const std::vector<uint8_t> wire =
+      EncodeFrame(MessageType::kIndicators, 4, payload);
+  std::thread writer([&] {
+    const size_t third = wire.size() / 3;
+    for (size_t off = 0; off < wire.size(); off += third) {
+      const size_t end = std::min(wire.size(), off + third);
+      EXPECT_TRUE(pair.dialer
+                      ->Send(std::vector<uint8_t>(wire.begin() + off,
+                                                  wire.begin() + end))
+                      .ok());
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    }
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  auto received = pair.accepted->Receive();
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  writer.join();
+  ASSERT_TRUE(received.ok()) << received.status();
+  EXPECT_EQ(received.value(), wire);
+  EXPECT_LT(waited, std::chrono::milliseconds(2500));
+}
+
 TEST(SocketLinkTest, CleanDisconnectAtFrameBoundaryIsAborted) {
   RawPair pair = MakePair();
   // One whole frame, then a clean close: the receiver must deliver the
@@ -187,6 +233,20 @@ TEST(SocketLinkTest, GarbageOnTheStreamIsDataLoss) {
   const Status status = ReceiveUntilError(pair.accepted.get());
   EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
   EXPECT_TRUE(status.IsTransient());
+}
+
+// Only an empty poll is polled again: a stream that lost framing fails
+// the resilient receive at once with kDataLoss, not after the budget.
+TEST(SocketLinkTest, ResilientReceiveSurfacesBrokenStreamAtOnce) {
+  RawPair pair = MakePair();
+  RetryPolicy policy;
+  policy.max_receive_polls = 200;
+  ResilientChannel ch(pair.accepted.get(), policy, 1, "accepted");
+  ASSERT_TRUE(pair.dialer->Send(std::vector<uint8_t>(64, 0xAB)).ok());
+  auto received = ch.ReceiveMessage(MessageType::kDistances);
+  ASSERT_FALSE(received.ok());
+  EXPECT_EQ(received.status().code(), StatusCode::kDataLoss)
+      << received.status();
 }
 
 TEST(SocketLinkTest, SendToDisconnectedPeerIsAborted) {
