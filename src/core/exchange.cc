@@ -1,5 +1,7 @@
 #include "core/exchange.h"
 
+#include <charconv>
+
 #include "bgv/noise_model.h"
 #include "bgv/serialization.h"
 #include "bgv/symmetric.h"
@@ -11,6 +13,32 @@ namespace core {
 namespace {
 
 constexpr const char* kTracePrefix = "trace id=";
+constexpr const char* kDeadlinePrefix = "deadline budget_ms=";
+constexpr int kMaxPreambles = 4;
+
+Status SendPreamble(const std::string& text, net::ResilientChannel* ch) {
+  return ch->SendMessage(net::MessageType::kControl,
+                         std::vector<uint8_t>(text.begin(), text.end()));
+}
+
+// "trace id=HEX"; false on a malformed or zero id.
+bool ParseTracePreamble(const std::string& preamble, uint64_t* trace_id) {
+  const size_t prefix_len = std::string(kTracePrefix).size();
+  if (preamble.rfind(kTracePrefix, 0) != 0) return false;
+  *trace_id = trace::ParseTraceIdHex(preamble.data() + prefix_len,
+                                     preamble.data() + preamble.size());
+  return *trace_id != 0;
+}
+
+// "deadline budget_ms=N"; false on malformed.
+bool ParseDeadlinePreamble(const std::string& preamble, uint64_t* budget_ms) {
+  const size_t prefix_len = std::string(kDeadlinePrefix).size();
+  if (preamble.rfind(kDeadlinePrefix, 0) != 0) return false;
+  const char* b = preamble.data() + prefix_len;
+  const char* e = preamble.data() + preamble.size();
+  auto [ptr, ec] = std::from_chars(b, e, *budget_ms);
+  return ec == std::errc() && ptr == e && b != e;
+}
 
 // Serializes and sends one row of indicator ciphertexts, one frame each.
 template <typename Ct>
@@ -58,16 +86,41 @@ StatusOr<bgv::Ciphertext> FreshCtFromBytes(const bgv::BgvContext& ctx,
   return ct;
 }
 
-std::string TracePreamble(uint64_t trace_id) {
-  return std::string(kTracePrefix) + trace::TraceIdHex(trace_id);
+Status SendPreambles(uint64_t trace_id, uint64_t budget_ms,
+                     net::ResilientChannel* ch) {
+  if (trace_id != 0) {
+    SKNN_RETURN_IF_ERROR(SendPreamble(
+        std::string(kTracePrefix) + trace::TraceIdHex(trace_id), ch));
+  }
+  if (budget_ms > 0) {
+    SKNN_RETURN_IF_ERROR(SendPreamble(
+        std::string(kDeadlinePrefix) + std::to_string(budget_ms), ch));
+  }
+  return Status::Ok();
 }
 
-bool ParseTracePreamble(const std::string& preamble, uint64_t* trace_id) {
-  const size_t prefix_len = std::string(kTracePrefix).size();
-  if (preamble.rfind(kTracePrefix, 0) != 0) return false;
-  *trace_id = trace::ParseTraceIdHex(preamble.data() + prefix_len,
-                                     preamble.data() + preamble.size());
-  return *trace_id != 0;
+StatusOr<ExchangeHead> ReadExchangeHead(net::ResilientChannel* ch) {
+  ExchangeHead head;
+  SKNN_ASSIGN_OR_RETURN(head.frame, ch->ReceiveFrame());
+  for (int preambles = 0; head.frame.type == net::MessageType::kControl;
+       ++preambles) {
+    const std::string preamble(head.frame.payload.begin(),
+                               head.frame.payload.end());
+    if (preambles >= kMaxPreambles) {
+      return DataLossError("more than " + std::to_string(kMaxPreambles) +
+                           " control preambles ahead of the payload frame");
+    }
+    uint64_t budget_ms = 0;
+    if (ParseDeadlinePreamble(preamble, &budget_ms)) {
+      head.deadline = std::chrono::steady_clock::now() +
+                      std::chrono::milliseconds(budget_ms);
+    } else if (!ParseTracePreamble(preamble, &head.trace_id)) {
+      return DataLossError("malformed or unknown control preamble: " +
+                           preamble);
+    }
+    SKNN_ASSIGN_OR_RETURN(head.frame, ch->ReceiveFrame());
+  }
+  return head;
 }
 
 bool MayReexecute(const Status& status, int reexecutions,
@@ -78,12 +131,7 @@ bool MayReexecute(const Status& status, int reexecutions,
 Status SendDistances(const PartyA::Query& query, uint64_t trace_id,
                      net::ResilientChannel* ch) {
   trace::TraceSpan span("transfer.distances");
-  if (trace_id != 0) {
-    const std::string preamble = TracePreamble(trace_id);
-    SKNN_RETURN_IF_ERROR(ch->SendMessage(
-        net::MessageType::kControl,
-        std::vector<uint8_t>(preamble.begin(), preamble.end())));
-  }
+  SKNN_RETURN_IF_ERROR(SendPreambles(trace_id, /*budget_ms=*/0, ch));
   for (const bgv::Ciphertext& ct : query.distances()) {
     SKNN_RETURN_IF_ERROR(
         ch->SendMessage(net::MessageType::kDistances, CtToBytes(ct)));

@@ -1,6 +1,7 @@
 #ifndef SKNN_CORE_EXCHANGE_H_
 #define SKNN_CORE_EXCHANGE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -12,6 +13,7 @@
 #include "common/statusor.h"
 #include "core/party_a.h"
 #include "core/party_b.h"
+#include "net/frame.h"
 #include "net/resilient_channel.h"
 
 // The A<->B half of one query (Figure 2 labels 5-9; messages 2 and 3 of
@@ -46,10 +48,33 @@ StatusOr<bgv::Ciphertext> CtFromBytes(std::vector<uint8_t> bytes);
 StatusOr<bgv::Ciphertext> FreshCtFromBytes(const bgv::BgvContext& ctx,
                                            std::vector<uint8_t> bytes);
 
-// The kControl trace-id preamble "trace id=HEX" (PROTOCOL.md "Trace-id
-// preamble"). Parse returns false on a malformed or zero id.
-std::string TracePreamble(uint64_t trace_id);
-bool ParseTracePreamble(const std::string& preamble, uint64_t* trace_id);
+// --- Control preambles (PROTOCOL.md "Control preambles") ---------------
+//
+// An exchange may open with up to 4 kControl frames ahead of its first
+// payload frame, each one key=value line: "trace id=HEX" (a nonzero
+// distributed trace id) and "deadline budget_ms=N" (a relative
+// end-to-end budget). Both are optional and order-free; an exchange that
+// carries neither is byte-identical to the original protocol.
+
+// Sends the trace-id preamble when `trace_id` != 0, then the deadline
+// preamble when `budget_ms` > 0.
+Status SendPreambles(uint64_t trace_id, uint64_t budget_ms,
+                     net::ResilientChannel* ch);
+
+// The head of one exchange as its serving side reads it.
+struct ExchangeHead {
+  net::Frame frame;       // the first payload (non-kControl) frame
+  uint64_t trace_id = 0;  // 0 = untraced
+  // A deadline preamble's budget, anchored to this process's steady clock
+  // at receipt (the two processes' clocks are not comparable).
+  std::optional<std::chrono::steady_clock::time_point> deadline;
+};
+
+// Reads the preambles and the first payload frame of one exchange. A
+// malformed or unknown preamble, or a 5th one, is kDataLoss: the peer
+// disagrees about the control grammar, so the caller drops the
+// connection.
+StatusOr<ExchangeHead> ReadExchangeHead(net::ResilientChannel* ch);
 
 // The whole-query re-execution rule shared by the session and the
 // servers: a failed attempt may run again only when its error is
@@ -60,9 +85,8 @@ bool MayReexecute(const Status& status, int reexecutions,
 
 // --- Party A --------------------------------------------------------------
 
-// Message 2: the trace-id preamble (only when `trace_id` != 0, so an
-// untraced exchange stays byte-identical), then the u masked distance
-// frames.
+// Message 2: the trace-id preamble (only when `trace_id` != 0), then the
+// u masked distance frames.
 Status SendDistances(const PartyA::Query& query, uint64_t trace_id,
                      net::ResilientChannel* ch);
 

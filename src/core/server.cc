@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <functional>
+#include <optional>
 #include <sstream>
 
 #include "common/flight_recorder.h"
@@ -96,6 +98,17 @@ Status AcceptHandshake(net::ResilientChannel* ch, uint64_t fingerprint) {
 // shutdown or drain. Only bounds how quickly a stop is noticed.
 constexpr int kStopCheckMs = 50;
 
+// Party A's supervised B link (DESIGN.md §9.3 "Party B crash recovery"). A
+// heartbeat probe that gets no echo within kHeartbeatTimeoutMs marks the
+// link dead. While B is unreachable a worker re-dials with exponential
+// backoff, doubling from kReconnectBackoffMs up to kReconnectBackoffMaxMs;
+// each attempt's connect and handshake are bounded by
+// kReconnectAttemptTimeoutMs, so a stalled network costs one bounded step.
+constexpr int kHeartbeatTimeoutMs = 2000;
+constexpr int kReconnectBackoffMs = 50;
+constexpr int kReconnectBackoffMaxMs = 2000;
+constexpr int kReconnectAttemptTimeoutMs = 250;
+
 // Waits for the connection to have traffic, waking every kStopCheckMs so
 // `stop` stays responsive. Returns false on stop, error when the peer is
 // gone.
@@ -149,28 +162,6 @@ Status ParseControlReply(const std::string& reply, size_t* k_out) {
 
 MetricsRegistry::Counter* ServerCounter(const char* name) {
   return MetricsRegistry::Global().GetCounter(name);
-}
-
-// ---------------------------------------------------------------------------
-// kControl preambles (PROTOCOL.md "Deadline preamble", "Trace-id
-// preamble"). A query exchange may open with up to kMaxPreambles control
-// frames before the payload frame; each carries one key=value line. Both
-// preambles are optional and order-free; a sender that uses neither keeps
-// the wire byte-identical to the original protocol. A malformed or
-// unknown preamble drops the connection (protocol violation, same as any
-// unexpected frame type).
-
-constexpr const char* kDeadlinePrefix = "deadline budget_ms=";
-constexpr int kMaxPreambles = 4;
-
-// Parses "deadline budget_ms=N" into *budget_ms. False on malformed.
-bool ParseDeadlinePreamble(const std::string& preamble, uint64_t* budget_ms) {
-  const size_t prefix_len = std::string(kDeadlinePrefix).size();
-  if (preamble.rfind(kDeadlinePrefix, 0) != 0) return false;
-  const char* b = preamble.data() + prefix_len;
-  const char* e = preamble.data() + preamble.size();
-  auto [ptr, ec] = std::from_chars(b, e, *budget_ms);
-  return ec == std::errc() && ptr == e && b != e;
 }
 
 // Little-endian u64 heartbeat clock payload: B echoes its steady-clock
@@ -238,42 +229,173 @@ StatusOr<Deployment> Deployment::Derive(const ProtocolConfig& config,
 }
 
 // ---------------------------------------------------------------------------
-// ConnectionThreads
+// ConnectionLoop: the connection path both servers share. The accept
+// thread owns the listener and runs each accepted connection on its own
+// tracked thread (joined promptly once it finishes: unjoined threads
+// retain kernel resources). A connection thread handshakes, then serves
+// one exchange after another (wait for traffic, start a fresh epoch, read
+// the exchange head, hand it to the server's handler) until the peer
+// leaves, an exchange fails (the connection is dropped) or the loop shuts
+// down.
 
-void ConnectionThreads::ReapFinished() {
-  std::vector<Entry> finished;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = std::partition(entries_.begin(), entries_.end(),
-                             [](const Entry& e) {
-                               return !e.done->load(std::memory_order_acquire);
-                             });
-    finished.reserve(entries_.end() - it);
-    std::move(it, entries_.end(), std::back_inserter(finished));
-    entries_.erase(it, entries_.end());
-  }
-  // Join outside the lock; these bodies have returned, so the join is
-  // immediate.
-  for (Entry& e : finished) {
-    if (e.thread.joinable()) e.thread.join();
-  }
-}
+// Serves one exchange whose head the loop has read. A non-OK status drops
+// the connection.
+using ExchangeHandler =
+    std::function<Status(ExchangeHead head, net::ResilientChannel* ch)>;
 
-void ConnectionThreads::JoinAll() {
-  std::vector<Entry> all;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    all.swap(entries_);
-  }
-  for (Entry& e : all) {
-    if (e.thread.joinable()) e.thread.join();
-  }
-}
+class ConnectionLoop {
+ public:
+  // Builds the handler for one handshaken connection, on its thread.
+  using HandlerFactory = std::function<ExchangeHandler(uint64_t conn_id)>;
 
-size_t ConnectionThreads::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
+  // Binds the listener and starts accepting. `name` ("A", "B") tags the
+  // connections' sockets and channels.
+  static StatusOr<std::unique_ptr<ConnectionLoop>> Listen(
+      const ServerOptions& options, uint64_t fingerprint, std::string name,
+      HandlerFactory new_connection) {
+    SKNN_ASSIGN_OR_RETURN(
+        std::unique_ptr<net::SocketListener> listener,
+        net::SocketListener::Listen(options.listen_host, options.listen_port));
+    auto loop = std::unique_ptr<ConnectionLoop>(
+        new ConnectionLoop(std::move(listener), options.retry, fingerprint,
+                           std::move(name), std::move(new_connection)));
+    loop->accept_thread_ = std::thread([l = loop.get()] { l->AcceptLoop(); });
+    return loop;
+  }
+  ~ConnectionLoop() { Shutdown(); }
+  // Its threads hold `this`.
+  ConnectionLoop(const ConnectionLoop&) = delete;
+  ConnectionLoop& operator=(const ConnectionLoop&) = delete;
+
+  uint16_t port() const { return listener_->port(); }
+
+  // Accepts no more connections: one opened from now on waits in the
+  // listen backlog and is never handshaken. Connections already accepted
+  // keep being served.
+  void StopAccepting() {
+    accepting_.store(false, std::memory_order_relaxed);
+    if (accept_thread_.joinable()) accept_thread_.join();
+  }
+
+  // Returns once no exchange is in flight, or at `deadline`.
+  void AwaitIdle(Clock::time_point deadline) {
+    std::unique_lock<std::mutex> lock(idle_mu_);
+    idle_cv_.wait_until(lock, deadline, [this] { return in_flight_ == 0; });
+  }
+
+  // Stops accepting, ends every connection at its next exchange boundary
+  // and joins the connection threads. Idempotent.
+  void Shutdown() {
+    stop_.store(true, std::memory_order_relaxed);
+    StopAccepting();
+    listener_->Close();
+    std::vector<Connection> all;
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      all.swap(connections_);
+    }
+    for (Connection& c : all) c.thread.join();
+  }
+
+ private:
+  struct Connection {
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> done;
+  };
+
+  ConnectionLoop(std::unique_ptr<net::SocketListener> listener,
+                 const net::RetryPolicy& retry, uint64_t fingerprint,
+                 std::string name, HandlerFactory new_connection)
+      : listener_(std::move(listener)),
+        retry_(retry),
+        fingerprint_(fingerprint),
+        name_(std::move(name)),
+        new_connection_(std::move(new_connection)) {}
+
+  void AcceptLoop() {
+    uint64_t conn_id = 0;
+    while (accepting_.load(std::memory_order_relaxed)) {
+      ReapFinished();
+      auto conn = listener_->Accept(
+          kStopCheckMs, name_ + " conn " + std::to_string(conn_id));
+      if (!conn.ok()) continue;  // timeout or transient; poll again
+      ServerCounter("server.connections.accepted")->Increment();
+      auto done = std::make_shared<std::atomic<bool>>(false);
+      std::thread t([this, c = std::move(conn).value(), id = conn_id,
+                     done]() mutable {
+        Serve(std::move(c), id);
+        done->store(true, std::memory_order_release);
+      });
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      connections_.push_back({std::move(t), std::move(done)});
+      ++conn_id;
+    }
+  }
+
+  // Joins every connection thread whose body has returned.
+  void ReapFinished() {
+    std::vector<Connection> finished;
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      auto it = std::partition(
+          connections_.begin(), connections_.end(), [](const Connection& c) {
+            return !c.done->load(std::memory_order_acquire);
+          });
+      std::move(it, connections_.end(), std::back_inserter(finished));
+      connections_.erase(it, connections_.end());
+    }
+    for (Connection& c : finished) c.thread.join();  // immediate
+  }
+
+  void Serve(std::unique_ptr<net::SocketChannel> conn, uint64_t conn_id) {
+    MetricsRegistry::Gauge* active =
+        MetricsRegistry::Global().GetGauge("server.connections.active");
+    active->Add(1);
+    net::ResilientChannel ch(conn.get(), retry_, conn_id, name_ + "-serve");
+    if (AcceptHandshake(&ch, fingerprint_).ok()) {
+      const ExchangeHandler handler = new_connection_(conn_id);
+      Status served;
+      while (served.ok()) {
+        auto traffic = WaitForTraffic(conn.get(), stop_);
+        if (!traffic.ok() || !traffic.value()) break;
+        {
+          std::lock_guard<std::mutex> lock(idle_mu_);
+          ++in_flight_;
+        }
+        // Per-exchange epoch: sequence spaces restart at the exchange
+        // boundary on both ends (the peer resets before its first frame).
+        ch.ResetEpoch();
+        auto head = ReadExchangeHead(&ch);
+        served = head.status();
+        if (head.ok()) {
+          // The propagated id tags this thread's spans, log lines and any
+          // flight record until the handler returns.
+          trace::ScopedTraceId scoped_trace(head->trace_id);
+          served = handler(std::move(head).value(), &ch);
+        }
+        std::lock_guard<std::mutex> lock(idle_mu_);
+        if (--in_flight_ == 0) idle_cv_.notify_all();
+      }
+    }
+    conn->Close();
+    active->Add(-1);
+  }
+
+  const std::unique_ptr<net::SocketListener> listener_;
+  const net::RetryPolicy retry_;
+  const uint64_t fingerprint_;
+  const std::string name_;
+  const HandlerFactory new_connection_;
+  std::atomic<bool> accepting_{true};
+  std::atomic<bool> stop_{false};
+  // Exchanges between their first frame and the handler's return.
+  std::mutex idle_mu_;
+  std::condition_variable idle_cv_;
+  int in_flight_ = 0;
+  std::mutex conn_mu_;
+  std::vector<Connection> connections_;
+  std::thread accept_thread_;
+};
 
 // ---------------------------------------------------------------------------
 // AdmissionQueue
@@ -301,19 +423,6 @@ bool AdmissionQueue<T>::TryPush(T item) {
   }
   ServerCounter("queue.enqueued")->Increment();
   cv_.notify_one();
-  return true;
-}
-
-template <typename T>
-bool AdmissionQueue<T>::Pop(T* out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return stopped_ || !items_.empty(); });
-  if (items_.empty()) return false;
-  *out = std::move(items_.front());
-  items_.pop_front();
-  MetricsRegistry::Global()
-      .GetGauge("queue.depth")
-      ->Set(static_cast<double>(items_.size()));
   return true;
 }
 
@@ -367,155 +476,80 @@ size_t AdmissionQueue<T>::depth() const {
 // ---------------------------------------------------------------------------
 // PartyBServer
 
-PartyBServer::PartyBServer(Deployment deployment, ServerOptions options)
-    : deployment_(std::move(deployment)), options_(std::move(options)) {}
+PartyBServer::PartyBServer(Deployment deployment)
+    : deployment_(std::move(deployment)) {}
 
 StatusOr<std::unique_ptr<PartyBServer>> PartyBServer::Start(
     const Deployment& deployment, const ServerOptions& options) {
-  auto server = std::unique_ptr<PartyBServer>(
-      new PartyBServer(deployment, options));
+  auto server = std::unique_ptr<PartyBServer>(new PartyBServer(deployment));
   SKNN_ASSIGN_OR_RETURN(
-      server->listener_,
-      net::SocketListener::Listen(options.listen_host, options.listen_port));
-  server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
+      server->loop_,
+      ConnectionLoop::Listen(
+          options, deployment.fingerprint, "B",
+          [s = server.get()](uint64_t conn_id) -> ExchangeHandler {
+            // One PartyB per connection: selection state and indicator
+            // RNG draws are connection-local, so concurrent A workers
+            // cannot interleave (per-connection isolation, DESIGN.md §9).
+            // The seed is decorrelated per connection; indicator
+            // freshness needs unique seeds, not a shared transcript.
+            const Deployment& d = s->deployment_;
+            auto party_b = std::make_shared<PartyB>(
+                d.ctx, d.config, d.layout, d.sk, d.pk,
+                d.party_b_seed ^ (0x9E3779B97F4A7C15ull * (conn_id + 1)));
+            return [s, party_b](ExchangeHead head, net::ResilientChannel* ch) {
+              return s->ServeExchange(party_b.get(), std::move(head), ch);
+            };
+          }));
   return server;
 }
 
 PartyBServer::~PartyBServer() { Shutdown(); }
 
-uint16_t PartyBServer::port() const { return listener_->port(); }
+uint16_t PartyBServer::port() const { return loop_->port(); }
 
 void PartyBServer::Drain(int deadline_ms) {
-  if (deadline_ms <= 0) deadline_ms = options_.drain_deadline_ms;
   if (draining_.exchange(true)) return;
-  // No new connections are accepted past this point; queries already in
+  // No new connection is accepted past this point; exchanges already in
   // flight get the deadline to finish, then Shutdown cuts them off.
-  const auto deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
-  while (Clock::now() < deadline &&
-         in_flight_.load(std::memory_order_relaxed) > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  loop_->StopAccepting();
+  loop_->AwaitIdle(Clock::now() + std::chrono::milliseconds(deadline_ms));
 }
 
 void PartyBServer::Shutdown() {
-  if (stop_.exchange(true)) return;
-  // Start can fail before the listener exists (e.g. the port is taken);
-  // the destructor still runs Shutdown, so every member is guarded.
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listener_) listener_->Close();
-  conn_threads_.JoinAll();
+  // Start can fail before the loop exists (e.g. the port is taken); the
+  // destructor still runs Shutdown.
+  if (loop_) loop_->Shutdown();
 }
 
-void PartyBServer::AcceptLoop() {
-  uint64_t conn_id = 0;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    conn_threads_.ReapFinished();
-    if (draining_.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(kStopCheckMs));
-      continue;
-    }
-    auto conn =
-        listener_->Accept(kStopCheckMs, "B conn " + std::to_string(conn_id));
-    if (!conn.ok()) continue;  // timeout or transient; poll again
-    ServerCounter("server.connections.accepted")->Increment();
-    conn_threads_.Launch(
-        [this, c = std::move(conn).value(), id = conn_id]() mutable {
-          ServeConnection(std::move(c), id);
-        });
-    ++conn_id;
+Status PartyBServer::ServeExchange(PartyB* party_b, ExchangeHead head,
+                                   net::ResilientChannel* ch) {
+  // Deadlines are between the client and Party A; a deadline preamble
+  // from an A worker is a protocol violation.
+  if (head.deadline) {
+    return DataLossError("unexpected deadline preamble on a B connection");
   }
-}
-
-Status PartyBServer::ServeQuery(PartyB* party_b, net::ResilientChannel* ch,
-                                std::vector<uint8_t> first_distance_payload) {
-  // One query on this connection: u distance frames in, k_eff rows of u
-  // indicator frames out. The first distance frame was already consumed
-  // by the serve loop's heartbeat-or-query dispatch.
+  if (head.frame.type == net::MessageType::kHeartbeat) {
+    // Liveness probe from an idle A worker: echo, carrying our
+    // steady-clock "now" so A can estimate the A<->B clock offset (the
+    // probe's RTT bounds the error; PROTOCOL.md "Heartbeats").
+    ServerCounter("server.b.heartbeats")->Increment();
+    return ch->SendMessage(net::MessageType::kHeartbeat,
+                           EncodeClockPayload(SteadyNowNs()));
+  }
+  if (head.frame.type != net::MessageType::kDistances) {
+    return DataLossError("expected a kDistances or kHeartbeat frame");
+  }
+  trace::TraceSpan query_span("b.serve_query");
   SKNN_ASSIGN_OR_RETURN(
       size_t k, ReceiveDistancesAndSelect(deployment_.layout.num_units(),
                                           deployment_.config.k, party_b, ch,
-                                          std::move(first_distance_payload)));
+                                          std::move(head.frame.payload)));
   for (size_t j = 0; j < k; ++j) {
     SKNN_RETURN_IF_ERROR(SendIndicatorRow(
         deployment_.config.compress_indicators, j, party_b, ch));
   }
+  ServerCounter("server.b.queries_served")->Increment();
   return Status::Ok();
-}
-
-void PartyBServer::ServeConnection(std::unique_ptr<net::SocketChannel> conn,
-                                   uint64_t conn_id) {
-  MetricsRegistry::Gauge* active =
-      MetricsRegistry::Global().GetGauge("server.connections.active");
-  active->Add(1);
-  net::ResilientChannel ch(conn.get(), options_.retry, conn_id, "B-serve");
-  if (AcceptHandshake(&ch, deployment_.fingerprint).ok()) {
-    // One PartyB per connection: selection state and indicator RNG draws
-    // are connection-local, so concurrent A workers cannot interleave
-    // (per-connection isolation, DESIGN.md §9). The seed is decorrelated
-    // per connection; indicator freshness needs unique seeds, not a
-    // shared transcript.
-    PartyB party_b(deployment_.ctx, deployment_.config, deployment_.layout,
-                   deployment_.sk, deployment_.pk,
-                   deployment_.party_b_seed ^
-                       (0x9E3779B97F4A7C15ull * (conn_id + 1)));
-    while (!stop_.load(std::memory_order_relaxed)) {
-      auto traffic = WaitForTraffic(conn.get(), stop_);
-      if (!traffic.ok() || !traffic.value()) break;
-      // Per-query epoch: sequence spaces restart at the exchange boundary
-      // on both ends (the A worker resets before its first frame, whether
-      // that is a heartbeat probe or a query's first distance frame).
-      ch.ResetEpoch();
-      auto first = ch.ReceiveFrame();
-      if (!first.ok()) break;  // desync or peer loss: drop the connection
-      // A traced query's exchange opens with a kControl trace-id preamble
-      // from the A worker; consume preambles (bounded) until the payload
-      // frame. A malformed preamble is a protocol violation: drop.
-      net::Frame frame = std::move(first).value();
-      uint64_t trace_id = 0;
-      bool preamble_error = false;
-      for (int preambles = 0;
-           frame.type == net::MessageType::kControl; ++preambles) {
-        const std::string preamble(frame.payload.begin(),
-                                   frame.payload.end());
-        if (preambles >= kMaxPreambles ||
-            !ParseTracePreamble(preamble, &trace_id)) {
-          preamble_error = true;
-          break;
-        }
-        auto next = ch.ReceiveFrame();
-        if (!next.ok()) {
-          preamble_error = true;
-          break;
-        }
-        frame = std::move(next).value();
-      }
-      if (preamble_error) break;
-      if (frame.type == net::MessageType::kHeartbeat) {
-        // Liveness probe from an idle A worker: echo, carrying our
-        // steady-clock "now" so A can estimate the A<->B clock offset
-        // (the probe's RTT bounds the error; PROTOCOL.md "Heartbeats").
-        ServerCounter("server.b.heartbeats")->Increment();
-        if (!ch.SendMessage(net::MessageType::kHeartbeat,
-                            EncodeClockPayload(SteadyNowNs()))
-                 .ok()) {
-          break;
-        }
-        continue;
-      }
-      if (frame.type != net::MessageType::kDistances) break;
-      // The propagated id tags this thread's spans, log lines and any
-      // flight record for the rest of the query.
-      trace::ScopedTraceId scoped_trace(trace_id);
-      trace::TraceSpan query_span("b.serve_query");
-      in_flight_.fetch_add(1, std::memory_order_relaxed);
-      Status s = ServeQuery(&party_b, &ch, std::move(frame.payload));
-      in_flight_.fetch_sub(1, std::memory_order_relaxed);
-      if (!s.ok()) break;  // desync or peer loss: drop the connection
-      ServerCounter("server.b.queries_served")->Increment();
-    }
-  }
-  conn->Close();
-  active->Add(-1);
 }
 
 // ---------------------------------------------------------------------------
@@ -528,8 +562,7 @@ struct PartyAServer::Job {
   // client ships a relative budget precisely because the two clocks are
   // not comparable). Queue wait, every A<->B leg, and the distance-phase
   // cancellation checkpoints all charge against it.
-  bool has_deadline = false;
-  Clock::time_point deadline{};
+  std::optional<Clock::time_point> deadline;
   // Distributed trace id from the client's kControl preamble (0 =
   // untraced). The worker re-establishes it thread-locally while the
   // query runs and forwards it to B ahead of the distance frames, so the
@@ -585,34 +618,33 @@ StatusOr<std::unique_ptr<PartyAServer>> PartyAServer::Start(
   MetricsRegistry::Global()
       .GetGauge("server.b_link.connected_workers")
       ->Set(static_cast<double>(options.workers));
-  SKNN_ASSIGN_OR_RETURN(
-      server->listener_,
-      net::SocketListener::Listen(options.listen_host, options.listen_port));
   for (size_t w = 0; w < options.workers; ++w) {
     server->workers_.emplace_back([s = server.get(), w] { s->WorkerLoop(w); });
   }
-  server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
+  SKNN_ASSIGN_OR_RETURN(
+      server->loop_,
+      ConnectionLoop::Listen(
+          options, deployment.fingerprint, "A",
+          [s = server.get()](uint64_t) -> ExchangeHandler {
+            return [s](ExchangeHead head, net::ResilientChannel* ch) {
+              return s->ServeExchange(std::move(head), ch);
+            };
+          }));
   return server;
 }
 
 PartyAServer::~PartyAServer() { Shutdown(); }
 
-uint16_t PartyAServer::port() const { return listener_->port(); }
+uint16_t PartyAServer::port() const { return loop_->port(); }
 
 void PartyAServer::Drain(int deadline_ms) {
-  if (deadline_ms <= 0) deadline_ms = options_.drain_deadline_ms;
   if (draining_.exchange(true)) return;
-  // From here on ServeConnection sheds new queries with a typed
-  // kUnavailable instead of enqueuing them.
+  // From here on ServeExchange sheds new queries with a typed
+  // kUnavailable instead of enqueuing them. A queued or running query
+  // holds its connection's exchange open, so waiting for an idle loop
+  // waits for the queue and the workers.
   MetricsRegistry::Global().GetGauge("server.draining")->Set(1);
-  const auto deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
-  while (Clock::now() < deadline) {
-    if (queue_->depth() == 0 &&
-        in_flight_.load(std::memory_order_relaxed) == 0) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  loop_->AwaitIdle(Clock::now() + std::chrono::milliseconds(deadline_ms));
   // Whatever is still queued at the deadline gets a typed answer — a
   // drained server never leaves a client blocked on a query it will not
   // run. In-flight queries (already on a worker) are left to finish;
@@ -628,12 +660,11 @@ void PartyAServer::Drain(int deadline_ms) {
 
 void PartyAServer::Shutdown() {
   if (stop_.exchange(true)) return;
-  // Start fails fast before the queue/listener exist when B is
-  // unreachable or derived differently; the destructor still runs
-  // Shutdown, so every member is guarded.
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listener_) listener_->Close();
-  conn_threads_.JoinAll();
+  // Start fails fast before the queue/loop exist when B is unreachable or
+  // derived differently; the destructor still runs Shutdown, so every
+  // member is guarded. Connection threads go first: one waiting on a
+  // queued job needs a worker to finish it.
+  if (loop_) loop_->Shutdown();
   if (queue_) queue_->Stop();
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
@@ -647,7 +678,7 @@ Status PartyAServer::ConnectWorkerToB(size_t worker_index,
                                       int connect_timeout_ms) {
   // Startup uses the long connect_timeout_ms (fail fast but tolerate a B
   // that is still binding); the supervised reconnect loop passes the much
-  // shorter reconnect_attempt_timeout_ms so a dead B costs one bounded
+  // shorter kReconnectAttemptTimeoutMs so a dead B costs one bounded
   // attempt per backoff step, not a multi-second stall per job.
   SKNN_ASSIGN_OR_RETURN(
       std::unique_ptr<net::SocketChannel> conn,
@@ -677,7 +708,7 @@ Status PartyAServer::HeartbeatProbe(size_t worker_index) {
   // boundary, so the probe and its echo both run at sequence 0.
   ch.ResetEpoch();
   ch.set_deadline(Clock::now() +
-                  std::chrono::milliseconds(options_.heartbeat_timeout_ms));
+                  std::chrono::milliseconds(kHeartbeatTimeoutMs));
   const uint64_t t0_ns = SteadyNowNs();
   Status probe = [&]() -> Status {
     SKNN_RETURN_IF_ERROR(ch.SendMessage(net::MessageType::kHeartbeat, {}));
@@ -711,22 +742,6 @@ void PartyAServer::FinishJob(const std::shared_ptr<Job>& job, Status status) {
   job->cv.notify_all();
 }
 
-void PartyAServer::AcceptLoop() {
-  uint64_t conn_id = 0;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    conn_threads_.ReapFinished();
-    auto conn = listener_->Accept(kStopCheckMs,
-                                  "A client conn " + std::to_string(conn_id));
-    if (!conn.ok()) continue;
-    ServerCounter("server.connections.accepted")->Increment();
-    conn_threads_.Launch(
-        [this, c = std::move(conn).value(), id = conn_id]() mutable {
-          ServeConnection(std::move(c), id);
-        });
-    ++conn_id;
-  }
-}
-
 Status PartyAServer::RunQueryOnWorker(size_t worker_index, Job* job) {
   // Test hook: a pending injected fault aborts before the B connection is
   // touched, so the supervised recovery path (close, reconnect,
@@ -744,8 +759,8 @@ Status PartyAServer::RunQueryOnWorker(size_t worker_index, Job* job) {
   // it wakes for our first frame). The query's remaining deadline bounds
   // every receive on this channel for the rest of the exchange.
   ch.ResetEpoch();
-  if (job->has_deadline) {
-    ch.set_deadline(job->deadline);
+  if (job->deadline) {
+    ch.set_deadline(*job->deadline);
   } else {
     ch.clear_deadline();
   }
@@ -757,7 +772,7 @@ Status PartyAServer::RunQueryOnWorker(size_t worker_index, Job* job) {
     if (stop_.load(std::memory_order_relaxed)) {
       return AbortedError("server shutting down");
     }
-    if (job->has_deadline && Clock::now() >= job->deadline) {
+    if (job->deadline && Clock::now() >= *job->deadline) {
       return DeadlineExceededError("query deadline expired mid-execution");
     }
     return Status::Ok();
@@ -801,7 +816,7 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
   // with typed kUnavailable sheds instead of running queries into a dead
   // channel or blocking forever.
   bool connected = true;
-  int backoff_ms = options_.reconnect_backoff_ms;
+  int backoff_ms = kReconnectBackoffMs;
   auto last_probe = Clock::now();
   // Keeps connected_workers_ (and its gauge) in step with this worker's
   // link transitions; /readyz answers 503 while the count is 0.
@@ -818,16 +833,14 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
   const auto try_reconnect = [&]() {
     const bool was = connected;
     b_raw_[worker_index]->Close();
-    if (ConnectWorkerToB(worker_index, options_.reconnect_attempt_timeout_ms)
-            .ok()) {
+    if (ConnectWorkerToB(worker_index, kReconnectAttemptTimeoutMs).ok()) {
       ServerCounter("server.worker.reconnects")->Increment();
       connected = true;
-      backoff_ms = options_.reconnect_backoff_ms;
+      backoff_ms = kReconnectBackoffMs;
       last_probe = Clock::now();
     } else {
       connected = false;
-      backoff_ms =
-          std::min(backoff_ms * 2, options_.reconnect_backoff_max_ms);
+      backoff_ms = std::min(backoff_ms * 2, kReconnectBackoffMaxMs);
     }
     note_link(was, connected);
   };
@@ -855,7 +868,7 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
           b_raw_[worker_index]->Close();
           connected = false;
           note_link(true, false);
-          backoff_ms = options_.reconnect_backoff_ms;
+          backoff_ms = kReconnectBackoffMs;
         }
       }
       continue;
@@ -867,7 +880,7 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
     trace::ScopedTraceId scoped_trace(job->trace_id);
     // Shed, never run, a query whose deadline expired while it queued:
     // the client has already timed out, so the HE work would be wasted.
-    if (job->has_deadline && Clock::now() >= job->deadline) {
+    if (job->deadline && Clock::now() >= *job->deadline) {
       ServerCounter("server.queries.expired")->Increment();
       ServerCounter("server.queries.failed")->Increment();
       FinishJob(job, DeadlineExceededError(
@@ -889,7 +902,6 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
         continue;
       }
     }
-    in_flight_.fetch_add(1, std::memory_order_relaxed);
     const int delay = worker_delay_ms_.load(std::memory_order_relaxed);
     if (delay > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(delay));
@@ -920,7 +932,7 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
       try_reconnect();
       if (!MayReexecute(status, attempt, options_.retry)) break;
       if (status.code() == StatusCode::kDeadlineExceeded ||
-          (job->has_deadline && Clock::now() >= job->deadline)) {
+          (job->deadline && Clock::now() >= *job->deadline)) {
         break;  // no budget left to re-execute against
       }
       if (!connected) {
@@ -929,7 +941,6 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
       }
       ServerCounter("server.query.reexecutions")->Increment();
     }
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
     const double seconds = static_cast<double>(NsSince(t0)) * 1e-9;
     query_latency->Record(NsSince(job->enqueued_at));
     if (status.ok()) {
@@ -955,119 +966,49 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
   }
 }
 
-void PartyAServer::ServeConnection(std::unique_ptr<net::SocketChannel> conn,
-                                   uint64_t conn_id) {
-  MetricsRegistry::Gauge* active =
-      MetricsRegistry::Global().GetGauge("server.connections.active");
-  active->Add(1);
-  net::ResilientChannel ch(conn.get(), options_.retry, conn_id, "A-serve");
-  if (AcceptHandshake(&ch, deployment_.fingerprint).ok()) {
-    while (!stop_.load(std::memory_order_relaxed)) {
-      auto traffic = WaitForTraffic(conn.get(), stop_);
-      if (!traffic.ok() || !traffic.value()) break;
-      ch.ResetEpoch();
-      // A query exchange optionally opens with kControl preambles — a
-      // deadline ("deadline budget_ms=N"), a trace id ("trace id=HEX"),
-      // either, both, any order. A client using neither sends the kQuery
-      // frame directly, byte-identical to the original protocol. A
-      // malformed or unknown preamble drops the connection.
-      auto first = ch.ReceiveFrame();
-      if (!first.ok()) break;
-      net::Frame frame = std::move(first).value();
-      bool has_deadline = false;
-      Clock::time_point deadline{};
-      uint64_t trace_id = 0;
-      bool preamble_error = false;
-      for (int preambles = 0;
-           frame.type == net::MessageType::kControl; ++preambles) {
-        const std::string preamble(frame.payload.begin(),
-                                   frame.payload.end());
-        uint64_t budget_ms = 0;
-        if (preambles >= kMaxPreambles) {
-          preamble_error = true;
-          break;
-        }
-        if (ParseDeadlinePreamble(preamble, &budget_ms)) {
-          // The budget is relative on the wire (the two processes' clocks
-          // are not comparable); it becomes absolute at receipt, so queue
-          // wait counts against it from this moment.
-          has_deadline = true;
-          deadline = Clock::now() + std::chrono::milliseconds(budget_ms);
-        } else if (!ParseTracePreamble(preamble, &trace_id)) {
-          preamble_error = true;
-          break;
-        }
-        auto next = ch.ReceiveFrame();
-        if (!next.ok()) {
-          preamble_error = true;
-          break;
-        }
-        frame = std::move(next).value();
-      }
-      if (preamble_error) break;
-      if (frame.type != net::MessageType::kQuery) {
-        break;  // protocol violation: drop the connection
-      }
-      std::vector<uint8_t> query_payload = std::move(frame.payload);
-      // Tag this connection thread's log lines (shed/expiry paths) with
-      // the query's id while we hold it.
-      trace::ScopedTraceId scoped_trace(trace_id);
-      Status outcome;
-      std::shared_ptr<Job> job = std::make_shared<Job>();
-      auto ct = FreshCtFromBytes(*deployment_.ctx, std::move(query_payload));
-      if (!ct.ok()) {
-        outcome = ct.status();
-      } else {
-        job->query_ct = std::move(ct).value();
-        job->enqueued_at = Clock::now();
-        job->has_deadline = has_deadline;
-        job->deadline = deadline;
-        job->trace_id = trace_id;
-        ServerCounter("server.queries.accepted")->Increment();
-        if (draining_.load(std::memory_order_relaxed) ||
-            stop_.load(std::memory_order_relaxed)) {
-          ServerCounter("server.queries.shed")->Increment();
-          outcome = UnavailableError(
-              "server draining: not accepting new queries; retry elsewhere");
-        } else if (has_deadline && Clock::now() >= deadline) {
-          ServerCounter("server.queries.expired")->Increment();
-          outcome = DeadlineExceededError(
-              "query deadline expired before admission");
-        } else if (!queue_->TryPush(job)) {
-          // Backpressure: typed shed, never a hang (DESIGN.md §9).
-          ServerCounter("server.queries.shed")->Increment();
-          outcome = UnavailableError(
-              "admission queue full (" +
-              std::to_string(options_.queue_capacity) +
-              " queued); retry with backoff");
-        } else {
-          std::unique_lock<std::mutex> lock(job->mu);
-          job->cv.wait(lock, [&] { return job->done; });
-          outcome = job->status;
-        }
-      }
-      Status reply_status;
-      if (outcome.ok()) {
-        const std::string ok = OkControl(job->effective_k);
-        reply_status = ch.SendMessage(
-            net::MessageType::kControl,
-            std::vector<uint8_t>(ok.begin(), ok.end()));
-        for (const std::vector<uint8_t>& payload : job->result_payloads) {
-          if (!reply_status.ok()) break;
-          reply_status =
-              ch.SendMessage(net::MessageType::kResults, payload);
-        }
-      } else {
-        const std::string err = ErrControl(outcome);
-        reply_status = ch.SendMessage(
-            net::MessageType::kControl,
-            std::vector<uint8_t>(err.begin(), err.end()));
-      }
-      if (!reply_status.ok()) break;
+Status PartyAServer::ServeExchange(ExchangeHead head,
+                                   net::ResilientChannel* ch) {
+  if (head.frame.type != net::MessageType::kQuery) {
+    return DataLossError("expected a kQuery frame");
+  }
+  Status outcome;
+  std::shared_ptr<Job> job = std::make_shared<Job>();
+  auto ct = FreshCtFromBytes(*deployment_.ctx, std::move(head.frame.payload));
+  if (!ct.ok()) {
+    outcome = ct.status();
+  } else {
+    job->query_ct = std::move(ct).value();
+    job->enqueued_at = Clock::now();
+    job->deadline = head.deadline;
+    job->trace_id = head.trace_id;
+    ServerCounter("server.queries.accepted")->Increment();
+    if (draining_.load(std::memory_order_relaxed) ||
+        stop_.load(std::memory_order_relaxed)) {
+      ServerCounter("server.queries.shed")->Increment();
+      outcome = UnavailableError(
+          "server draining: not accepting new queries; retry elsewhere");
+    } else if (job->deadline && Clock::now() >= *job->deadline) {
+      ServerCounter("server.queries.expired")->Increment();
+      outcome =
+          DeadlineExceededError("query deadline expired before admission");
+    } else if (!queue_->TryPush(job)) {
+      // Backpressure: typed shed, never a hang (DESIGN.md §9).
+      ServerCounter("server.queries.shed")->Increment();
+      outcome = UnavailableError("admission queue full (" +
+                                 std::to_string(options_.queue_capacity) +
+                                 " queued); retry with backoff");
+    } else {
+      std::unique_lock<std::mutex> lock(job->mu);
+      job->cv.wait(lock, [&] { return job->done; });
+      outcome = job->status;
     }
   }
-  conn->Close();
-  active->Add(-1);
+  if (!outcome.ok()) return SendControl(ch, ErrControl(outcome));
+  SKNN_RETURN_IF_ERROR(SendControl(ch, OkControl(job->effective_k)));
+  for (const std::vector<uint8_t>& payload : job->result_payloads) {
+    SKNN_RETURN_IF_ERROR(ch->SendMessage(net::MessageType::kResults, payload));
+  }
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -1148,21 +1089,9 @@ StatusOr<std::vector<std::vector<uint64_t>>> RemoteClient::Query(
   // From the first frame out until the last reply frame in, any failure
   // leaves the exchange incomplete on the wire.
   dirty_ = true;
-  if (trace_id != 0) {
-    const std::string preamble = TracePreamble(trace_id);
-    SKNN_RETURN_IF_ERROR(ch_->SendMessage(
-        net::MessageType::kControl,
-        std::vector<uint8_t>(preamble.begin(), preamble.end())));
-  }
-  if (deadline_ms > 0) {
-    // Relative budget on the wire: the server's clock is not ours, so it
-    // anchors the absolute deadline at receipt (see ServeConnection).
-    const std::string preamble =
-        std::string(kDeadlinePrefix) + std::to_string(deadline_ms);
-    SKNN_RETURN_IF_ERROR(ch_->SendMessage(
-        net::MessageType::kControl,
-        std::vector<uint8_t>(preamble.begin(), preamble.end())));
-  }
+  // The deadline travels as a relative budget: the server's clock is not
+  // ours, so it anchors the absolute deadline at receipt.
+  SKNN_RETURN_IF_ERROR(SendPreambles(trace_id, deadline_ms, ch_.get()));
   SKNN_RETURN_IF_ERROR(
       ch_->SendMessage(net::MessageType::kQuery, CtToBytes(query_ct)));
   SKNN_ASSIGN_OR_RETURN(std::vector<uint8_t> reply_bytes,

@@ -36,6 +36,8 @@
 // A<->B exchange runs on exactly one worker connection with a fresh
 // resilient-channel epoch, so concurrent queries never interleave frames.
 // Party B spawns one thread + one PartyB instance per inbound connection.
+// Both servers run the same connection path (accept, handshake, then one
+// exchange after another); only the per-exchange handler differs.
 //
 // Key distribution follows Figure 2 of the paper: every process derives
 // its key material locally from the shared data-owner seed (`Deployment`)
@@ -46,10 +48,11 @@ namespace sknn {
 namespace core {
 
 // Everything a server-side process derives from the data-owner seed:
-// context, layout, key material, per-party RNG seeds (the same derivation
-// chain as SecureKnnSession::Create, so a server deployment at seed s is
-// transcript-compatible with a local session at seed s), and the
-// handshake fingerprint.
+// context, layout, key material, per-party RNG seeds and the handshake
+// fingerprint. The party seeds come from the same derivation chain as
+// SecureKnnSession::Create, but a served deployment is not
+// transcript-compatible with a local session at the same seed: Party B
+// decorrelates its seed per connection.
 struct Deployment {
   // `role_a`: also encrypt the database (only Party A needs the encrypted
   // units; B and clients skip the O(u) encryption work).
@@ -86,25 +89,12 @@ struct ServerOptions {
   // `queue_capacity` jobs are already waiting is shed with kUnavailable.
   size_t queue_capacity = 8;
   int connect_timeout_ms = 5000;
-  // --- Resilience knobs (OPERATIONS.md "Failure runbook") ---
-  // An idle A worker probes its B connection with a kHeartbeat exchange
-  // every `heartbeat_interval_ms`, so a silently dead B (SIGKILL, power
-  // loss: no FIN/RST ever arrives) is detected within one interval
-  // instead of at the next query. `heartbeat_timeout_ms` bounds the wait
-  // for the probe reply.
+  // Party A only: an idle worker probes its B connection with a
+  // kHeartbeat exchange every `heartbeat_interval_ms`, so a silently dead
+  // B (SIGKILL, power loss: no FIN/RST ever arrives) is detected within
+  // one interval instead of at the next query (OPERATIONS.md "Failure
+  // runbook").
   int heartbeat_interval_ms = 1000;
-  int heartbeat_timeout_ms = 2000;
-  // Supervised worker reconnect: exponential backoff between re-dial
-  // attempts while B is unreachable (doubles from the base up to the
-  // cap; each attempt's TCP connect is bounded by
-  // `reconnect_attempt_timeout_ms`).
-  int reconnect_backoff_ms = 50;
-  int reconnect_backoff_max_ms = 2000;
-  int reconnect_attempt_timeout_ms = 250;
-  // Graceful drain: how long Drain() waits for queued + in-flight
-  // queries to finish before answering the stragglers with a typed
-  // kUnavailable.
-  int drain_deadline_ms = 5000;
   // Receive budget and the whole-query re-execution bound
   // (`retry.max_query_reexecutions`: a query whose A<->B exchange broke is
   // re-run from StartQuery on a fresh connection, never past its
@@ -121,45 +111,13 @@ struct ServerOptions {
   }
 };
 
-// Tracks per-connection threads for a long-lived server. Each accept
-// iteration calls ReapFinished so a finished connection's thread is
-// joined promptly instead of accumulating (unjoined threads retain
-// kernel resources) until shutdown.
-class ConnectionThreads {
- public:
-  ~ConnectionThreads() { JoinAll(); }
-
-  // Runs `fn` on a new tracked thread; the thread marks itself finished
-  // when `fn` returns.
-  template <typename Fn>
-  void Launch(Fn fn) {
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    std::thread t([fn = std::move(fn), done]() mutable {
-      fn();
-      done->store(true, std::memory_order_release);
-    });
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_.push_back({std::move(t), std::move(done)});
-  }
-
-  // Joins every thread whose body has returned.
-  void ReapFinished();
-  // Joins all threads, finished or not (shutdown path).
-  void JoinAll();
-  size_t size() const;
-
- private:
-  struct Entry {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-
-  mutable std::mutex mu_;
-  std::vector<Entry> entries_;
-};
+// The accept + per-connection loop both servers run (server.cc).
+class ConnectionLoop;
+struct ExchangeHead;
 
 // Bounded multi-producer multi-consumer admission queue. TryPush returns
-// false when full (the caller sheds); Pop blocks until an item or Stop.
+// false when full (the caller sheds); PopFor waits a bounded time for an
+// item.
 // Exports queue.depth / queue.capacity gauges and queue.enqueued /
 // queue.shed counters.
 template <typename T>
@@ -170,8 +128,6 @@ class AdmissionQueue {
   explicit AdmissionQueue(size_t capacity);
 
   bool TryPush(T item);
-  // Returns false when stopped and empty.
-  bool Pop(T* out);
   // Bounded wait: kItem fills *out, kTimeout after `timeout_ms` with no
   // item (the worker's cue to heartbeat or retry a reconnect), kStopped
   // when the queue is stopped and empty.
@@ -202,11 +158,11 @@ class PartyBServer {
   ~PartyBServer();
 
   uint16_t port() const;
-  // Graceful drain: stop accepting new connections, wait up to
-  // `deadline_ms` (<=0: options.drain_deadline_ms) for in-flight queries
-  // to finish, then return. Idempotent; Shutdown still closes the
-  // connections afterwards.
-  void Drain(int deadline_ms = 0);
+  // Graceful drain: stop accepting new connections (a connection opened
+  // from now on is never handshaken), wait up to `deadline_ms` for
+  // in-flight exchanges to finish, then return. Idempotent; Shutdown
+  // still closes the connections afterwards.
+  void Drain(int deadline_ms);
   void Shutdown();
 
   // Readiness for the /readyz admin endpoint: a draining B must answer
@@ -214,21 +170,15 @@ class PartyBServer {
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
 
  private:
-  PartyBServer(Deployment deployment, ServerOptions options);
-  void AcceptLoop();
-  void ServeConnection(std::unique_ptr<net::SocketChannel> conn,
-                       uint64_t conn_id);
-  Status ServeQuery(PartyB* party_b, net::ResilientChannel* ch,
-                    std::vector<uint8_t> first_distance_payload);
+  explicit PartyBServer(Deployment deployment);
+  // One exchange on a connection: a heartbeat echo or one query (u
+  // distance frames in, k_eff rows of u indicator frames out).
+  Status ServeExchange(PartyB* party_b, ExchangeHead head,
+                       net::ResilientChannel* ch);
 
   Deployment deployment_;
-  ServerOptions options_;
-  std::unique_ptr<net::SocketListener> listener_;
-  std::atomic<bool> stop_{false};
   std::atomic<bool> draining_{false};
-  std::atomic<int> in_flight_{0};
-  std::thread accept_thread_;
-  ConnectionThreads conn_threads_;
+  std::unique_ptr<ConnectionLoop> loop_;
 };
 
 // Party A as a server: accepts client connections, admission-controls
@@ -247,11 +197,11 @@ class PartyAServer {
   uint16_t port() const;
   // Graceful drain (OPERATIONS.md "Failure runbook"): new queries are
   // shed with a typed kUnavailable while queued + in-flight queries get
-  // up to `deadline_ms` (<=0: options.drain_deadline_ms) to finish;
-  // stragglers still queued at the deadline are answered with a typed
-  // kUnavailable so no client is left hanging. Idempotent; call
-  // Shutdown afterwards to release threads and sockets.
-  void Drain(int deadline_ms = 0);
+  // up to `deadline_ms` to finish; stragglers still queued at the
+  // deadline are answered with a typed kUnavailable so no client is left
+  // hanging. Idempotent; call Shutdown afterwards to release threads and
+  // sockets.
+  void Drain(int deadline_ms);
   void Shutdown();
 
   // --- Readiness + link state for the /readyz and /varz admin endpoints.
@@ -282,16 +232,16 @@ class PartyAServer {
   struct Job;
 
   PartyAServer(Deployment deployment, ServerOptions options);
-  void AcceptLoop();
-  void ServeConnection(std::unique_ptr<net::SocketChannel> conn,
-                       uint64_t conn_id);
+  // One client exchange: admit the kQuery, wait for a worker to run it,
+  // reply with the control line and the result frames.
+  Status ServeExchange(ExchangeHead head, net::ResilientChannel* ch);
   void WorkerLoop(size_t worker_index);
   // The A side of one query against B on this worker's channel. Fills
   // job->result_payloads on success.
   Status RunQueryOnWorker(size_t worker_index, Job* job);
   Status ConnectWorkerToB(size_t worker_index, int connect_timeout_ms);
   // One kHeartbeat round-trip on the worker's B connection, bounded by
-  // heartbeat_timeout_ms.
+  // kHeartbeatTimeoutMs.
   Status HeartbeatProbe(size_t worker_index);
   // Completes `job` with `status` and wakes its connection thread.
   static void FinishJob(const std::shared_ptr<Job>& job, Status status);
@@ -299,10 +249,9 @@ class PartyAServer {
   Deployment deployment_;
   ServerOptions options_;
   std::unique_ptr<PartyA> party_a_;
-  std::unique_ptr<net::SocketListener> listener_;
+  // Set at Shutdown: workers abandon running queries, new ones are shed.
   std::atomic<bool> stop_{false};
   std::atomic<bool> draining_{false};
-  std::atomic<int> in_flight_{0};
   std::atomic<int> worker_delay_ms_{0};
   std::atomic<int> inject_faults_{0};
   std::atomic<int> connected_workers_{0};
@@ -313,8 +262,7 @@ class PartyAServer {
   std::vector<std::unique_ptr<net::SocketChannel>> b_raw_;
   std::vector<std::unique_ptr<net::ResilientChannel>> b_ch_;
   std::vector<std::thread> workers_;
-  std::thread accept_thread_;
-  ConnectionThreads conn_threads_;
+  std::unique_ptr<ConnectionLoop> loop_;
 };
 
 // A protocol client over the socket transport: connects to Party A,

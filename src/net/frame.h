@@ -32,10 +32,9 @@
 namespace sknn {
 namespace net {
 
-// Wire tags for the protocol messages of PROTOCOL.md. kOpaque is used by
-// callers that frame a channel without assigning protocol meaning (tests,
-// generic Channel::Send); kControl is reserved for future ack/resync
-// traffic.
+// Wire tags for the protocol messages of PROTOCOL.md. kOpaque tags frames
+// without protocol meaning (tests); kControl carries the handshake, the
+// exchange preambles and Party A's query outcome line.
 enum class MessageType : uint8_t {
   kOpaque = 0,
   kQuery = 1,       // message 1: client -> A encrypted query

@@ -23,10 +23,6 @@ ResilientChannel::ResilientChannel(Channel* inner, const RetryPolicy& policy,
                                    uint64_t /*id*/, std::string name)
     : inner_(inner), policy_(policy), name_(std::move(name)) {}
 
-Status ResilientChannel::Send(std::vector<uint8_t> message) {
-  return SendMessage(MessageType::kOpaque, message);
-}
-
 Status ResilientChannel::SendMessage(MessageType type,
                                      const std::vector<uint8_t>& payload) {
   static MetricsRegistry::Counter* sent = NetCounter("net.frames.sent");
@@ -37,16 +33,7 @@ Status ResilientChannel::SendMessage(MessageType type,
   return inner_->Send(EncodeFrame(type, send_seq_++, payload));
 }
 
-StatusOr<std::vector<uint8_t>> ResilientChannel::Receive() {
-  return ReceiveInternal(/*check_type=*/false, MessageType::kOpaque);
-}
-
-StatusOr<std::vector<uint8_t>> ResilientChannel::ReceiveMessage(
-    MessageType expected) {
-  return ReceiveInternal(/*check_type=*/true, expected);
-}
-
-StatusOr<Frame> ResilientChannel::NextFrameInOrder() {
+StatusOr<Frame> ResilientChannel::ReceiveFrame() {
   static MetricsRegistry::Counter* received =
       NetCounter("net.frames.received");
   static MetricsRegistry::Counter* corrupt = NetCounter("net.corrupt_frames");
@@ -122,14 +109,10 @@ StatusOr<Frame> ResilientChannel::NextFrameInOrder() {
   }
 }
 
-StatusOr<Frame> ResilientChannel::ReceiveFrame() {
-  return NextFrameInOrder();
-}
-
-StatusOr<std::vector<uint8_t>> ResilientChannel::ReceiveInternal(
-    bool check_type, MessageType expected) {
-  SKNN_ASSIGN_OR_RETURN(Frame frame, NextFrameInOrder());
-  if (check_type && frame.type != expected) {
+StatusOr<std::vector<uint8_t>> ResilientChannel::ReceiveMessage(
+    MessageType expected) {
+  SKNN_ASSIGN_OR_RETURN(Frame frame, ReceiveFrame());
+  if (frame.type != expected) {
     std::ostringstream os;
     os << "endpoint " << name_ << " desynchronized: expected a "
        << MessageTypeToString(expected) << " frame, got "

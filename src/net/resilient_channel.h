@@ -54,7 +54,7 @@ struct RetryPolicy {
   int max_query_reexecutions = 1;
 };
 
-class ResilientChannel : public Channel {
+class ResilientChannel {
  public:
   // Does not take ownership of `inner`. `name` tags error messages and
   // trace spans (e.g. "A" / "B"). `id` is not used by the channel; it
@@ -62,22 +62,16 @@ class ResilientChannel : public Channel {
   ResilientChannel(Channel* inner, const RetryPolicy& policy, uint64_t id,
                    std::string name);
 
-  // Channel interface: untyped messages travel as MessageType::kOpaque and
-  // Receive() accepts any type.
-  Status Send(std::vector<uint8_t> message) override;
-  StatusOr<std::vector<uint8_t>> Receive() override;
-
-  // Typed variants used by the protocol session: the type tag is checked
-  // on receive, turning a desynchronized peer into a typed error instead
-  // of a ciphertext misparse.
+  // The type tag is checked on receive, turning a desynchronized peer
+  // into a typed error instead of a ciphertext misparse.
   Status SendMessage(MessageType type, const std::vector<uint8_t>& payload);
   StatusOr<std::vector<uint8_t>> ReceiveMessage(MessageType expected);
 
   // The next in-order frame with its type tag intact. For receivers that
   // legitimately accept more than one MessageType at a point in the
-  // protocol (Party B's serve loop: a query's first kDistances frame or
-  // an idle kHeartbeat probe); everything else should use the typed
-  // ReceiveMessage.
+  // protocol (the head of a served exchange: control preambles, then a
+  // query, a distance frame or a heartbeat probe); everything else should
+  // use the typed ReceiveMessage.
   StatusOr<Frame> ReceiveFrame();
 
   // Resets both sequence spaces and drops the reorder stash. Only safe at
@@ -101,10 +95,6 @@ class ResilientChannel : public Channel {
   const RetryPolicy& policy() const { return policy_; }
 
  private:
-  StatusOr<Frame> NextFrameInOrder();
-  StatusOr<std::vector<uint8_t>> ReceiveInternal(bool check_type,
-                                                 MessageType expected);
-
   Channel* inner_;
   RetryPolicy policy_;
   std::string name_;

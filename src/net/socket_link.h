@@ -148,7 +148,6 @@ class SocketLink {
   Channel* b_endpoint() { return b_counting_.get(); }
 
   const LinkStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = LinkStats(); }
 
  private:
   SocketLink() = default;

@@ -141,7 +141,7 @@ TEST(ResilientChannelTest, DuplicatesAreConsumedSilently) {
     EXPECT_EQ(msg.value(), Payload(i)) << "duplicate leaked through";
   }
   // Nothing but the 5 duplicates is left.
-  EXPECT_FALSE(b.Receive().ok());
+  EXPECT_FALSE(b.ReceiveFrame().ok());
 }
 
 TEST(ResilientChannelTest, ReorderedFramesAreReassembledInOrder) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/metrics_registry.h"
+#include "core/exchange.h"
 #include "data/generators.h"
 #include "knn/knn.h"
 #include "net/frame.h"
@@ -67,6 +68,18 @@ std::vector<uint64_t> ReferenceDistances(const data::Dataset& data,
   return out;
 }
 
+Status SendControlText(net::ResilientChannel* ch, const std::string& text) {
+  return ch->SendMessage(net::MessageType::kControl,
+                         std::vector<uint8_t>(text.begin(), text.end()));
+}
+
+std::string HelloFor(const Deployment& deployment) {
+  std::ostringstream hello;
+  hello << "sknn-hello/1 role=party_a fp=" << std::hex
+        << deployment.fingerprint;
+  return hello.str();
+}
+
 // The acceptor half of the handshake for a fake Party A: swallow the
 // hello, answer welcome (the dialer only checks the prefix).
 bool AnswerHandshake(net::ResilientChannel* ch) {
@@ -75,11 +88,55 @@ bool AnswerHandshake(net::ResilientChannel* ch) {
     ADD_FAILURE() << hello.status();
     return false;
   }
-  const std::string welcome = "sknn-welcome/1";
-  return ch
-      ->SendMessage(net::MessageType::kControl,
-                    std::vector<uint8_t>(welcome.begin(), welcome.end()))
-      .ok();
+  return SendControlText(ch, "sknn-welcome/1").ok();
+}
+
+// A hand-driven peer of a server: a socket that has completed the
+// dialer half of the handshake, for tests that write the wire directly.
+struct RawPeer {
+  std::unique_ptr<net::SocketChannel> conn;
+  std::unique_ptr<net::ResilientChannel> ch;
+};
+
+RawPeer DialRaw(uint16_t port, const Deployment& deployment) {
+  RawPeer peer;
+  auto conn = net::ConnectSocket("127.0.0.1", port, 2000, "raw peer");
+  if (!conn.ok()) {
+    ADD_FAILURE() << conn.status();
+    return peer;
+  }
+  peer.conn = std::move(conn).value();
+  peer.ch = std::make_unique<net::ResilientChannel>(
+      peer.conn.get(), ServerOptions::ServerRetryPolicy(), 1, "raw peer");
+  auto welcome = SendControlText(peer.ch.get(), HelloFor(deployment));
+  auto reply = peer.ch->ReceiveMessage(net::MessageType::kControl);
+  if (!welcome.ok() || !reply.ok()) {
+    ADD_FAILURE() << "raw handshake failed: " << welcome << " / "
+                  << reply.status();
+    peer.ch.reset();
+  }
+  return peer;
+}
+
+std::unique_ptr<Client> MakeClient(const Deployment& d) {
+  return std::make_unique<Client>(d.ctx, d.config, d.layout, d.pk, d.sk,
+                                  d.client_seed);
+}
+
+// Decrypts serialized result ciphertexts to neighbour coordinates.
+std::vector<std::vector<uint64_t>> DecryptResults(
+    Client* client, std::vector<std::vector<uint8_t>> payloads) {
+  std::vector<std::vector<uint64_t>> neighbours;
+  for (std::vector<uint8_t>& bytes : payloads) {
+    auto ct = CtFromBytes(std::move(bytes));
+    EXPECT_TRUE(ct.ok()) << ct.status();
+    if (!ct.ok()) break;
+    auto point = client->DecryptNeighbour(ct.value());
+    EXPECT_TRUE(point.ok()) << point.status();
+    if (!point.ok()) break;
+    neighbours.push_back(std::move(point).value());
+  }
+  return neighbours;
 }
 
 // Deriving a toy deployment costs a second or two; share one across the
@@ -150,13 +207,14 @@ TEST(AdmissionQueueTest, BoundsDepthAndSheds) {
   EXPECT_TRUE(queue.TryPush(2));
   EXPECT_FALSE(queue.TryPush(3)) << "push beyond capacity must shed";
   EXPECT_EQ(queue.depth(), 2u);
+  using Outcome = AdmissionQueue<int>::PopOutcome;
   int out = 0;
-  EXPECT_TRUE(queue.Pop(&out));
+  EXPECT_EQ(queue.PopFor(&out, 1000), Outcome::kItem);
   EXPECT_EQ(out, 1) << "FIFO order";
   EXPECT_TRUE(queue.TryPush(3)) << "popping frees a slot";
-  EXPECT_TRUE(queue.Pop(&out));
+  EXPECT_EQ(queue.PopFor(&out, 1000), Outcome::kItem);
   EXPECT_EQ(out, 2);
-  EXPECT_TRUE(queue.Pop(&out));
+  EXPECT_EQ(queue.PopFor(&out, 1000), Outcome::kItem);
   EXPECT_EQ(out, 3);
 }
 
@@ -184,7 +242,9 @@ TEST(AdmissionQueueTest, StopUnblocksPoppers) {
   std::atomic<bool> returned{false};
   std::thread popper([&] {
     int out = 0;
-    EXPECT_FALSE(queue.Pop(&out)) << "Pop after Stop must return false";
+    EXPECT_EQ(queue.PopFor(&out, 60000),
+              AdmissionQueue<int>::PopOutcome::kStopped)
+        << "Stop must wake a waiting popper";
     returned = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -374,10 +434,7 @@ TEST_F(ServerTest, HandshakeIsOneControlFrameEachWayAtSeqZero) {
   ASSERT_TRUE(b.ok()) << b.status();
   auto conn = net::ConnectSocket("127.0.0.1", (*b)->port(), 2000, "raw A");
   ASSERT_TRUE(conn.ok()) << conn.status();
-  std::ostringstream hello;
-  hello << "sknn-hello/1 role=party_a fp=" << std::hex
-        << deployment_b_->fingerprint;
-  const std::string text = hello.str();
+  const std::string text = HelloFor(*deployment_b_);
   ASSERT_TRUE((*conn)
                   ->Send(net::EncodeFrame(
                       net::MessageType::kControl, 0,
@@ -392,6 +449,147 @@ TEST_F(ServerTest, HandshakeIsOneControlFrameEachWayAtSeqZero) {
   EXPECT_EQ(frame->seq, 0u);
   const std::string welcome(frame->payload.begin(), frame->payload.end());
   EXPECT_EQ(welcome.rfind("sknn-welcome/1", 0), 0u) << welcome;
+}
+
+// The control-preamble contract (PROTOCOL.md "Control preambles") over
+// raw connections. Party A serves a query behind a trace and a deadline
+// preamble in either order, and drops the connection on a malformed or
+// unknown preamble or a 5th one. Party B drops an A connection that sends
+// a malformed trace preamble or any deadline preamble.
+TEST_F(ServerTest, ControlPreamblesAreServedOrDropTheConnection) {
+  Servers servers = StartServers(/*workers=*/1, /*queue_capacity=*/4);
+  const std::string trace = "trace id=00000000000000ab";
+  const std::string deadline = "deadline budget_ms=30000";
+  struct Case {
+    const char* name;
+    bool to_b;
+    std::vector<std::string> preambles;
+    bool served;
+  };
+  const std::vector<Case> cases = {
+      {"A: trace, deadline", false, {trace, deadline}, true},
+      {"A: deadline, trace", false, {deadline, trace}, true},
+      {"A: four preambles", false, {trace, deadline, trace, deadline}, true},
+      {"A: malformed deadline", false, {"deadline budget_ms=soon"}, false},
+      {"A: unknown preamble", false, {"priority level=1"}, false},
+      {"A: fifth preamble",
+       false,
+       {trace, deadline, trace, deadline, trace},
+       false},
+      {"B: malformed trace", true, {"trace id=xyz"}, false},
+      {"B: deadline", true, {deadline}, false},
+  };
+  std::unique_ptr<Client> client = MakeClient(*deployment_b_);
+  const std::vector<uint64_t> query = data::UniformQuery(2, 15, 4321);
+  auto query_ct = client->EncryptQuery(query);
+  ASSERT_TRUE(query_ct.ok()) << query_ct.status();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    RawPeer peer = DialRaw(c.to_b ? servers.b->port() : servers.a->port(),
+                           *deployment_b_);
+    ASSERT_TRUE(peer.ch);
+    peer.ch->ResetEpoch();
+    Status sent;
+    for (const std::string& preamble : c.preambles) {
+      if (sent.ok()) sent = SendControlText(peer.ch.get(), preamble);
+    }
+    if (sent.ok()) {
+      sent = peer.ch->SendMessage(
+          c.to_b ? net::MessageType::kDistances : net::MessageType::kQuery,
+          CtToBytes(query_ct.value()));
+    }
+    if (!c.served) {
+      // A send may already fail against the closed connection. Any frame
+      // or a timeout instead of the close means the server kept serving.
+      auto next = peer.ch->ReceiveFrame();
+      ASSERT_FALSE(next.ok()) << "the server answered, frame type "
+                              << net::MessageTypeToString(next->type);
+      EXPECT_EQ(next.status().code(), StatusCode::kAborted) << next.status();
+      continue;
+    }
+    ASSERT_TRUE(sent.ok()) << sent;
+    auto reply = peer.ch->ReceiveMessage(net::MessageType::kControl);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    const size_t k = ServerConfig().k;
+    EXPECT_EQ(std::string(reply->begin(), reply->end()),
+              "ok k=" + std::to_string(k));
+    std::vector<std::vector<uint8_t>> payloads;
+    for (size_t j = 0; j < k; ++j) {
+      auto result = peer.ch->ReceiveMessage(net::MessageType::kResults);
+      ASSERT_TRUE(result.ok()) << result.status();
+      payloads.push_back(std::move(result).value());
+    }
+    EXPECT_EQ(
+        SortedDistances(DecryptResults(client.get(), std::move(payloads)),
+                        query),
+        ReferenceDistances(*dataset_, query, k));
+  }
+}
+
+// A draining Party B finishes the exchange already in flight, and never
+// serves a connection opened after Drain (not even its handshake).
+TEST_F(ServerTest, DrainingPartyBFinishesInFlightQueryAndServesNoNewConnection) {
+  auto b = PartyBServer::Start(*deployment_b_, ServerOptions());
+  ASSERT_TRUE(b.ok()) << b.status();
+  RawPeer a = DialRaw((*b)->port(), *deployment_b_);
+  ASSERT_TRUE(a.ch);
+  // Party A's half of the query runs here, by hand.
+  const Deployment& d = *deployment_a_;
+  PartyA party_a(d.ctx, d.config, d.layout, d.pk, d.relin, d.galois,
+                 d.party_a_seed);
+  ASSERT_TRUE(party_a.LoadEncryptedDatabase(d.encrypted_db).ok());
+  std::unique_ptr<Client> client = MakeClient(*deployment_b_);
+  const std::vector<uint64_t> point = data::UniformQuery(2, 15, 2468);
+  auto query_ct = client->EncryptQuery(point);
+  ASSERT_TRUE(query_ct.ok()) << query_ct.status();
+  auto query = party_a.StartQuery(query_ct.value());
+  ASSERT_TRUE(query.ok()) << query.status();
+
+  // Open the exchange with its trace preamble only: B is now mid-exchange,
+  // waiting for the distance frames.
+  a.ch->ResetEpoch();
+  ASSERT_TRUE(SendControlText(a.ch.get(), "trace id=00000000000000cd").ok());
+  std::atomic<bool> drained{false};
+  const auto drain_start = std::chrono::steady_clock::now();
+  std::thread drainer([&] {
+    (*b)->Drain(/*deadline_ms=*/20000);
+    drained = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_FALSE(drained) << "Drain returned with an exchange in flight";
+
+  ASSERT_TRUE(SendDistances(**query, /*trace_id=*/0, a.ch.get()).ok());
+  const size_t k = std::min<size_t>(d.config.k, d.layout.num_points());
+  ASSERT_TRUE((*query)->BeginReturnPhase(k).ok());
+  for (size_t j = 0; j < k; ++j) {
+    Status row = AbsorbIndicatorRow(*d.ctx, d.config.compress_indicators, j,
+                                    query->get(), a.ch.get());
+    ASSERT_TRUE(row.ok()) << row;
+  }
+  auto results = FinalizeResults(k, query->get());
+  ASSERT_TRUE(results.ok()) << results.status();
+  EXPECT_EQ(SortedDistances(
+                DecryptResults(client.get(), std::move(results).value()),
+                point),
+            ReferenceDistances(*dataset_, point, k));
+  drainer.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - drain_start,
+            std::chrono::seconds(10))
+      << "Drain waited out its deadline instead of returning when idle";
+
+  // The kernel still completes the TCP connect into the listen backlog,
+  // but nobody answers the hello.
+  auto late = net::ConnectSocket("127.0.0.1", (*b)->port(), 2000, "late A");
+  ASSERT_TRUE(late.ok()) << late.status();
+  const std::string hello = HelloFor(*deployment_b_);
+  ASSERT_TRUE((*late)
+                  ->Send(net::EncodeFrame(
+                      net::MessageType::kControl, 0,
+                      std::vector<uint8_t>(hello.begin(), hello.end())))
+                  .ok());
+  auto answered = (*late)->WaitReadable(500);
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  EXPECT_FALSE(answered.value()) << "a draining B served a new connection";
 }
 
 TEST_F(ServerTest, PartyAServerRequiresEncryptedDatabase) {

@@ -10,14 +10,20 @@
 # fault-tolerance contract of DESIGN.md §8 — exact answer or clean typed
 # error, no crash, hang, leak, or out-of-bounds access.
 #
+# A second round builds the threaded suites under ThreadSanitizer and runs
+# them: server_test (worker pool, admission queue, connection threads,
+# drain), telemetry_http_test (scrape while serving) and buffer_pool_test.
+# Any data race fails the gate (tsan exits non-zero on a report).
+#
 # Usage: tools/check_robustness.sh [extra ctest args...]
-# The asan configure/build is incremental; reruns only pay for the tests.
+# The extra args go to the asan ctest run. Both configure/builds are
+# incremental; reruns only pay for the tests.
 set -u
 
 cd "$(cd "$(dirname "$0")/.." && pwd)" || exit 1
 
 # Nested invocation guard: this script is itself a ctest test, so when it
-# runs inside the asan test round it must not recurse into another
+# runs inside a sanitizer test round it must not recurse into another
 # configure/build of the same tree.
 if [ "${SKNN_IN_ROBUSTNESS_CHECK:-}" = "1" ]; then
   echo "robustness_check: SKIPPED (already inside an asan chaos run)"
@@ -38,4 +44,20 @@ if ! ctest --test-dir build-asan -L 'chaos|process_chaos' \
   echo "robustness_check: FAILED"
   exit 1
 fi
+
+tsan_suites="server_test telemetry_http_test buffer_pool_test"
+echo "robustness_check: configuring tsan preset"
+cmake --preset tsan > /dev/null || exit 1
+
+echo "robustness_check: building $tsan_suites (tsan)"
+# shellcheck disable=SC2086  # word-split the suite list into targets
+cmake --build build-tsan -j --target $tsan_suites > /dev/null || exit 1
+
+for suite in $tsan_suites; do
+  echo "robustness_check: running $suite under tsan"
+  if ! "build-tsan/tests/$suite" --gtest_brief=1; then
+    echo "robustness_check: FAILED ($suite under tsan)"
+    exit 1
+  fi
+done
 echo "robustness_check: OK"

@@ -169,8 +169,7 @@ int ServerMain(int argc, char** argv, bool role_a) {
   options.peer_port = static_cast<uint16_t>(flags.U64("peer-port", 0));
   options.workers = flags.U64("workers", 2);
   options.queue_capacity = flags.U64("queue", 8);
-  options.drain_deadline_ms =
-      static_cast<int>(flags.U64("drain-ms", options.drain_deadline_ms));
+  const int drain_ms = static_cast<int>(flags.U64("drain-ms", 5000));
 
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
@@ -282,14 +281,14 @@ int ServerMain(int argc, char** argv, bool role_a) {
   // under the drain budget so no client is left mid-exchange, then flush
   // observability state. Exit code 0 on this path — a drained stop is a
   // clean stop.
-  std::printf("draining (up to %d ms)...\n", options.drain_deadline_ms);
+  std::printf("draining (up to %d ms)...\n", drain_ms);
   std::fflush(stdout);
   if (server_a) {
-    server_a->Drain(options.drain_deadline_ms);
+    server_a->Drain(drain_ms);
     server_a->Shutdown();
   }
   if (server_b) {
-    server_b->Drain(options.drain_deadline_ms);
+    server_b->Drain(drain_ms);
     server_b->Shutdown();
   }
   if (!metrics_path.empty()) {
