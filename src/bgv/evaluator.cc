@@ -6,7 +6,6 @@
 #include "common/buffer_pool.h"
 #include "common/logging.h"
 #include "common/metrics_registry.h"
-#include "common/thread_pool.h"
 #include "math/simd/kernels.h"
 
 namespace sknn {
@@ -237,21 +236,14 @@ KSwitchDigits Evaluator::DecomposeForKeySwitch(
   // Forward NTT of all (level+1)*(level+2) digit components — the
   // expensive half of a key switch, shared across every key the digits
   // are later multiplied against.
-  auto transform = [&](size_t flat) {
-    const size_t i = flat / ext;
-    const size_t j = flat % ext;
-    if (j == i && target_ntt != nullptr) return;  // already NTT form
-    const size_t key_idx = (j <= level) ? j : sp_key_idx;
-    base.ntt(key_idx).ForwardNtt(out.digits[i].comp(j));
-  };
-  const size_t total = (level + 1) * ext;
-  ThreadPool* pool = base.thread_pool();
-  if (pool != nullptr && total > 1) {
-    pool->ParallelFor(0, total, transform);
-  } else {
-    for (size_t flat = 0; flat < total; ++flat) transform(flat);
+  for (size_t i = 0; i <= level; ++i) {
+    for (size_t j = 0; j < ext; ++j) {
+      if (j == i && target_ntt != nullptr) continue;  // already NTT form
+      const size_t key_idx = (j <= level) ? j : sp_key_idx;
+      base.ntt(key_idx).ForwardNtt(out.digits[i].comp(j));
+    }
+    out.digits[i].set_ntt_form(true);
   }
-  for (RnsPoly& digit : out.digits) digit.set_ntt_form(true);
   return out;
 }
 
@@ -302,17 +294,10 @@ void Evaluator::KeySwitchInner(const KSwitchDigits& digits,
 
   // Inverse NTT all accumulator components (back to coefficient form;
   // inputs are in [0, 2q), outputs fully reduced).
-  auto inverse = [&](size_t flat) {
-    const size_t j = flat >> 1;
+  for (size_t j = 0; j < ext; ++j) {
     const size_t key_idx = (j <= level) ? j : sp_key_idx;
-    uint64_t* buf = ((flat & 1) == 0 ? acc0 : acc1).data() + j * n;
-    base.ntt(key_idx).InverseNtt(buf);
-  };
-  ThreadPool* pool = base.thread_pool();
-  if (pool != nullptr) {
-    pool->ParallelFor(0, 2 * ext, inverse);
-  } else {
-    for (size_t flat = 0; flat < 2 * ext; ++flat) inverse(flat);
+    base.ntt(key_idx).InverseNtt(acc0.data() + j * n);
+    base.ntt(key_idx).InverseNtt(acc1.data() + j * n);
   }
 
   // Divide by the special prime with t-preserving rounding:

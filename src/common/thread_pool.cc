@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "common/trace.h"
@@ -56,7 +57,10 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::ParallelFor(size_t begin, size_t end,
                              const std::function<void(size_t)>& fn) {
   if (begin >= end) return;
-  if (threads_.empty()) {
+  // The caller takes iterations too, so a batch needs at most end-begin-1
+  // helpers; a single iteration (a one-unit query) wakes no worker.
+  const size_t helpers = std::min(threads_.size(), end - begin - 1);
+  if (helpers == 0) {
     for (size_t i = begin; i < end; ++i) fn(i);
     return;
   }
@@ -83,8 +87,7 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   // iterations already run under both).
   const std::string trace_path = trace::Tracer::CurrentPath();
   const uint64_t trace_id = trace::CurrentTraceId();
-  const size_t workers = threads_.size();
-  for (size_t w = 0; w < workers; ++w) {
+  for (size_t w = 0; w < helpers; ++w) {
     Schedule([state, trace_path, trace_id] {
       trace::Tracer::ScopedPath scoped_path(trace_path);
       trace::ScopedTraceId scoped_trace_id(trace_id);

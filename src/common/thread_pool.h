@@ -10,9 +10,9 @@
 #include <vector>
 
 // A small fixed-size thread pool plus a ParallelFor helper used by Party A
-// to spread per-ciphertext work across cores. With num_threads <= 1 all work
-// runs inline on the calling thread (the default on single-core containers),
-// keeping execution deterministic.
+// and Party B to spread a query's ciphertexts across cores. With
+// num_threads <= 1 all work runs inline on the calling thread (the default
+// on single-core containers).
 
 namespace sknn {
 

@@ -182,11 +182,12 @@ StatusOr<bgv::Ciphertext> PartyA::DistanceForUnit(
       const size_t rot = transform.rotations[unit];
       std::vector<uint64_t> elts = evaluator_.RotationGaloisElts(
           static_cast<int>(rot * layout_.padded_dims()), galois_);
-      if (rot != 0) ops->rotations += 1;
       if (transform.col_swapped[unit]) {
         elts.push_back(ctx_->GaloisEltForColumnSwap());
-        ops->rotations += 1;
       }
+      // One key switch per hop: a step without an exact key is a chain of
+      // power-of-two hops.
+      ops->rotations += elts.size();
       SKNN_RETURN_IF_ERROR(
           evaluator_.ApplyGaloisChainInplace(&u, elts, galois_));
     }
@@ -329,16 +330,12 @@ Status PartyA::Query::AbsorbIndicator(size_t j, size_t transformed_unit_pos,
     std::vector<uint64_t> elts;
     if (transform.col_swapped[unit]) {
       elts.push_back(a.ctx_->GaloisEltForColumnSwap());
-      ops_.rotations += 1;
     }
-    if (transform.rotations[unit] != 0) {
-      const std::vector<uint64_t> rot_elts = a.evaluator_.RotationGaloisElts(
-          -static_cast<int>(transform.rotations[unit] *
-                            a.layout_.padded_dims()),
-          a.galois_);
-      elts.insert(elts.end(), rot_elts.begin(), rot_elts.end());
-      ops_.rotations += 1;
-    }
+    const std::vector<uint64_t> rot_elts = a.evaluator_.RotationGaloisElts(
+        -static_cast<int>(transform.rotations[unit] * a.layout_.padded_dims()),
+        a.galois_);
+    elts.insert(elts.end(), rot_elts.begin(), rot_elts.end());
+    ops_.rotations += elts.size();
     // One coefficient-form chain instead of separate column-swap and
     // rotation round-trips.
     SKNN_RETURN_IF_ERROR(

@@ -61,8 +61,10 @@ struct ProtocolConfig {
   // Level at which Party B encrypts indicator vectors (they undergo one
   // multiplication and one switch before returning to the client).
   size_t indicator_level = 1;
-  // Worker threads for Party A (0 = hardware concurrency).
-  size_t threads = 1;
+  // Worker threads of each party's pool, which spreads a query's
+  // ciphertexts across cores: Party A's distance units and Party B's
+  // indicator rows (0 = one per core, 1 = inline on the caller).
+  size_t threads = 0;
   // Seed-compress Party B's indicator ciphertexts (halves the dominant
   // B->A communication; B holds the secret key, so it can encrypt
   // symmetrically with a PRF-expanded c1 component).

@@ -185,26 +185,16 @@ void MulScalarInplace(RnsPoly* a,
 
 void ToNttInplace(RnsPoly* a, const RnsBase& base) {
   if (a->ntt_form()) return;
-  const size_t comps = a->num_components();
-  ThreadPool* pool = base.thread_pool();
-  if (pool != nullptr && comps > 1) {
-    pool->ParallelFor(0, comps,
-                      [&](size_t i) { base.ntt(i).ForwardNtt(a->comp(i)); });
-  } else {
-    for (size_t i = 0; i < comps; ++i) base.ntt(i).ForwardNtt(a->comp(i));
+  for (size_t i = 0; i < a->num_components(); ++i) {
+    base.ntt(i).ForwardNtt(a->comp(i));
   }
   a->set_ntt_form(true);
 }
 
 void FromNttInplace(RnsPoly* a, const RnsBase& base) {
   if (!a->ntt_form()) return;
-  const size_t comps = a->num_components();
-  ThreadPool* pool = base.thread_pool();
-  if (pool != nullptr && comps > 1) {
-    pool->ParallelFor(0, comps,
-                      [&](size_t i) { base.ntt(i).InverseNtt(a->comp(i)); });
-  } else {
-    for (size_t i = 0; i < comps; ++i) base.ntt(i).InverseNtt(a->comp(i));
+  for (size_t i = 0; i < a->num_components(); ++i) {
+    base.ntt(i).InverseNtt(a->comp(i));
   }
   a->set_ntt_form(false);
 }

@@ -12,7 +12,6 @@
 #include "common/buffer_pool.h"
 #include "common/status.h"
 #include "common/statusor.h"
-#include "common/thread_pool.h"
 #include "math/mod_arith.h"
 #include "math/ntt.h"
 
@@ -59,14 +58,6 @@ class RnsBase {
   // the base. Built on first use and cached per element; thread-safe.
   const std::vector<uint32_t>& GaloisPermTableNtt(uint64_t galois_elt) const;
 
-  // Optional worker pool used by ToNttInplace/FromNttInplace to transform
-  // RNS components in parallel. Null (the default) keeps all work on the
-  // calling thread. The base shares ownership of the pool.
-  void set_thread_pool(std::shared_ptr<ThreadPool> pool) {
-    pool_ = std::move(pool);
-  }
-  ThreadPool* thread_pool() const { return pool_.get(); }
-
  private:
   struct GaloisCache {
     std::mutex mu;
@@ -78,7 +69,6 @@ class RnsBase {
   std::vector<Modulus> moduli_;
   std::vector<NttTables> ntt_;
   std::unique_ptr<GaloisCache> galois_cache_;
-  std::shared_ptr<ThreadPool> pool_;
 };
 
 // RNS polynomial: comp(i)[j] is coefficient j modulo prime i (or the NTT

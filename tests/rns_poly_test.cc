@@ -233,24 +233,5 @@ TEST_F(RnsPolyTest, GaloisPermTableMatchesDirectComputation) {
   }
 }
 
-TEST_F(RnsPolyTest, ThreadedNttConversionMatchesSerial) {
-  auto pool = std::make_shared<ThreadPool>(3);
-  auto primes = GenerateNttPrimes(40, 2 * base_->n(), 3);
-  ASSERT_TRUE(primes.ok());
-  auto threaded = RnsBase::Create(base_->n(), primes.value());
-  ASSERT_TRUE(threaded.ok());
-  threaded.value().set_thread_pool(pool);
-
-  RnsPoly a = RandomPoly(21);
-  RnsPoly serial = a, parallel = a;
-  ToNttInplace(&serial, *base_);
-  ToNttInplace(&parallel, threaded.value());
-  EXPECT_EQ(serial, parallel);
-  FromNttInplace(&serial, *base_);
-  FromNttInplace(&parallel, threaded.value());
-  EXPECT_EQ(serial, a);
-  EXPECT_EQ(parallel, a);
-}
-
 }  // namespace
 }  // namespace sknn

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <set>
 
+#include "bgv/symmetric.h"
+#include "common/metrics_registry.h"
+#include "core/exchange.h"
+#include "core/server.h"
 #include "core/session.h"
 #include "data/generators.h"
 #include "knn/knn.h"
@@ -305,19 +309,111 @@ TEST(SecureKnnTest, CompressedIndicatorsMatchUncompressed) {
       << " full=" << r_off->ab_link.bytes_b_to_a;
 }
 
+// Everything a query's thread count could perturb: the serialized
+// payloads of messages 2 and 4, both parties' op counts, and the answer.
+struct Transcript {
+  std::vector<std::vector<uint8_t>> distances;
+  std::vector<std::vector<uint8_t>> results;
+  std::string a_ops;
+  std::string b_ops;
+  std::vector<std::vector<uint64_t>> neighbours;
+};
+
+// Runs one query through the parties of `d` with `threads` workers each,
+// driving the phases directly (no transport) so the test sees the exact
+// ciphertexts the wire would carry.
+void RunWithThreads(const Deployment& d, size_t threads,
+                    const std::vector<uint64_t>& point, Transcript* out) {
+  ProtocolConfig cfg = d.config;
+  cfg.threads = threads;
+  PartyA a(d.ctx, cfg, d.layout, d.pk, d.relin, d.galois, d.party_a_seed);
+  ASSERT_TRUE(a.LoadEncryptedDatabase(d.encrypted_db).ok());
+  PartyB b(d.ctx, cfg, d.layout, d.sk, d.pk, d.party_b_seed);
+  Client client(d.ctx, cfg, d.layout, d.pk, d.sk, d.client_seed);
+  auto query_ct = client.EncryptQuery(point);
+  ASSERT_TRUE(query_ct.ok()) << query_ct.status();
+  auto query = a.StartQuery(query_ct.value());
+  ASSERT_TRUE(query.ok()) << query.status();
+  for (const bgv::Ciphertext& ct : (*query)->distances()) {
+    out->distances.push_back(CtToBytes(ct));
+  }
+  auto k = b.FindNeighbours((*query)->distances(), cfg.k);
+  ASSERT_TRUE(k.ok()) << k.status();
+  ASSERT_TRUE((*query)->BeginReturnPhase(k.value()).ok());
+  for (size_t j = 0; j < k.value(); ++j) {
+    auto row = b.EmitIndicatorsCompressedForResult(j);
+    ASSERT_TRUE(row.ok()) << row.status();
+    for (size_t pos = 0; pos < row->size(); ++pos) {
+      auto indicator = bgv::ExpandSeeded(*d.ctx, (*row)[pos]);
+      ASSERT_TRUE(indicator.ok()) << indicator.status();
+      ASSERT_TRUE((*query)->AbsorbIndicator(j, pos, indicator.value()).ok());
+    }
+  }
+  auto results = FinalizeResults(k.value(), query->get());
+  ASSERT_TRUE(results.ok()) << results.status();
+  out->results = std::move(results).value();
+  for (const std::vector<uint8_t>& bytes : out->results) {
+    auto ct = CtFromBytes(bytes);
+    ASSERT_TRUE(ct.ok()) << ct.status();
+    auto neighbour = client.DecryptNeighbour(ct.value());
+    ASSERT_TRUE(neighbour.ok()) << neighbour.status();
+    out->neighbours.push_back(std::move(neighbour).value());
+  }
+  out->a_ops = (*query)->ops().DebugString();
+  out->b_ops = b.ops().DebugString();
+}
+
+// Per-unit RNG forks make a query a pure function of the party seeds: the
+// default pools (one thread per core, on A's distance units and B's
+// indicator rows) must reproduce the inline run byte for byte.
 TEST(SecureKnnTest, MultiThreadedPartyAMatchesSingleThreaded) {
-  data::Dataset dataset = data::UniformDataset(40, 3, 15, 22);
-  ProtocolConfig cfg1 = SmallConfig(Layout::kPacked);
-  cfg1.dims = 3;
-  ProtocolConfig cfg4 = cfg1;
-  cfg4.threads = 4;
-  auto s1 = SecureKnnSession::Create(cfg1, dataset, 23);
-  auto s4 = SecureKnnSession::Create(cfg4, dataset, 23);
-  ASSERT_TRUE(s1.ok() && s4.ok());
-  auto r1 = (*s1)->RunQuery({5, 6, 7});
-  auto r4 = (*s4)->RunQuery({5, 6, 7});
-  ASSERT_TRUE(r1.ok() && r4.ok());
-  EXPECT_EQ(r1->neighbours, r4->neighbours);
+  struct Case {
+    Layout layout;
+    size_t n;
+    size_t dims;
+    size_t k;
+  };
+  // Packed: 600 points at d' = 4 fill three units of the toy ring.
+  for (const Case& c : {Case{Layout::kPacked, 600, 3, 3},
+                        Case{Layout::kPerPoint, 40, 2, 2}}) {
+    SCOPED_TRACE(LayoutName(c.layout));
+    data::Dataset dataset = data::UniformDataset(c.n, c.dims, 15, 22);
+    ProtocolConfig cfg = SmallConfig(c.layout);
+    cfg.dims = c.dims;
+    cfg.k = c.k;
+    auto d = Deployment::Derive(cfg, dataset, 23, /*role_a=*/true);
+    ASSERT_TRUE(d.ok()) << d.status();
+    ASSERT_GT(d->layout.num_units(), 1u);
+    const std::vector<uint64_t> point = data::UniformQuery(c.dims, 15, 24);
+    Transcript inline_run, pooled_run;
+    RunWithThreads(*d, 1, point, &inline_run);
+    RunWithThreads(*d, ProtocolConfig().threads, point, &pooled_run);
+    EXPECT_EQ(inline_run.distances, pooled_run.distances);
+    EXPECT_EQ(inline_run.results, pooled_run.results);
+    EXPECT_EQ(inline_run.a_ops, pooled_run.a_ops);
+    EXPECT_EQ(inline_run.b_ops, pooled_run.b_ops);
+    EXPECT_EQ(inline_run.neighbours, pooled_run.neighbours);
+    EXPECT_EQ(SortedDistances(pooled_run.neighbours, point),
+              ReferenceDistances(dataset, point, c.k));
+  }
+}
+
+// OpCounts::rotations counts key switches: a block rotation without an
+// exact Galois key is a chain of power-of-two hops, one key switch each.
+TEST(SecureKnnTest, RotationCountMatchesGaloisKeySwitches) {
+  data::Dataset dataset = data::UniformDataset(600, 3, 15, 31);
+  ProtocolConfig cfg = SmallConfig(Layout::kPacked);
+  cfg.dims = 3;
+  auto session = SecureKnnSession::Create(cfg, dataset, 32);
+  ASSERT_TRUE(session.ok()) << session.status();
+  MetricsRegistry::Counter* galois = MetricsRegistry::Global().GetCounter(
+      "bgv.evaluator.galois_automorphism");
+  for (uint64_t q = 0; q < 3; ++q) {
+    const uint64_t before = galois->value();
+    auto result = (*session)->RunQuery({q, 2 * q, 7});
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->party_a_ops.rotations, galois->value() - before);
+  }
 }
 
 }  // namespace

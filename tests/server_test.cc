@@ -367,6 +367,43 @@ TEST_F(ServerTest, PlainIndicatorsServeExactAnswer) {
   (*b)->Shutdown();
 }
 
+// ServerConfig() pins one thread; this test serves with the default
+// per-party pools, so A's distance units and B's indicator rows run
+// across cores while two clients' queries share A's pool. The tsan round
+// of tools/check_robustness.sh runs it.
+TEST_F(ServerTest, DefaultThreadsServeExactAnswers) {
+  ProtocolConfig cfg = ServerConfig();
+  cfg.threads = ProtocolConfig().threads;
+  cfg.layout = Layout::kPerPoint;  // one unit per point: work for every thread
+  auto dep_a = Deployment::Derive(cfg, *dataset_, 7, /*role_a=*/true);
+  ASSERT_TRUE(dep_a.ok()) << dep_a.status();
+  auto dep_b = Deployment::Derive(cfg, *dataset_, 7, /*role_a=*/false);
+  ASSERT_TRUE(dep_b.ok()) << dep_b.status();
+  auto b = PartyBServer::Start(*dep_b, ServerOptions());
+  ASSERT_TRUE(b.ok()) << b.status();
+  ServerOptions a_options;
+  a_options.peer_port = (*b)->port();
+  a_options.workers = 2;
+  auto a = PartyAServer::Start(*dep_a, a_options);
+  ASSERT_TRUE(a.ok()) << a.status();
+  std::vector<std::thread> clients;
+  for (uint64_t c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      auto client = RemoteClient::Connect(*dep_b, "127.0.0.1", (*a)->port(),
+                                          ServerOptions());
+      ASSERT_TRUE(client.ok()) << client.status();
+      const std::vector<uint64_t> query = data::UniformQuery(2, 15, 7200 + c);
+      auto answer = (*client)->Query(query);
+      ASSERT_TRUE(answer.ok()) << answer.status();
+      EXPECT_EQ(SortedDistances(answer.value(), query),
+                ReferenceDistances(*dataset_, query, cfg.k));
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  (*a)->Shutdown();
+  (*b)->Shutdown();
+}
+
 TEST_F(ServerTest, SaturatedQueueShedsWithTypedUnavailable) {
   Servers servers = StartServers(/*workers=*/1, /*queue_capacity=*/1);
   // One worker, one queue slot, and a 400ms artificial delay per query:

@@ -12,8 +12,10 @@
 #
 # A second round builds the threaded suites under ThreadSanitizer and runs
 # them: server_test (worker pool, admission queue, connection threads,
-# drain), telemetry_http_test (scrape while serving) and buffer_pool_test.
-# Any data race fails the gate (tsan exits non-zero on a report).
+# drain, per-party query pools), telemetry_http_test (scrape while
+# serving), buffer_pool_test, and the multithreaded secure_knn_test cases
+# (pooled queries against inline ones). Any data race fails the gate
+# (tsan exits non-zero on a report).
 #
 # Usage: tools/check_robustness.sh [extra ctest args...]
 # The extra args go to the asan ctest run. Both configure/builds are
@@ -45,7 +47,7 @@ if ! ctest --test-dir build-asan -L 'chaos|process_chaos' \
   exit 1
 fi
 
-tsan_suites="server_test telemetry_http_test buffer_pool_test"
+tsan_suites="server_test telemetry_http_test buffer_pool_test secure_knn_test"
 echo "robustness_check: configuring tsan preset"
 cmake --preset tsan > /dev/null || exit 1
 
@@ -54,8 +56,11 @@ echo "robustness_check: building $tsan_suites (tsan)"
 cmake --build build-tsan -j --target $tsan_suites > /dev/null || exit 1
 
 for suite in $tsan_suites; do
+  filter='*'
+  # The rest of secure_knn_test runs inline (one thread per party).
+  [ "$suite" = secure_knn_test ] && filter='SecureKnnTest.MultiThreaded*'
   echo "robustness_check: running $suite under tsan"
-  if ! "build-tsan/tests/$suite" --gtest_brief=1; then
+  if ! "build-tsan/tests/$suite" --gtest_brief=1 --gtest_filter="$filter"; then
     echo "robustness_check: FAILED ($suite under tsan)"
     exit 1
   fi

@@ -3,6 +3,7 @@
 //   sknn_cli knn      --n=1000 --d=4 --k=5 [--layout=packed|per-point]
 //                     [--dataset=uniform|cancer|credit] [--queries=3]
 //                     [--preset=toy|bench|default|paranoid] [--seed=1]
+//                     [--threads=0]
 //                     [--fault-spec=drop:0.05,flip:0.01 [--fault-seed=1]]
 //   sknn_cli kmeans   --n=200 --d=2 --clusters=3 [--iterations=5]
 //   sknn_cli baseline --n=50 --d=3 --k=3 [--paillier-bits=256]
@@ -131,7 +132,7 @@ int RunKnn(const Flags& flags) {
                    : core::Layout::kPacked;
   cfg.preset = PresetFromString(flags.Str("preset", "toy"));
   cfg.levels = cfg.MinimumLevels();
-  cfg.threads = flags.U64("threads", 1);
+  cfg.threads = flags.U64("threads", 0);
 
   std::printf("secure k-NN: %s over %zu x %zu dataset '%s'\n",
               cfg.DebugString().c_str(), dataset.num_points(), dataset.dims(),
@@ -310,7 +311,7 @@ int RunRemote(const Flags& flags) {
                    : core::Layout::kPacked;
   cfg.preset = PresetFromString(flags.Str("preset", "toy"));
   cfg.levels = cfg.MinimumLevels();
-  cfg.threads = flags.U64("threads", 1);
+  cfg.threads = flags.U64("threads", 0);
   cfg.compress_indicators = flags.U64("compress", 1) != 0;
 
   std::printf("deriving client deployment (%s, seed %llu)...\n",
@@ -405,6 +406,8 @@ void Usage() {
                "usage: sknn_cli <knn|kmeans|baseline|params|advise|remote> "
                "[--key=value...]\n"
                "  knn      --n --d --k --layout --dataset --queries --preset\n"
+               "           --threads=0  worker threads per party for a\n"
+               "           query's ciphertexts (0 = one per core, 1 = inline)\n"
                "           --fault-spec=MODE:PROB[,...] --fault-seed  inject\n"
                "           deterministic A<->B faults (drop|dup|flip|trunc|\n"
                "           reorder|delay[:POLLS]) and print net.* counters\n"

@@ -96,6 +96,8 @@ void Usage(const char* role) {
       "serving:\n"
       "  --host=127.0.0.1 --port=0 (0 = ephemeral, printed at startup)\n"
       "  --drain-ms=5000  graceful-drain budget on SIGINT/SIGTERM\n"
+      "  --threads=0  per-query ciphertext parallelism (0 = one thread\n"
+      "      per core, 1 = inline)\n"
       "%s"
       "observability:\n"
       "  --metrics-out=FILE [--metrics-interval-s=5]  periodic Prometheus\n"
@@ -149,7 +151,7 @@ int ServerMain(int argc, char** argv, bool role_a) {
                    : core::Layout::kPacked;
   cfg.preset = PresetFromString(flags.Str("preset", "toy"));
   cfg.levels = cfg.MinimumLevels();
-  cfg.threads = flags.U64("threads", 1);
+  cfg.threads = flags.U64("threads", 0);
   cfg.compress_indicators = flags.U64("compress", 1) != 0;
 
   std::printf("deriving deployment (%s, %zu x %zu '%s', seed %llu)...\n",
