@@ -6,7 +6,6 @@
 //
 // Build & run:   ./build/examples/credit_scoring
 
-#include <algorithm>
 #include <cstdio>
 
 #include "core/session.h"
@@ -62,22 +61,9 @@ int main() {
   std::printf("\n");
 
   // Exactness cross-check.
-  std::vector<uint64_t> dists;
-  for (const auto& p : result->neighbours) {
-    uint64_t s = 0;
-    for (size_t j = 0; j < applicant.size(); ++j) {
-      uint64_t d = p[j] > applicant[j] ? p[j] - applicant[j]
-                                       : applicant[j] - p[j];
-      s += d * d;
-    }
-    dists.push_back(s);
-  }
-  std::sort(dists.begin(), dists.end());
-  auto ref = knn::PlaintextKnn(dataset, applicant, cfg.k);
-  std::vector<uint64_t> expected;
-  for (const auto& nb : ref.value()) expected.push_back(nb.squared_distance);
-  std::sort(expected.begin(), expected.end());
+  const Status exact =
+      knn::CheckExact(dataset, applicant, cfg.k, result->neighbours);
   std::printf("matches plaintext k-NN: %s\n",
-              expected == dists ? "yes (exact)" : "NO (bug!)");
-  return 0;
+              exact.ok() ? "yes (exact)" : exact.ToString().c_str());
+  return exact.ok() ? 0 : 1;
 }

@@ -151,13 +151,6 @@ Status Evaluator::AddPlainInplace(Ciphertext* a, const Plaintext& pt) const {
   return AddPlainInplace(a, op);
 }
 
-Status Evaluator::SubPlainInplace(Ciphertext* a, const Plaintext& pt) const {
-  Plaintext negated = pt;
-  const uint64_t t = ctx_->t();
-  for (uint64_t& c : negated.coeffs) c = NegMod(c, t);
-  return AddPlainInplace(a, negated);
-}
-
 StatusOr<Ciphertext> Evaluator::Multiply(const Ciphertext& a,
                                          const Ciphertext& b) const {
   SKNN_COUNT_EVALUATOR_OP("multiply");

@@ -68,7 +68,6 @@ class Evaluator {
   void NegateInplace(Ciphertext* a) const;
   // a += Enc(pt) without encryption (transparent addend).
   Status AddPlainInplace(Ciphertext* a, const Plaintext& pt) const;
-  Status SubPlainInplace(Ciphertext* a, const Plaintext& pt) const;
 
   // --- multiplications ---
   // Tensor product; result has size 3 and must be relinearized before any

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <random>
 
 #include "common/logging.h"
 
@@ -95,19 +94,6 @@ Chacha20Rng::Chacha20Rng(uint64_t seed64, uint64_t stream_id)
         ((seed64 + 0x0123456789abcdefull) * 0xc2b2ae3d27d4eb4full) >> (8 * i));
   }
   *this = Chacha20Rng(seed, stream_id);
-}
-
-Chacha20Rng::Seed Chacha20Rng::OsSeed() {
-  Seed seed;
-  std::random_device rd;
-  for (size_t i = 0; i < seed.size(); i += 4) {
-    uint32_t v = rd();
-    seed[i] = static_cast<uint8_t>(v);
-    seed[i + 1] = static_cast<uint8_t>(v >> 8);
-    seed[i + 2] = static_cast<uint8_t>(v >> 16);
-    seed[i + 3] = static_cast<uint8_t>(v >> 24);
-  }
-  return seed;
 }
 
 Chacha20Rng Chacha20Rng::Fork(uint64_t label) {

@@ -38,9 +38,6 @@ class Chacha20Rng {
   // Convenience: expand a 64-bit seed into a full Seed (for tests/benches).
   explicit Chacha20Rng(uint64_t seed64, uint64_t stream_id = 0);
 
-  // Returns a seed derived from the OS entropy source.
-  static Seed OsSeed();
-
   // Derives an independent generator; the child stream is a deterministic
   // function of this generator's state and the label.
   Chacha20Rng Fork(uint64_t label);

@@ -467,12 +467,6 @@ std::vector<T> AdmissionQueue<T>::StopAndDrain() {
   return leftover;
 }
 
-template <typename T>
-size_t AdmissionQueue<T>::depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return items_.size();
-}
-
 // ---------------------------------------------------------------------------
 // PartyBServer
 
@@ -1050,7 +1044,6 @@ Status RemoteClient::Reconnect() {
 
 StatusOr<std::vector<std::vector<uint64_t>>> RemoteClient::Query(
     const std::vector<uint64_t>& query, uint64_t deadline_ms) {
-  ++queries_;
   // Distributed trace identity: when the global tracer is on (or the
   // caller already runs under a trace id), this query gets one 64-bit id
   // that rides a kControl preamble to Party A and from there to Party B,

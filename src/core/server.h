@@ -137,7 +137,6 @@ class AdmissionQueue {
   // draining server can answer the stragglers with a typed error
   // instead of leaving their connection threads blocked forever.
   std::vector<T> StopAndDrain();
-  size_t depth() const;
 
  private:
   const size_t capacity_;
@@ -313,7 +312,6 @@ class RemoteClient {
   std::unique_ptr<net::SocketChannel> conn_;
   std::unique_ptr<net::ResilientChannel> ch_;
   bool dirty_ = false;
-  uint64_t queries_ = 0;
   uint64_t last_trace_id_ = 0;
 };
 

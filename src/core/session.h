@@ -125,7 +125,6 @@ class SecureKnnSession {
   void SetRetryPolicy(const net::RetryPolicy& policy) {
     retry_policy_ = policy;
   }
-  const net::RetryPolicy& retry_policy() const { return retry_policy_; }
 
   const SetupReport& setup_report() const { return setup_report_; }
   const ProtocolConfig& config() const { return config_; }

@@ -1,6 +1,7 @@
 #include "knn/knn.h"
 
 #include <algorithm>
+#include <string>
 
 namespace sknn {
 namespace knn {
@@ -26,6 +27,43 @@ StatusOr<std::vector<Neighbor>> PlaintextKnn(const data::Dataset& data,
                     });
   all.resize(k);
   return all;
+}
+
+namespace {
+
+std::string Join(const std::vector<uint64_t>& values) {
+  std::string out;
+  for (uint64_t v : values) {
+    out += (out.empty() ? "" : ", ") + std::to_string(v);
+  }
+  return "{" + out + "}";
+}
+
+}  // namespace
+
+Status CheckExact(const data::Dataset& data,
+                  const std::vector<uint64_t>& query, size_t k,
+                  const std::vector<std::vector<uint64_t>>& neighbours) {
+  SKNN_ASSIGN_OR_RETURN(std::vector<Neighbor> expected,
+                        PlaintextKnn(data, query, k));
+  std::vector<uint64_t> want, got;
+  for (const Neighbor& nb : expected) want.push_back(nb.squared_distance);
+  for (const auto& p : neighbours) {
+    if (p.size() != query.size()) {
+      return InternalError("answer point has the wrong dimension");
+    }
+    got.push_back(0);
+    for (size_t j = 0; j < query.size(); ++j) {
+      const uint64_t diff =
+          p[j] > query[j] ? p[j] - query[j] : query[j] - p[j];
+      got.back() += diff * diff;
+    }
+  }
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  if (got == want) return Status::Ok();
+  return InternalError("answer is not the exact k-NN: squared distances " +
+                       Join(got) + " vs brute force " + Join(want));
 }
 
 std::vector<size_t> SelectKSmallest(const std::vector<uint64_t>& values,

@@ -26,6 +26,14 @@ StatusOr<std::vector<Neighbor>> PlaintextKnn(const data::Dataset& data,
                                              const std::vector<uint64_t>& query,
                                              size_t k);
 
+// The exactness criterion: OK iff the sorted multiset of squared distances
+// from `neighbours` to `query` equals that of PlaintextKnn(data, query, k).
+// Equidistant points are interchangeable, so distances are compared. A
+// mismatch is kInternal (a wrong answer is a bug) listing both multisets.
+Status CheckExact(const data::Dataset& data,
+                  const std::vector<uint64_t>& query, size_t k,
+                  const std::vector<std::vector<uint64_t>>& neighbours);
+
 // Streaming selection of the k smallest values (paper's Algorithm 2: scan
 // with a size-k window replacing the current maximum). Returns the indices
 // of the k smallest values in `values`, in the order the algorithm emits

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/serial.h"
 #include "common/status.h"
 #include "common/statusor.h"
 
@@ -29,14 +28,6 @@ class Channel {
 
   virtual Status Send(std::vector<uint8_t> message) = 0;
   virtual StatusOr<std::vector<uint8_t>> Receive() = 0;
-
-  // Convenience wrappers around ByteSink/ByteSource payloads.
-  Status SendSink(ByteSink* sink) { return Send(sink->TakeBytes()); }
-  StatusOr<ByteSource> ReceiveSource() {
-    auto bytes = Receive();
-    if (!bytes.ok()) return std::move(bytes).status();
-    return ByteSource(std::move(bytes).value());
-  }
 };
 
 struct LinkStats {
@@ -83,7 +74,6 @@ class InMemoryLink {
   Channel* b_endpoint() { return b_.get(); }
 
   const LinkStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = LinkStats(); }
 
  private:
   friend class LinkEndpoint;

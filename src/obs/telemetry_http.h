@@ -17,9 +17,8 @@
 
 // The live telemetry plane (OPERATIONS.md "Monitoring"): a small
 // self-contained HTTP/1.1 server embedded in `sknn_server_a` /
-// `sknn_server_b` (and `bench_load`) behind `--admin-port`, so a running
-// deployment can be scraped and probed instead of only rewriting a
-// metrics file on a timer.
+// `sknn_server_b` behind `--admin-port`, so a running deployment can be
+// scraped and probed instead of only rewriting a metrics file on a timer.
 //
 // Scope is deliberately narrow — this is an admin plane, not a web
 // server: one blocking accept thread serves requests serially, each on a
@@ -96,7 +95,7 @@ class TelemetryHttpServer {
 // only on sknn_common (git SHA and build type default to the values
 // baked into sknn_obs at configure time when left empty).
 struct BuildInfo {
-  std::string role;                // "party_a" | "party_b" | "bench_load"
+  std::string role;                // "party_a" | "party_b"
   std::string git_sha;             // defaults to SKNN_OBS_GIT_SHA
   std::string build_type;          // defaults to SKNN_OBS_BUILD_TYPE
   std::string simd_backend;        // simd::ActiveKernels().name
@@ -118,9 +117,9 @@ using ReadyCheck = std::function<Status()>;
 void RegisterStandardEndpoints(TelemetryHttpServer* server,
                                const BuildInfo& info, ReadyCheck ready);
 
-// Minimal scrape client for the harnesses (bench_load mid-run scrape,
-// the conformance tests, process_chaos /readyz probes). One GET, bounded
-// by `timeout_ms` end-to-end.
+// Minimal scrape client for the tests (the conformance tests, the
+// process_chaos mid-run /metrics scrape and /readyz probes). One GET,
+// bounded by `timeout_ms` end-to-end.
 struct HttpGetResult {
   int status = 0;
   std::string body;

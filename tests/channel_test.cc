@@ -53,26 +53,6 @@ TEST(ChannelTest, RoundCountsDirectionFlips) {
   EXPECT_EQ(link.stats().rounds, 3u);
 }
 
-TEST(ChannelTest, ResetStatsClearsCounters) {
-  InMemoryLink link;
-  ASSERT_TRUE(link.a_endpoint()->Send({1}).ok());
-  link.ResetStats();
-  EXPECT_EQ(link.stats().total_bytes(), 0u);
-  EXPECT_EQ(link.stats().rounds, 0u);
-}
-
-TEST(ChannelTest, SinkAndSourceHelpers) {
-  InMemoryLink link;
-  ByteSink sink;
-  sink.WriteU64(1234);
-  sink.WriteString("payload");
-  ASSERT_TRUE(link.a_endpoint()->SendSink(&sink).ok());
-  auto src = link.b_endpoint()->ReceiveSource();
-  ASSERT_TRUE(src.ok());
-  EXPECT_EQ(src->ReadU64().value(), 1234u);
-  EXPECT_EQ(src->ReadString().value(), "payload");
-}
-
 }  // namespace
 }  // namespace net
 }  // namespace sknn

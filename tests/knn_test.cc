@@ -60,6 +60,34 @@ TEST(PlaintextKnnTest, RejectsBadInput) {
   EXPECT_FALSE(PlaintextKnn(d, {1, 2}, 0).ok());
 }
 
+TEST(CheckExactTest, AcceptsAnyOrderAndAnyTiedPoint) {
+  data::Dataset d(4, 1);
+  d.set(0, 0, 5);
+  d.set(1, 0, 15);  // ties with point 0 at distance 25 from q=10
+  d.set(2, 0, 10);
+  d.set(3, 0, 40);
+  // Brute force picks points 2 and 0; point 1 is an equally exact answer.
+  EXPECT_TRUE(CheckExact(d, {10}, 2, {{15}, {10}}).ok());
+  EXPECT_TRUE(CheckExact(d, {10}, 2, {{10}, {5}}).ok());
+}
+
+TEST(CheckExactTest, MismatchListsBothMultisets) {
+  data::Dataset d(3, 1);
+  d.set(0, 0, 10);
+  d.set(1, 0, 20);
+  d.set(2, 0, 30);
+  Status wrong = CheckExact(d, {22}, 2, {{20}, {10}});
+  ASSERT_FALSE(wrong.ok());
+  EXPECT_EQ(wrong.code(), StatusCode::kInternal);
+  EXPECT_NE(wrong.message().find("{4, 144}"), std::string::npos)
+      << wrong.ToString();
+  EXPECT_NE(wrong.message().find("{4, 64}"), std::string::npos)
+      << wrong.ToString();
+  // Too few neighbours, or a point of the wrong dimension, is never exact.
+  EXPECT_FALSE(CheckExact(d, {22}, 2, {{20}}).ok());
+  EXPECT_FALSE(CheckExact(d, {22}, 2, {{20}, {30, 0}}).ok());
+}
+
 TEST(SelectKSmallestTest, BasicSelection) {
   std::vector<uint64_t> v = {50, 10, 40, 20, 30};
   auto idx = SelectKSmallest(v, 2);

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -631,6 +632,127 @@ TEST_F(ProcessChaosTest, AdminReadyzTracksDrainAndBOutage) {
 
   server_b->Signal(SIGTERM);
   EXPECT_EQ(server_b->Wait(30000), 0) << server_b->captured();
+}
+
+// The value of the unlabelled sample `name` in a Prometheus text body, or
+// 0 when the series is absent.
+uint64_t PrometheusValue(const std::string& body, const std::string& name) {
+  std::istringstream lines(body);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.size() > name.size() && line.compare(0, name.size(), name) == 0 &&
+        line[name.size()] == ' ') {
+      return std::strtoull(line.c_str() + name.size() + 1, nullptr, 10);
+    }
+  }
+  return 0;
+}
+
+// Scrape under load against the binaries' real admin wiring: while
+// several clients query concurrently, a side thread scrapes A's /metrics
+// the way a Prometheus scraper races live traffic. A scrape taken
+// mid-run must already show completed queries; afterwards A's /varz and
+// B's /metrics must answer, and every answer must be exact.
+TEST_F(ProcessChaosTest, AdminScrapeUnderLoadSeesLiveCounters) {
+  Subprocess server_b;
+  ASSERT_TRUE(StartServerB(&server_b, 0, {"--admin-port=0"}));
+  ASSERT_TRUE(server_b.ReadUntil("admin listening on", 10000));
+  const int b_port = ParsePortAfter(server_b.captured(), "listening on");
+  ASSERT_GT(b_port, 0) << server_b.captured();
+  const int b_admin = ParsePortAfter(server_b.captured(), "admin listening on");
+  ASSERT_GT(b_admin, 0) << server_b.captured();
+
+  Subprocess server_a;
+  const int a_port = StartServerA(&server_a, static_cast<uint16_t>(b_port),
+                                  {"--admin-port=0"});
+  ASSERT_GT(a_port, 0) << server_a.captured();
+  ASSERT_TRUE(server_a.ReadUntil("admin listening on", 10000));
+  const int a_admin = ParsePortAfter(server_a.captured(), "admin listening on");
+  ASSERT_GT(a_admin, 0) << server_a.captured();
+
+  auto get = [](int port, const char* path) {
+    return obs::HttpGet("127.0.0.1", static_cast<uint16_t>(port), path,
+                        /*timeout_ms=*/3000);
+  };
+  auto before = get(a_admin, "/metrics");
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_EQ(before->status, 200) << before->body;
+  const uint64_t completed0 =
+      PrometheusValue(before->body, "server_queries_completed");
+
+  constexpr int kClients = 3;
+  constexpr int kQueriesPerClient = 3;
+  constexpr int kTotal = kClients * kQueriesPerClient;
+  std::vector<std::vector<uint64_t>> queries(kTotal);
+  std::vector<StatusOr<std::vector<std::vector<uint64_t>>>> answers(
+      kTotal, UnavailableError("never ran"));
+  std::atomic<int> answered{0};
+
+  // Polls A's /metrics until a scrape that both started and finished
+  // while queries were still outstanding sees the completed counter move.
+  bool mid_run_scrape = false;
+  uint64_t completed_seen = 0;
+  std::thread scraper([&] {
+    while (answered.load() < kTotal) {
+      auto res = get(a_admin, "/metrics");
+      if (res.ok() && res->status == 200 && answered.load() < kTotal) {
+        completed_seen =
+            PrometheusValue(res->body, "server_queries_completed");
+        if (completed_seen > completed0) {
+          mid_run_scrape = true;
+          return;
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  });
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      ServerOptions options;
+      auto client = RemoteClient::Connect(
+          *deployment_, "127.0.0.1", static_cast<uint16_t>(a_port), options);
+      for (int q = 0; q < kQueriesPerClient; ++q) {
+        const int i = c * kQueriesPerClient + q;
+        queries[i] =
+            data::UniformQuery(kD, 15, 5005 + static_cast<uint64_t>(i));
+        if (client.ok()) {
+          answers[i] = (*client)->Query(queries[i]);
+        } else {
+          answers[i] = client.status();
+        }
+        answered.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  scraper.join();
+
+  for (int i = 0; i < kTotal; ++i) {
+    ASSERT_TRUE(answers[i].ok())
+        << "query " << i << ": " << answers[i].status();
+    EXPECT_EQ(AnswerDistances(answers[i].value(), queries[i]),
+              ReferenceDistances(queries[i]))
+        << "query " << i << ": wrong answer";
+  }
+  EXPECT_TRUE(mid_run_scrape)
+      << "no /metrics scrape taken during the load showed "
+         "server_queries_completed above its starting value "
+      << completed0 << " (last seen " << completed_seen << ")";
+
+  auto varz = get(a_admin, "/varz");
+  ASSERT_TRUE(varz.ok()) << varz.status();
+  EXPECT_EQ(varz->status, 200) << varz->body;
+  auto b_metrics = get(b_admin, "/metrics");
+  ASSERT_TRUE(b_metrics.ok()) << b_metrics.status();
+  ASSERT_EQ(b_metrics->status, 200) << b_metrics->body;
+  EXPECT_GT(PrometheusValue(b_metrics->body, "server_b_queries_served"), 0u)
+      << b_metrics->body;
+
+  server_a.Signal(SIGTERM);
+  EXPECT_EQ(server_a.Wait(30000), 0) << server_a.captured();
+  server_b.Signal(SIGTERM);
+  EXPECT_EQ(server_b.Wait(30000), 0) << server_b.captured();
 }
 
 }  // namespace

@@ -201,12 +201,18 @@ data::Dataset* ServerTest::dataset_ = nullptr;
 Deployment* ServerTest::deployment_a_ = nullptr;
 Deployment* ServerTest::deployment_b_ = nullptr;
 
+// Depth is read from the exported `queue.depth` gauge: that is what an
+// operator sees on /metrics.
+double QueueDepthGauge() {
+  return MetricsRegistry::Global().GetGauge("queue.depth")->value();
+}
+
 TEST(AdmissionQueueTest, BoundsDepthAndSheds) {
   AdmissionQueue<int> queue(2);
   EXPECT_TRUE(queue.TryPush(1));
   EXPECT_TRUE(queue.TryPush(2));
   EXPECT_FALSE(queue.TryPush(3)) << "push beyond capacity must shed";
-  EXPECT_EQ(queue.depth(), 2u);
+  EXPECT_EQ(QueueDepthGauge(), 2.0);
   using Outcome = AdmissionQueue<int>::PopOutcome;
   int out = 0;
   EXPECT_EQ(queue.PopFor(&out, 1000), Outcome::kItem);
@@ -231,7 +237,7 @@ TEST(AdmissionQueueTest, PopForTimesOutAndDrainHandsBackItems) {
   std::vector<int> leftover = queue.StopAndDrain();
   ASSERT_EQ(leftover.size(), 1u);
   EXPECT_EQ(leftover[0], 2);
-  EXPECT_EQ(queue.depth(), 0u);
+  EXPECT_EQ(QueueDepthGauge(), 0.0);
   EXPECT_EQ(queue.PopFor(&out, 10),
             AdmissionQueue<int>::PopOutcome::kStopped);
   EXPECT_FALSE(queue.TryPush(3)) << "a drained queue is stopped";

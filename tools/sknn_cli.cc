@@ -19,6 +19,11 @@
 // process's trace with the servers' --trace files via
 // tools/trace_stitch.py to see one query across all three timelines.
 //
+// `knn` and `remote` check every answer against plaintext brute force
+// (knn::CheckExact; `remote` re-derives the servers' dataset from the
+// deployment flags), print an `exact:` verdict per query and exit non-zero
+// if any answer is not the exact k-NN.
+//
 // Any subcommand accepts --trace=FILE (before or after the subcommand):
 // the run executes with phase tracing enabled, writes a Chrome
 // trace_event JSON (load in chrome://tracing or https://ui.perfetto.dev)
@@ -35,6 +40,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "baseline/elmehdwi.h"
 #include "common/flight_recorder.h"
@@ -47,6 +53,7 @@
 #include "core/session.h"
 #include "data/generators.h"
 #include "extensions/secure_kmeans.h"
+#include "knn/knn.h"
 
 namespace {
 
@@ -114,6 +121,28 @@ data::Dataset MakeDataset(const std::string& name, size_t n, size_t* d,
   return data::UniformDataset(n, *d, (uint64_t{1} << coord_bits) - 1, seed);
 }
 
+// Prints an answer's squared distances and its exactness verdict against
+// plaintext brute force; returns whether the answer is exact.
+bool ReportAnswer(const data::Dataset& dataset,
+                  const std::vector<uint64_t>& query, size_t k,
+                  const std::vector<std::vector<uint64_t>>& neighbours) {
+  std::printf("  neighbours:");
+  for (const auto& p : neighbours) {
+    uint64_t dist = 0;
+    for (size_t j = 0; j < query.size() && j < p.size(); ++j) {
+      const uint64_t diff =
+          p[j] > query[j] ? p[j] - query[j] : query[j] - p[j];
+      dist += diff * diff;
+    }
+    std::printf(" d2=%llu", static_cast<unsigned long long>(dist));
+  }
+  const Status exact = knn::CheckExact(dataset, query, k, neighbours);
+  std::printf("\n  exact: %s\n",
+              exact.ok() ? "yes (matches plaintext brute force)"
+                         : exact.ToString().c_str());
+  return exact.ok();
+}
+
 int RunKnn(const Flags& flags) {
   size_t d = flags.U64("d", 2);
   const int coord_bits = static_cast<int>(flags.U64("coord-bits", 4));
@@ -164,6 +193,7 @@ int RunKnn(const Flags& flags) {
               report.estimated_security_bits);
 
   const int queries = static_cast<int>(flags.U64("queries", 1));
+  int inexact = 0;
   for (int q = 0; q < queries; ++q) {
     auto query = data::UniformQuery(d, (uint64_t{1} << coord_bits) - 1,
                                     seed + 1000 + static_cast<uint64_t>(q));
@@ -191,16 +221,7 @@ int RunKnn(const Flags& flags) {
       std::printf("  re-executed %d time(s) after transient faults\n",
                   result->reexecutions);
     }
-    std::printf("  neighbours:");
-    for (const auto& p : result->neighbours) {
-      uint64_t dist = 0;
-      for (size_t j = 0; j < query.size(); ++j) {
-        uint64_t diff = p[j] > query[j] ? p[j] - query[j] : query[j] - p[j];
-        dist += diff * diff;
-      }
-      std::printf(" d2=%llu", static_cast<unsigned long long>(dist));
-    }
-    std::printf("\n");
+    if (!ReportAnswer(dataset, query, cfg.k, result->neighbours)) ++inexact;
   }
   if (!fault_spec_str.empty()) {
     // Transport-resilience counters (inventory documented in README.md).
@@ -215,7 +236,7 @@ int RunKnn(const Flags& flags) {
       }
     }
   }
-  return 0;
+  return inexact == 0 ? 0 : 1;
 }
 
 int RunKMeans(const Flags& flags) {
@@ -357,16 +378,7 @@ int RunRemote(const Flags& flags) {
     }
     std::printf("query %d: %.2fs, %zu neighbours, trace %s\n", q, seconds,
                 result->size(), trace::TraceIdHex(trace_id).c_str());
-    std::printf("  neighbours:");
-    for (const auto& p : *result) {
-      uint64_t dist = 0;
-      for (size_t j = 0; j < query.size(); ++j) {
-        uint64_t diff = p[j] > query[j] ? p[j] - query[j] : query[j] - p[j];
-        dist += diff * diff;
-      }
-      std::printf(" d2=%llu", static_cast<unsigned long long>(dist));
-    }
-    std::printf("\n");
+    if (!ReportAnswer(dataset, query, cfg.k, *result)) ++failed;
   }
   return failed == 0 ? 0 : 1;
 }
