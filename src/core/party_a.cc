@@ -222,6 +222,7 @@ StatusOr<std::unique_ptr<PartyA::Query>> PartyA::StartQuery(
   const size_t units = layout_.num_units();
 
   auto query = std::unique_ptr<Query>(new Query(this));
+  std::vector<uint64_t> unit_seeds(units);
   {
     // Draw the whole per-query transform in one critical section, in a
     // fixed order (mask, rotations/col-swaps, permutation, unit seeds), so
@@ -243,12 +244,32 @@ StatusOr<std::unique_ptr<PartyA::Query>> PartyA::StartQuery(
     }
     transform->perm = rng_.RandomPermutation(units);
     // Per-unit deterministic RNG forks (stable under parallel execution).
-    transform->unit_seeds.resize(units);
-    for (auto& s : transform->unit_seeds) s = rng_.NextU64();
+    for (auto& s : unit_seeds) s = rng_.NextU64();
     query->transform_ = transform;
     last_transform_ = transform;
   }
+  SKNN_ASSIGN_OR_RETURN(query->distances_,
+                        DistanceSweep(query_ct, query.get(), unit_seeds,
+                                      cancel));
+  return query;
+}
 
+StatusOr<std::vector<bgv::Ciphertext>> PartyA::Query::ComputeDistances(
+    const bgv::Ciphertext& query_ct) {
+  PartyA& a = *party_;
+  trace::TraceSpan phase_span("party_a.distance");
+  std::vector<uint64_t> unit_seeds(a.layout_.num_units());
+  {
+    std::lock_guard<std::mutex> lock(a.rng_mu_);
+    for (auto& s : unit_seeds) s = a.rng_.NextU64();
+  }
+  return a.DistanceSweep(query_ct, this, unit_seeds, CancelCheck());
+}
+
+StatusOr<std::vector<bgv::Ciphertext>> PartyA::DistanceSweep(
+    const bgv::Ciphertext& query_ct, Query* query,
+    const std::vector<uint64_t>& unit_seeds, const CancelCheck& cancel) {
+  const size_t units = layout_.num_units();
   std::vector<bgv::Ciphertext> transformed(units);
   std::vector<OpCounts> unit_ops(units);
   std::vector<PhaseNoise> unit_noise(units);
@@ -266,8 +287,8 @@ StatusOr<std::unique_ptr<PartyA::Query>> PartyA::StartQuery(
         return;
       }
     }
-    Chacha20Rng unit_rng(query->transform_->unit_seeds[u]);
-    auto result = DistanceForUnit(u, query_ct, query.get(), &unit_rng,
+    Chacha20Rng unit_rng(unit_seeds[u]);
+    auto result = DistanceForUnit(u, query_ct, query, &unit_rng,
                                   &unit_ops[u], &unit_noise[u]);
     if (!result.ok()) {
       std::lock_guard<std::mutex> lock(error_mu);
@@ -293,11 +314,11 @@ StatusOr<std::unique_ptr<PartyA::Query>> PartyA::StartQuery(
   // Apply the unit permutation: output position p carries original unit
   // perm[p].
   trace::TraceSpan perm_span("party_a.permute");
-  query->distances_.resize(units);
+  std::vector<bgv::Ciphertext> distances(units);
   for (size_t p = 0; p < units; ++p) {
-    query->distances_[p] = std::move(transformed[query->transform_->perm[p]]);
+    distances[p] = std::move(transformed[query->transform_->perm[p]]);
   }
-  return query;
+  return distances;
 }
 
 Status PartyA::Query::BeginReturnPhase(size_t k) {
@@ -360,16 +381,22 @@ Status PartyA::Query::AbsorbIndicator(size_t j, size_t transformed_unit_pos,
   return Status::Ok();
 }
 
-StatusOr<bgv::Ciphertext> PartyA::Query::FinalizeResult(size_t j) {
+StatusOr<bgv::Ciphertext> PartyA::Query::RelinearizedSum(size_t j) {
   if (state_ != State::kReturning || j >= acc_.size() || !acc_started_[j]) {
     return FailedPreconditionError("no indicators absorbed for this result");
   }
+  bgv::Ciphertext sum = std::move(acc_[j]);
+  acc_started_[j] = false;
+  SKNN_RETURN_IF_ERROR(
+      party_->evaluator_.RelinearizeInplace(&sum, party_->relin_));
+  ops_.relinearizations += 1;
+  return sum;
+}
+
+StatusOr<bgv::Ciphertext> PartyA::Query::FinalizeResult(size_t j) {
   trace::TraceSpan span("party_a.retrieve");
   PartyA& a = *party_;
-  bgv::Ciphertext result = std::move(acc_[j]);
-  acc_started_[j] = false;
-  SKNN_RETURN_IF_ERROR(a.evaluator_.RelinearizeInplace(&result, a.relin_));
-  ops_.relinearizations += 1;
+  SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext result, RelinearizedSum(j));
   const size_t before = result.level;
   SKNN_RETURN_IF_ERROR(a.evaluator_.ModSwitchToLevelInplace(&result, 0));
   ops_.mod_switches += before;

@@ -29,6 +29,10 @@
 //    redrawn from the CSPRNG on EVERY StartQuery call. Reusing either
 //    across queries would let Party B link masked distances between
 //    queries; freshness is a hard precondition, not an optimisation.
+//    The query ciphertexts given to ONE Query (StartQuery's and each
+//    ComputeDistances call's) share its transform by design, so their
+//    masked distances compare (secure k-means assigns points this way);
+//    only the additive mask on non-payload slots is redrawn per call.
 //
 // Concurrency: one PartyA serves many queries at once (DESIGN.md §9).
 // All per-query state — mask, permutation, Horner operand cache,
@@ -67,7 +71,6 @@ class PartyA {
     std::vector<size_t> perm;       // transformed position -> original unit
     std::vector<size_t> rotations;  // per original unit, in blocks
     std::vector<bool> col_swapped;  // per original unit
-    std::vector<uint64_t> unit_seeds;  // per-unit mask-slot RNG forks
   };
 
   // One in-flight query at Party A: a small state machine
@@ -85,6 +88,12 @@ class PartyA {
       return distances_;
     }
 
+    // Algorithm 1 for another query ciphertext under this query's
+    // transform, with fresh per-unit additive-mask seeds. Returns the
+    // distances in transformed order; distances() is left as it is.
+    StatusOr<std::vector<bgv::Ciphertext>> ComputeDistances(
+        const bgv::Ciphertext& query_ct);
+
     // Phase 2 (Algorithm 3): absorbs Party B's indicator ciphertexts one
     // at a time (streaming keeps memory at O(1) ciphertexts), accumulating
     // the oblivious dot products T^j. Indicator positions refer to this
@@ -94,7 +103,10 @@ class PartyA {
     Status BeginReturnPhase(size_t k);
     Status AbsorbIndicator(size_t j, size_t transformed_unit_pos,
                            const bgv::Ciphertext& indicator);
-    // Relinearizes + switches T^j to the transport level (message 4
+    // Relinearizes T^j and hands it over at the indicator level, with
+    // budget left for more work (secure k-means folds it). Consumes T^j.
+    StatusOr<bgv::Ciphertext> RelinearizedSum(size_t j);
+    // RelinearizedSum, then a switch to the transport level (message 4
     // payload). One relinearization + mod-switch chain per result.
     StatusOr<bgv::Ciphertext> FinalizeResult(size_t j);
 
@@ -165,6 +177,13 @@ class PartyA {
     double mask = -1;
     double permute = -1;
   };
+
+  // Algorithm 1 over every unit under `query`'s transform (unit u's
+  // additive mask drawn from unit_seeds[u]); adds to the query's op counts
+  // and returns the distances in transformed order.
+  StatusOr<std::vector<bgv::Ciphertext>> DistanceSweep(
+      const bgv::Ciphertext& query_ct, Query* query,
+      const std::vector<uint64_t>& unit_seeds, const CancelCheck& cancel);
 
   // Distance pipeline for a single unit (everything after the subtraction
   // is per-unit independent, so units run in parallel).

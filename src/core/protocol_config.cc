@@ -50,11 +50,18 @@ Status ProtocolConfig::Validate() const {
 }
 
 std::string ProtocolConfig::DebugString() const {
+  // In bgv::SecurityPreset order.
+  static constexpr const char* kPresets[] = {"toy", "bench", "default",
+                                             "paranoid"};
   std::ostringstream os;
   os << "ProtocolConfig{k=" << k << ", D=" << poly_degree
      << ", coord_bits=" << coord_bits << ", dims=" << dims
-     << ", layout=" << LayoutName(layout) << ", levels=" << levels
-     << ", plain_bits=" << plain_bits << "}";
+     << ", layout=" << LayoutName(layout)
+     << ", preset=" << kPresets[static_cast<int>(preset)]
+     << ", levels=" << levels
+     << ", plain_bits=" << plain_bits
+     << ", indicator_level=" << indicator_level
+     << ", compress=" << (compress_indicators ? 1 : 0) << "}";
   return os.str();
 }
 

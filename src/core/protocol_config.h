@@ -81,6 +81,9 @@ struct ProtocolConfig {
   // later against the actual modulus by MaskingPolynomial::Sample).
   Status Validate() const;
 
+  // Names every field except `threads`, which is per-process. The
+  // deployment handshake fingerprint hashes it (core/deployment.h), so a
+  // new field that changes what the parties derive must appear here.
   std::string DebugString() const;
 };
 

@@ -9,11 +9,8 @@
 
 #include "common/flight_recorder.h"
 #include "common/metrics_registry.h"
-#include "common/rng.h"
 #include "common/trace.h"
 #include "common/trace_id.h"
-#include "common/xxhash.h"
-#include "core/data_owner.h"
 #include "core/exchange.h"
 #include "net/frame.h"
 
@@ -190,43 +187,6 @@ uint64_t SteadyNowNs() {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Deployment
-
-StatusOr<Deployment> Deployment::Derive(const ProtocolConfig& config,
-                                        const data::Dataset& dataset,
-                                        uint64_t seed, bool role_a) {
-  SKNN_ASSIGN_OR_RETURN(std::unique_ptr<DataOwner> owner,
-                        DataOwner::Create(config, dataset, seed));
-  Deployment d;
-  d.config = config;
-  d.ctx = owner->context();
-  d.layout = owner->layout();
-  d.sk = owner->sk();
-  d.pk = owner->pk();
-  d.relin = owner->relin();
-  d.galois = owner->galois();
-  // The same derivation chain as SecureKnnSession::Create — a server
-  // deployment and a local session at the same seed draw identical party
-  // seeds.
-  Chacha20Rng seeder(seed ^ 0x5eC0DEull);
-  d.party_a_seed = seeder.NextU64();
-  d.party_b_seed = seeder.NextU64();
-  d.client_seed = seeder.NextU64();
-  // Fingerprint: config + dataset shape + seed. Two processes that derive
-  // from different flags or data disagree here and fail the handshake
-  // instead of mis-decrypting each other's ciphertexts.
-  std::ostringstream fp;
-  fp << config.DebugString() << "|n=" << dataset.num_points()
-     << "|d=" << dataset.dims() << "|seed=" << seed;
-  const std::string fp_str = fp.str();
-  d.fingerprint = Xxh64(fp_str.data(), fp_str.size(), 0x736b6e6e);
-  if (role_a) {
-    SKNN_ASSIGN_OR_RETURN(d.encrypted_db, owner->EncryptDatabase());
-  }
-  return d;
-}
 
 // ---------------------------------------------------------------------------
 // ConnectionLoop: the connection path both servers share. The accept

@@ -14,6 +14,7 @@
 #include "bgv/context.h"
 #include "bgv/keys.h"
 #include "core/client.h"
+#include "core/deployment.h"
 #include "core/layout.h"
 #include "core/party_a.h"
 #include "core/party_b.h"
@@ -40,41 +41,12 @@
 // exchange after another); only the per-exchange handler differs.
 //
 // Key distribution follows Figure 2 of the paper: every process derives
-// its key material locally from the shared data-owner seed (`Deployment`)
-// instead of shipping keys over the wire; the handshake fingerprint
-// rejects peers whose derivation diverged.
+// its key material locally from the shared data-owner seed (`Deployment`,
+// core/deployment.h) instead of shipping keys over the wire; the
+// handshake fingerprint rejects peers whose derivation diverged.
 
 namespace sknn {
 namespace core {
-
-// Everything a server-side process derives from the data-owner seed:
-// context, layout, key material, per-party RNG seeds and the handshake
-// fingerprint. The party seeds come from the same derivation chain as
-// SecureKnnSession::Create, but a served deployment is not
-// transcript-compatible with a local session at the same seed: Party B
-// decorrelates its seed per connection.
-struct Deployment {
-  // `role_a`: also encrypt the database (only Party A needs the encrypted
-  // units; B and clients skip the O(u) encryption work).
-  static StatusOr<Deployment> Derive(const ProtocolConfig& config,
-                                     const data::Dataset& dataset,
-                                     uint64_t seed, bool role_a);
-
-  ProtocolConfig config;
-  std::shared_ptr<const bgv::BgvContext> ctx;
-  SlotLayout layout;
-  bgv::SecretKey sk;
-  bgv::PublicKey pk;
-  bgv::RelinKeys relin;
-  bgv::GaloisKeys galois;
-  uint64_t party_a_seed = 0;
-  uint64_t party_b_seed = 0;
-  uint64_t client_seed = 0;
-  // XXH64 over (config, dataset shape, seed): both ends of every
-  // connection must agree or the handshake is rejected.
-  uint64_t fingerprint = 0;
-  std::vector<bgv::Ciphertext> encrypted_db;  // role_a only
-};
 
 struct ServerOptions {
   std::string listen_host = "127.0.0.1";

@@ -65,45 +65,45 @@ StatusOr<std::unique_ptr<SecureKnnSession>> SecureKnnSession::Create(
   auto session = std::unique_ptr<SecureKnnSession>(new SecureKnnSession());
   session->config_ = config;
 
-  SKNN_ASSIGN_OR_RETURN(std::unique_ptr<DataOwner> owner,
-                        DataOwner::Create(config, dataset, seed));
-  session->ctx_ = owner->context();
-  session->layout_ = owner->layout();
-
-  // Measure what the owner ships to Party A: evaluation keys + the
-  // encrypted database (Figure 2, label 1).
-  {
-    ByteSink key_sink;
-    bgv::WritePublicKey(owner->pk(), &key_sink);
-    bgv::WriteRelinKeys(owner->relin(), &key_sink);
-    bgv::WriteGaloisKeys(owner->galois(), &key_sink);
-    session->setup_report_.evaluation_key_bytes = key_sink.size();
-  }
-  std::vector<bgv::Ciphertext> units;
+  // The data owner's work (key generation, database encryption) and the
+  // encrypted database it ships to Party A (Figure 2, label 1).
+  Deployment deployment;
   {
     trace::TraceSpan span("owner.encrypt_db");
-    SKNN_ASSIGN_OR_RETURN(units, owner->EncryptDatabase());
-    for (const bgv::Ciphertext& u : units) {
+    SKNN_ASSIGN_OR_RETURN(
+        deployment, Deployment::Derive(config, dataset, seed, /*role_a=*/true));
+    for (const bgv::Ciphertext& u : deployment.encrypted_db) {
       const size_t bytes = CtToBytes(u).size();
       session->setup_report_.encrypted_db_bytes += bytes;
       trace::Tracer::Global().AddBytesSent(bytes);
     }
   }
+  session->ctx_ = deployment.ctx;
+  session->layout_ = deployment.layout;
+  // One encryption per database unit.
+  session->setup_report_.owner_ops.encryptions =
+      deployment.encrypted_db.size();
+  {
+    ByteSink key_sink;
+    bgv::WritePublicKey(deployment.pk, &key_sink);
+    bgv::WriteRelinKeys(deployment.relin, &key_sink);
+    bgv::WriteGaloisKeys(deployment.galois, &key_sink);
+    session->setup_report_.evaluation_key_bytes = key_sink.size();
+  }
 
-  Chacha20Rng seeder(seed ^ 0x5eC0DEull);
   session->party_a_ = std::make_unique<PartyA>(
-      session->ctx_, config, session->layout_, owner->pk(), owner->relin(),
-      owner->galois(), seeder.NextU64());
-  SKNN_RETURN_IF_ERROR(
-      session->party_a_->LoadEncryptedDatabase(std::move(units)));
+      session->ctx_, config, session->layout_, deployment.pk,
+      std::move(deployment.relin), std::move(deployment.galois),
+      deployment.party_a_seed);
+  SKNN_RETURN_IF_ERROR(session->party_a_->LoadEncryptedDatabase(
+      std::move(deployment.encrypted_db)));
   session->party_b_ = std::make_unique<PartyB>(
-      session->ctx_, config, session->layout_, owner->sk(), owner->pk(),
-      seeder.NextU64());
+      session->ctx_, config, session->layout_, deployment.sk, deployment.pk,
+      deployment.party_b_seed);
   session->client_ = std::make_unique<Client>(
-      session->ctx_, config, session->layout_, owner->pk(), owner->sk(),
-      seeder.NextU64());
+      session->ctx_, config, session->layout_, deployment.pk, deployment.sk,
+      deployment.client_seed);
 
-  session->setup_report_.owner_ops = owner->ops();
   session->setup_report_.party_a_ops = session->party_a_->ops();
   session->setup_report_.setup_seconds = SecondsSince(start);
   session->setup_report_.estimated_security_bits = bgv::EstimateSecurityBits(

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/client.h"
-#include "core/data_owner.h"
+#include "core/deployment.h"
 #include "core/metrics.h"
 #include "core/party_a.h"
 #include "core/party_b.h"

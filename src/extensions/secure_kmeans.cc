@@ -1,10 +1,15 @@
 #include "extensions/secure_kmeans.h"
 
-#include "common/logging.h"
+#include "core/deployment.h"
 
 namespace sknn {
 namespace extensions {
 namespace {
+
+// Level of the oblivious-sum phase. It multiplies and then folds with
+// ~log2(slots) rotations; level 2 leaves enough budget for both (level 1
+// would only survive the multiplication).
+constexpr size_t kSumLevel = 2;
 
 // Assigns a point to its nearest centroid index (strict <, ties to the
 // lowest index) given its k distance values.
@@ -26,20 +31,9 @@ StatusOr<std::unique_ptr<SecureKMeans>> SecureKMeans::Create(
   if (config.num_clusters > dataset.num_points()) {
     return InvalidArgumentError("more clusters than points");
   }
-  if (dataset.dims() != config.dims) {
-    return InvalidArgumentError("dataset dimensionality mismatch");
-  }
-  const uint64_t bound = uint64_t{1} << config.coord_bits;
-  if (dataset.MaxValue() >= bound) {
-    return InvalidArgumentError("dataset values exceed coord_bits");
-  }
 
-  auto km = std::unique_ptr<SecureKMeans>(new SecureKMeans());
-  km->config_ = config;
-  km->dataset_ = dataset;
-  km->rng_ = std::make_unique<Chacha20Rng>(config.seed);
-
-  // Same pipeline depth as the packed k-NN layout.
+  // Same pipeline depth as the packed k-NN layout; the return phase runs
+  // at kSumLevel.
   core::ProtocolConfig pcfg;
   pcfg.k = config.num_clusters;
   pcfg.dims = config.dims;
@@ -48,47 +42,36 @@ StatusOr<std::unique_ptr<SecureKMeans>> SecureKMeans::Create(
   pcfg.layout = core::Layout::kPacked;
   pcfg.preset = config.preset;
   pcfg.levels = pcfg.MinimumLevels();
-  SKNN_ASSIGN_OR_RETURN(bgv::BgvParams params, pcfg.MakeBgvParams());
-  SKNN_ASSIGN_OR_RETURN(km->ctx_, bgv::BgvContext::Create(params));
+  pcfg.indicator_level = kSumLevel;
   SKNN_ASSIGN_OR_RETURN(
-      km->layout_,
-      core::SlotLayout::Create(pcfg, km->ctx_->n(), dataset.num_points()));
+      core::Deployment deployment,
+      core::Deployment::Derive(pcfg, dataset, config.seed, /*role_a=*/true));
 
   // Cluster coordinate sums must fit the plaintext space.
-  const uint64_t max_dist =
-      data::MaxSquaredDistance(config.dims, bound - 1);
-  if (max_dist >= km->ctx_->t() ||
-      static_cast<uint64_t>(dataset.num_points()) * (bound - 1) >=
-          km->ctx_->t()) {
+  const uint64_t max_coord = (uint64_t{1} << config.coord_bits) - 1;
+  if (static_cast<uint64_t>(dataset.num_points()) * max_coord >=
+      deployment.ctx->t()) {
     return InvalidArgumentError(
-        "plaintext modulus too small for distances or coordinate sums");
+        "plaintext modulus too small for cluster coordinate sums");
   }
 
-  bgv::KeyGenerator keygen(km->ctx_, km->rng_.get());
-  km->sk_ = keygen.GenerateSecretKey();
-  km->pk_ = keygen.GeneratePublicKey(km->sk_);
-  km->rk_ = keygen.GenerateRelinKeys(km->sk_);
-  km->gk_ = keygen.GeneratePowerOfTwoRotationKeys(km->sk_);
+  auto km = std::unique_ptr<SecureKMeans>(new SecureKMeans());
+  km->config_ = config;
+  km->dataset_ = dataset;
+  km->ctx_ = deployment.ctx;
+  km->layout_ = deployment.layout;
+  km->gk_ = deployment.galois;
+  km->rng_ = std::make_unique<Chacha20Rng>(deployment.client_seed);
   km->encoder_ = std::make_unique<bgv::BatchEncoder>(km->ctx_);
-  km->encryptor_ =
-      std::make_unique<bgv::Encryptor>(km->ctx_, km->pk_, km->rng_.get());
-  km->decryptor_ = std::make_unique<bgv::Decryptor>(km->ctx_, km->sk_);
+  km->encryptor_ = std::make_unique<bgv::Encryptor>(km->ctx_, deployment.pk,
+                                                     km->rng_.get());
+  km->decryptor_ = std::make_unique<bgv::Decryptor>(km->ctx_, deployment.sk);
   km->evaluator_ = std::make_unique<bgv::Evaluator>(km->ctx_);
-
-  // Encrypted database units (top level for distances, level 2 for sums).
-  for (size_t u = 0; u < km->layout_.num_units(); ++u) {
-    SKNN_ASSIGN_OR_RETURN(
-        bgv::Plaintext pt,
-        km->encoder_->Encode(km->layout_.EncodeDbUnit(dataset, u)));
-    SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext ct, km->encryptor_->Encrypt(pt));
-    bgv::Ciphertext low = ct;
-    // The oblivious-sum phase multiplies and then folds with ~log2(slots)
-    // rotations; level 2 leaves enough budget for both (level 1 would only
-    // survive the multiplication).
-    SKNN_RETURN_IF_ERROR(km->evaluator_->ModSwitchToLevelInplace(&low, 2));
-    km->db_units_.push_back(std::move(ct));
-    km->db_units_low_.push_back(std::move(low));
-  }
+  km->party_a_ = std::make_unique<core::PartyA>(
+      km->ctx_, pcfg, km->layout_, deployment.pk, std::move(deployment.relin),
+      std::move(deployment.galois), deployment.party_a_seed);
+  SKNN_RETURN_IF_ERROR(
+      km->party_a_->LoadEncryptedDatabase(std::move(deployment.encrypted_db)));
   return km;
 }
 
@@ -98,87 +81,30 @@ Status SecureKMeans::Iterate(std::vector<std::vector<uint64_t>>* centroids,
   const size_t units = layout_.num_units();
   const size_t ppu = layout_.payloads_per_unit();
   const uint64_t t = ctx_->t();
-  const uint64_t max_dist = data::MaxSquaredDistance(
-      config_.dims, (uint64_t{1} << config_.coord_bits) - 1);
 
-  // Party A: one fresh mask for the whole iteration (values must stay
-  // comparable across centroids) and a fresh unit permutation.
-  SKNN_ASSIGN_OR_RETURN(
-      core::MaskingPolynomial mask,
-      core::MaskingPolynomial::Sample(t, max_dist, config_.poly_degree,
-                                      rng_.get()));
-  const std::vector<size_t> perm = rng_->RandomPermutation(units);
-  const std::vector<uint64_t>& a = mask.coefficients();
-  const size_t degree = mask.degree();
-
-  // masked[c][pos]: the distance unit for centroid c at permuted position.
-  std::vector<std::vector<bgv::Ciphertext>> masked(
-      k, std::vector<bgv::Ciphertext>(units));
+  // The client encrypts each centroid in the replicated query layout;
+  // Party A computes its masked distances. One Query per iteration: every
+  // centroid shares its mask (values stay comparable across centroids)
+  // and its transform. masked[c][pos] is the distance unit for centroid c
+  // at transformed position pos.
+  std::unique_ptr<core::PartyA::Query> query;
+  std::vector<std::vector<bgv::Ciphertext>> masked(k);
   for (size_t c = 0; c < k; ++c) {
-    // Client encrypts the centroid in the replicated query layout.
     SKNN_ASSIGN_OR_RETURN(
         bgv::Plaintext centroid_pt,
         encoder_->Encode(layout_.EncodeQuery((*centroids)[c])));
     SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext centroid_ct,
                           encryptor_->Encrypt(centroid_pt));
     b_ops_.encryptions += 1;  // client-side, attributed to the key holder
-    for (size_t u = 0; u < units; ++u) {
-      bgv::Ciphertext diff = db_units_[u];
-      SKNN_RETURN_IF_ERROR(evaluator_->SubInplace(&diff, centroid_ct));
-      SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext x,
-                            evaluator_->MultiplyRelin(diff, diff, rk_));
-      a_ops_.he_multiplications += 1;
-      if (layout_.padded_dims() > 1) {
-        SKNN_RETURN_IF_ERROR(
-            evaluator_->FoldRowsInplace(&x, layout_.padded_dims(), gk_));
-        a_ops_.rotations += 1;
-      }
-      SKNN_ASSIGN_OR_RETURN(bgv::Plaintext selector,
-                            encoder_->Encode(layout_.SelectorSlots(u)));
-      SKNN_RETURN_IF_ERROR(evaluator_->MultiplyPlainInplace(&x, selector));
-      SKNN_RETURN_IF_ERROR(evaluator_->ModSwitchToNextInplace(&x));
-      a_ops_.he_plain_ops += 1;
-      // Horner masking.
-      bgv::Ciphertext m_ct = x;
-      SKNN_RETURN_IF_ERROR(
-          evaluator_->MultiplyScalarInplace(&m_ct, a[degree]));
-      SKNN_RETURN_IF_ERROR(evaluator_->AddPlainInplace(
-          &m_ct, encoder_->EncodeScalar(a[degree - 1])));
-      for (size_t j = degree - 1; j-- > 0;) {
-        SKNN_ASSIGN_OR_RETURN(m_ct, evaluator_->MultiplyRelin(m_ct, x, rk_));
-        a_ops_.he_multiplications += 1;
-        SKNN_RETURN_IF_ERROR(evaluator_->AddPlainInplace(
-            &m_ct, encoder_->EncodeScalar(a[j])));
-      }
-      if (m_ct.level > 1) {
-        SKNN_RETURN_IF_ERROR(evaluator_->ModSwitchToLevelInplace(&m_ct, 1));
-      }
-      // Additive mask: random on non-payload slots, sentinel on pads.
-      std::vector<uint64_t> mask_slots(ctx_->n(), 0);
-      const std::vector<bool> rand_pos = layout_.RandomMaskPositions(u);
-      for (size_t s = 0; s < mask_slots.size(); ++s) {
-        if (rand_pos[s]) mask_slots[s] = rng_->UniformBelow(t);
-      }
-      const uint64_t pad_sentinel = SubMod(t - 1, a[0] % t, t);
-      for (size_t s : layout_.PaddingPayloadSlots(u)) {
-        mask_slots[s] = pad_sentinel;
-      }
-      SKNN_ASSIGN_OR_RETURN(bgv::Plaintext mask_pt,
-                            encoder_->Encode(mask_slots));
-      SKNN_RETURN_IF_ERROR(evaluator_->AddPlainInplace(&m_ct, mask_pt));
-      SKNN_RETURN_IF_ERROR(evaluator_->ModSwitchToLevelInplace(&m_ct, 0));
-      a_ops_.mod_switches += 1;
-      masked[c][u] = std::move(m_ct);
+    if (c == 0) {
+      SKNN_ASSIGN_OR_RETURN(query, party_a_->StartQuery(centroid_ct));
+      masked[c] = query->distances();
+    } else {
+      SKNN_ASSIGN_OR_RETURN(masked[c], query->ComputeDistances(centroid_ct));
     }
-    // Apply the permutation to the unit order.
-    std::vector<bgv::Ciphertext> permuted(units);
-    for (size_t pos = 0; pos < units; ++pos) {
-      permuted[pos] = std::move(masked[c][perm[pos]]);
-    }
-    masked[c] = std::move(permuted);
   }
 
-  // Party B: decrypt, assign each (permuted) point to its nearest
+  // Party B: decrypt, assign each (transformed) point to its nearest
   // centroid; padding payloads show the sentinel for every centroid.
   std::vector<std::vector<std::vector<uint64_t>>> indicators(
       k, std::vector<std::vector<uint64_t>>(
@@ -210,36 +136,25 @@ Status SecureKMeans::Iterate(std::vector<std::vector<uint64_t>>* centroids,
     }
   }
 
-  // Party B encrypts the per-cluster indicator units; Party A forms the
-  // oblivious per-cluster coordinate sums.
-  std::vector<std::vector<uint64_t>> sums(
-      k, std::vector<uint64_t>(config_.dims, 0));
+  // Party B encrypts the per-cluster indicator units; Party A absorbs
+  // them into the per-cluster sums (undoing its transform), then folds
+  // every block onto block 0 (dimension-aligned strides) and merges the
+  // two rows.
+  SKNN_RETURN_IF_ERROR(query->BeginReturnPhase(k));
   for (size_t c = 0; c < k; ++c) {
-    bgv::Ciphertext acc;
-    bool started = false;
     for (size_t pos = 0; pos < units; ++pos) {
       SKNN_ASSIGN_OR_RETURN(bgv::Plaintext ind_pt,
                             encoder_->Encode(indicators[c][pos]));
       SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext ind_ct,
-                            encryptor_->EncryptAtLevel(ind_pt, 2));
+                            encryptor_->EncryptAtLevel(ind_pt, kSumLevel));
       b_ops_.encryptions += 1;
-      // A multiplies with the unpermuted database unit.
-      SKNN_ASSIGN_OR_RETURN(
-          bgv::Ciphertext prod,
-          evaluator_->Multiply(db_units_low_[perm[pos]], ind_ct));
-      a_ops_.he_multiplications += 1;
-      if (!started) {
-        acc = std::move(prod);
-        started = true;
-      } else {
-        SKNN_RETURN_IF_ERROR(evaluator_->AddInplace(&acc, prod));
-        a_ops_.he_additions += 1;
-      }
+      SKNN_RETURN_IF_ERROR(query->AbsorbIndicator(c, pos, ind_ct));
     }
-    SKNN_RETURN_IF_ERROR(evaluator_->RelinearizeInplace(&acc, rk_));
-    a_ops_.relinearizations += 1;
-    // Fold all blocks onto block 0 (dimension-aligned strides), then merge
-    // the two rows.
+  }
+  std::vector<std::vector<uint64_t>> sums(
+      k, std::vector<uint64_t>(config_.dims, 0));
+  for (size_t c = 0; c < k; ++c) {
+    SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext acc, query->RelinearizedSum(c));
     for (size_t step = layout_.padded_dims(); step < layout_.row_size();
          step <<= 1) {
       bgv::Ciphertext rotated = acc;
@@ -247,13 +162,16 @@ Status SecureKMeans::Iterate(std::vector<std::vector<uint64_t>>* centroids,
           &rotated, static_cast<int>(step), gk_));
       SKNN_RETURN_IF_ERROR(evaluator_->AddInplace(&acc, rotated));
       a_ops_.rotations += 1;
+      a_ops_.he_additions += 1;
     }
     {
       bgv::Ciphertext swapped = acc;
       SKNN_RETURN_IF_ERROR(evaluator_->RotateColumnsInplace(&swapped, gk_));
       SKNN_RETURN_IF_ERROR(evaluator_->AddInplace(&acc, swapped));
       a_ops_.rotations += 1;
+      a_ops_.he_additions += 1;
     }
+    a_ops_.mod_switches += acc.level;
     SKNN_RETURN_IF_ERROR(evaluator_->ModSwitchToLevelInplace(&acc, 0));
     // Client decrypts the sums from block 0 of row 0.
     SKNN_ASSIGN_OR_RETURN(bgv::Plaintext pt, decryptor_->Decrypt(acc));
@@ -261,6 +179,7 @@ Status SecureKMeans::Iterate(std::vector<std::vector<uint64_t>>* centroids,
     const std::vector<uint64_t> slots = encoder_->Decode(pt);
     for (size_t j = 0; j < config_.dims; ++j) sums[c][j] = slots[j];
   }
+  a_ops_ += query->ops();
 
   // Client: next centroids = floor(sum / size); empty clusters persist.
   for (size_t c = 0; c < k; ++c) {

@@ -12,9 +12,8 @@
 #include "bgv/keys.h"
 #include "common/rng.h"
 #include "core/layout.h"
-#include "core/masking.h"
 #include "core/metrics.h"
-#include "core/protocol_config.h"
+#include "core/party_a.h"
 #include "data/dataset.h"
 
 // Secure k-means clustering over encrypted data — the extension the paper
@@ -24,23 +23,33 @@
 //
 // Each Lloyd iteration:
 //   1. The client encrypts the current centroids (replicated slot layout).
-//   2. Party A homomorphically computes, per centroid, the masked squared
-//      distances to every point — the same fresh monotone polynomial for
-//      all centroids of the iteration (so Party B can compare them) and a
-//      fresh point permutation.
-//   3. Party B decrypts, assigns every (permuted) point to its nearest
+//   2. Party A (core::PartyA, the k-NN protocol's own Algorithm 1) runs
+//      one Query per iteration: StartQuery for the first centroid, then
+//      Query::ComputeDistances for the others. Every centroid of the
+//      iteration therefore shares one fresh monotone mask (so Party B can
+//      compare them) and one fresh transform — unit permutation plus
+//      per-unit block rotation and row swap.
+//   3. Party B decrypts, assigns every (transformed) point to its nearest
 //      centroid, and returns per-cluster encrypted indicator units.
-//   4. Party A computes per-cluster encrypted coordinate sums obliviously
-//      (indicator products + a rotation fold); Party B reveals only the
-//      cluster sizes.
+//   4. Party A absorbs the indicators into per-cluster encrypted sums (the
+//      return phase of Algorithm 3, undoing its transform), relinearizes
+//      them and folds each sum's blocks onto block 0; Party B reveals only
+//      the cluster sizes.
 //   5. The client decrypts the sums and derives the next integer centroids
 //      (floor division; empty clusters keep their centroid).
 //
-// Leakage beyond the k-NN protocol (documented): Party B learns the
-// partition structure of the *permuted* points within one iteration and
-// the cluster sizes. Fresh permutations prevent linking across iterations.
-// The final centroids are exact: they equal the plaintext Lloyd iteration
-// with identical integer rounding, which is what the tests assert.
+// Key material, the encrypted database and every party's RNG seed come
+// from core::Deployment at KMeansConfig::seed, the derivation the k-NN
+// session uses. k-means plays the client and Party B in one process; both
+// roles draw from one stream forked from the deployment's client seed.
+//
+// Leakage beyond the k-NN protocol (documented): Party B learns, within
+// one iteration, which transformed positions share a nearest centroid
+// (the partition structure) and the cluster sizes. The transform is
+// redrawn every iteration, so positions cannot be linked across
+// iterations. The final centroids are exact: they equal the plaintext
+// Lloyd iteration with identical integer rounding, which is what the
+// tests assert.
 
 namespace sknn {
 namespace extensions {
@@ -96,16 +105,12 @@ class SecureKMeans {
   std::shared_ptr<const bgv::BgvContext> ctx_;
   core::SlotLayout layout_;
   std::unique_ptr<Chacha20Rng> rng_;
-  bgv::SecretKey sk_;
-  bgv::PublicKey pk_;
-  bgv::RelinKeys rk_;
   bgv::GaloisKeys gk_;
   std::unique_ptr<bgv::BatchEncoder> encoder_;
   std::unique_ptr<bgv::Encryptor> encryptor_;
   std::unique_ptr<bgv::Decryptor> decryptor_;
   std::unique_ptr<bgv::Evaluator> evaluator_;
-  std::vector<bgv::Ciphertext> db_units_;      // top level (distances)
-  std::vector<bgv::Ciphertext> db_units_low_;  // indicator level (sums)
+  std::unique_ptr<core::PartyA> party_a_;
   core::OpCounts a_ops_;
   core::OpCounts b_ops_;
 };

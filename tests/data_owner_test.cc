@@ -1,4 +1,4 @@
-#include "core/data_owner.h"
+#include "core/deployment.h"
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,8 @@
 namespace sknn {
 namespace core {
 namespace {
+
+// The data owner's setup is Deployment::Derive.
 
 ProtocolConfig Config() {
   ProtocolConfig cfg;
@@ -22,34 +24,32 @@ ProtocolConfig Config() {
 
 TEST(DataOwnerTest, CreatesAllKeyMaterial) {
   data::Dataset dataset = data::UniformDataset(10, 2, 15, 1);
-  auto owner = DataOwner::Create(Config(), dataset, 2);
+  auto owner = Deployment::Derive(Config(), dataset, 2, /*role_a=*/false);
   ASSERT_TRUE(owner.ok()) << owner.status();
-  EXPECT_FALSE((*owner)->relin().key.digits.empty());
-  EXPECT_FALSE((*owner)->galois().keys.empty());
-  EXPECT_GT((*owner)->context()->n(), 0u);
+  EXPECT_FALSE(owner->relin.key.digits.empty());
+  EXPECT_FALSE(owner->galois.keys.empty());
+  EXPECT_GT(owner->ctx->n(), 0u);
 }
 
 TEST(DataOwnerTest, EncryptedDatabaseHasLayoutUnitCount) {
   data::Dataset dataset = data::UniformDataset(1200, 2, 15, 3);
-  auto owner = DataOwner::Create(Config(), dataset, 4);
+  auto owner = Deployment::Derive(Config(), dataset, 4, /*role_a=*/true);
   ASSERT_TRUE(owner.ok());
-  auto units = (*owner)->EncryptDatabase();
-  ASSERT_TRUE(units.ok());
-  EXPECT_EQ(units->size(), (*owner)->layout().num_units());
-  EXPECT_EQ((*owner)->ops().encryptions, units->size());
-  for (const auto& ct : units.value()) {
-    EXPECT_EQ(ct.level, (*owner)->context()->max_level());
+  const std::vector<bgv::Ciphertext>& units = owner->encrypted_db;
+  EXPECT_EQ(units.size(), owner->layout.num_units());
+  for (const auto& ct : units) {
+    EXPECT_EQ(ct.level, owner->ctx->max_level());
   }
 }
 
 TEST(DataOwnerTest, RejectsDimensionMismatch) {
   data::Dataset dataset = data::UniformDataset(10, 3, 15, 5);
-  EXPECT_FALSE(DataOwner::Create(Config(), dataset, 6).ok());
+  EXPECT_FALSE(Deployment::Derive(Config(), dataset, 6, false).ok());
 }
 
 TEST(DataOwnerTest, RejectsOutOfRangeValues) {
   data::Dataset dataset = data::UniformDataset(10, 2, 300, 7);
-  EXPECT_FALSE(DataOwner::Create(Config(), dataset, 8).ok());
+  EXPECT_FALSE(Deployment::Derive(Config(), dataset, 8, false).ok());
 }
 
 TEST(DataOwnerTest, RejectsMaskingDegreeThatCannotFit) {
@@ -58,19 +58,19 @@ TEST(DataOwnerTest, RejectsMaskingDegreeThatCannotFit) {
   ProtocolConfig cfg = Config();
   cfg.coord_bits = 20;
   data::Dataset dataset = data::UniformDataset(4, 2, (1u << 20) - 1, 9);
-  auto owner = DataOwner::Create(cfg, dataset, 10);
+  auto owner = Deployment::Derive(cfg, dataset, 10, false);
   EXPECT_FALSE(owner.ok());
 }
 
 TEST(DataOwnerTest, DeterministicKeygenPerSeed) {
   data::Dataset dataset = data::UniformDataset(5, 2, 15, 11);
-  auto o1 = DataOwner::Create(Config(), dataset, 99);
-  auto o2 = DataOwner::Create(Config(), dataset, 99);
+  auto o1 = Deployment::Derive(Config(), dataset, 99, false);
+  auto o2 = Deployment::Derive(Config(), dataset, 99, false);
   ASSERT_TRUE(o1.ok() && o2.ok());
-  EXPECT_EQ((*o1)->sk().s_coeff, (*o2)->sk().s_coeff);
-  auto o3 = DataOwner::Create(Config(), dataset, 100);
+  EXPECT_EQ(o1->sk.s_coeff, o2->sk.s_coeff);
+  auto o3 = Deployment::Derive(Config(), dataset, 100, false);
   ASSERT_TRUE(o3.ok());
-  EXPECT_NE((*o1)->sk().s_coeff, (*o3)->sk().s_coeff);
+  EXPECT_NE(o1->sk.s_coeff, o3->sk.s_coeff);
 }
 
 }  // namespace

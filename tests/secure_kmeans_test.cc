@@ -151,6 +151,35 @@ TEST(SecureKMeansTest, PartyOpsAccumulated) {
   EXPECT_GT(result->party_b_ops.encryptions, 0u);
 }
 
+// Party A's op counts cover every relinearization and key switch of an
+// iteration: per centroid and unit, D relinearizations (the squaring and
+// D-1 Horner products) and log2(d') fold rotations, then per cluster one
+// relinearization of the sum and log2(row/d') + 1 fold rotations. The
+// transform's block rotations and row swaps only add to the rotations.
+TEST(SecureKMeansTest, OneIterationCountsEveryRelinearizationAndRotation) {
+  // Toy ring: 1024 slots in two rows of 512. d = 5 pads to d' = 8, so a
+  // unit holds 2 * 512 / 8 = 128 points and 200 points fill u = 2 units.
+  constexpr size_t kClusters = 2;
+  constexpr size_t kUnits = 2;
+  constexpr size_t kDegree = 2;
+  constexpr size_t kLogPaddedDims = 3;  // log2(8)
+  constexpr size_t kLogBlocksPerRow = 6;  // log2(512 / 8)
+  data::Dataset dataset = data::UniformDataset(200, 5, 15, 7);
+  KMeansConfig cfg = SmallConfig(kClusters, 5);
+  cfg.poly_degree = kDegree;
+  cfg.iterations = 1;
+  auto km = SecureKMeans::Create(cfg, dataset);
+  ASSERT_TRUE(km.ok()) << km.status();
+  auto result = (*km)->Run();
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->iterations_run, 1u);
+  EXPECT_EQ(result->party_a_ops.relinearizations,
+            kClusters * kUnits * kDegree + kClusters);
+  EXPECT_GE(result->party_a_ops.rotations,
+            kClusters * kUnits * kLogPaddedDims +
+                kClusters * (kLogBlocksPerRow + 1));
+}
+
 }  // namespace
 }  // namespace extensions
 }  // namespace sknn

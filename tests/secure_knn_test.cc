@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 
+#include "bgv/decryptor.h"
+#include "bgv/encoder.h"
 #include "bgv/symmetric.h"
 #include "common/metrics_registry.h"
 #include "core/exchange.h"
@@ -395,6 +397,54 @@ TEST(SecureKnnTest, MultiThreadedPartyAMatchesSingleThreaded) {
     EXPECT_EQ(inline_run.neighbours, pooled_run.neighbours);
     EXPECT_EQ(SortedDistances(pooled_run.neighbours, point),
               ReferenceDistances(dataset, point, c.k));
+  }
+}
+
+// Query::ComputeDistances runs Algorithm 1 under the query's transform
+// with a fresh additive mask: for the ciphertext StartQuery got, every
+// payload slot (masked distance or padding sentinel) decrypts to the same
+// value in every unit, and the slots around them do not.
+TEST(SecureKnnTest, ComputeDistancesKeepsTransformRedrawsAdditiveMask) {
+  for (Layout layout : {Layout::kPacked, Layout::kPerPoint}) {
+    SCOPED_TRACE(LayoutName(layout));
+    data::Dataset dataset = data::UniformDataset(
+        layout == Layout::kPacked ? 600 : 12, 3, 15, 41);
+    ProtocolConfig cfg = SmallConfig(layout);
+    cfg.dims = 3;
+    auto d = Deployment::Derive(cfg, dataset, 42, /*role_a=*/true);
+    ASSERT_TRUE(d.ok()) << d.status();
+    ASSERT_GT(d->layout.num_units(), 1u);
+    PartyA a(d->ctx, cfg, d->layout, d->pk, d->relin, d->galois,
+             d->party_a_seed);
+    ASSERT_TRUE(a.LoadEncryptedDatabase(d->encrypted_db).ok());
+    Client client(d->ctx, cfg, d->layout, d->pk, d->sk, d->client_seed);
+    auto query_ct = client.EncryptQuery(data::UniformQuery(3, 15, 43));
+    ASSERT_TRUE(query_ct.ok()) << query_ct.status();
+    auto query = a.StartQuery(query_ct.value());
+    ASSERT_TRUE(query.ok()) << query.status();
+    auto again = (*query)->ComputeDistances(query_ct.value());
+    ASSERT_TRUE(again.ok()) << again.status();
+    ASSERT_EQ(again->size(), d->layout.num_units());
+
+    bgv::Decryptor decryptor(d->ctx, d->sk);
+    bgv::BatchEncoder encoder(d->ctx);
+    auto slots_of = [&](const bgv::Ciphertext& ct) {
+      auto pt = decryptor.Decrypt(ct);
+      EXPECT_TRUE(pt.ok()) << pt.status();
+      return pt.ok() ? encoder.Decode(pt.value()) : std::vector<uint64_t>();
+    };
+    for (size_t pos = 0; pos < again->size(); ++pos) {
+      SCOPED_TRACE(pos);
+      std::vector<uint64_t> first = slots_of((*query)->distances()[pos]);
+      std::vector<uint64_t> second = slots_of((*again)[pos]);
+      ASSERT_EQ(first.size(), second.size());
+      for (size_t p = 0; p < d->layout.payloads_per_unit(); ++p) {
+        const size_t slot = d->layout.PayloadSlot(p);
+        EXPECT_EQ(first[slot], second[slot]) << "payload " << p;
+        first[slot] = second[slot] = 0;
+      }
+      EXPECT_NE(first, second);
+    }
   }
 }
 

@@ -279,6 +279,32 @@ TEST_F(ServerTest, DeploymentDerivationIsDeterministic) {
                                   /*role_a=*/false);
   ASSERT_TRUE(other.ok()) << other.status();
   EXPECT_NE(other->fingerprint, deployment_a_->fingerprint);
+
+  // Every derivation input is in the fingerprint, so a --preset or
+  // --compress mismatch fails the handshake too. The thread count is
+  // per-process and is not.
+  auto fingerprint_with = [&](void (*edit)(ProtocolConfig*)) -> uint64_t {
+    ProtocolConfig cfg = ServerConfig();
+    edit(&cfg);
+    auto d = Deployment::Derive(cfg, *dataset_, 7, /*role_a=*/false);
+    EXPECT_TRUE(d.ok()) << d.status();
+    return d.ok() ? d->fingerprint : 0;
+  };
+  const uint64_t base = deployment_a_->fingerprint;
+  EXPECT_NE(fingerprint_with([](ProtocolConfig* c) {
+              c->compress_indicators = false;
+            }),
+            base);
+  EXPECT_NE(fingerprint_with([](ProtocolConfig* c) {
+              c->preset = bgv::SecurityPreset::kBench;
+            }),
+            base);
+  EXPECT_NE(fingerprint_with([](ProtocolConfig* c) {
+              c->indicator_level = 2;
+            }),
+            base);
+  EXPECT_EQ(fingerprint_with([](ProtocolConfig* c) { c->threads = 4; }),
+            base);
 }
 
 TEST_F(ServerTest, FourConcurrentClientsGetExactAnswers) {

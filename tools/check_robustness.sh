@@ -13,9 +13,10 @@
 # A second round builds the threaded suites under ThreadSanitizer and runs
 # them: server_test (worker pool, admission queue, connection threads,
 # drain, per-party query pools), telemetry_http_test (scrape while
-# serving), buffer_pool_test, and the multithreaded secure_knn_test cases
-# (pooled queries against inline ones). Any data race fails the gate
-# (tsan exits non-zero on a report).
+# serving), buffer_pool_test, the multithreaded secure_knn_test cases
+# (pooled queries against inline ones) and secure_kmeans_test (Party A's
+# pool driving every centroid of an iteration). Any data race fails the
+# gate (tsan exits non-zero on a report).
 #
 # Usage: tools/check_robustness.sh [extra ctest args...]
 # The extra args go to the asan ctest run. Both configure/builds are
@@ -47,7 +48,7 @@ if ! ctest --test-dir build-asan -L 'chaos|process_chaos' \
   exit 1
 fi
 
-tsan_suites="server_test telemetry_http_test buffer_pool_test secure_knn_test"
+tsan_suites="server_test telemetry_http_test buffer_pool_test secure_knn_test secure_kmeans_test"
 echo "robustness_check: configuring tsan preset"
 cmake --preset tsan > /dev/null || exit 1
 

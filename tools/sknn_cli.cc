@@ -3,7 +3,7 @@
 //   sknn_cli knn      --n=1000 --d=4 --k=5 [--layout=packed|per-point]
 //                     [--dataset=uniform|cancer|credit] [--queries=3]
 //                     [--preset=toy|bench|default|paranoid] [--seed=1]
-//                     [--threads=0]
+//                     [--threads=0] [--compress=0|1]
 //                     [--fault-spec=drop:0.05,flip:0.01 [--fault-seed=1]]
 //   sknn_cli kmeans   --n=200 --d=2 --clusters=3 [--iterations=5]
 //   sknn_cli baseline --n=50 --d=3 --k=3 [--paillier-bits=256]
@@ -36,9 +36,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -52,6 +50,7 @@
 #include "core/server.h"
 #include "core/session.h"
 #include "data/generators.h"
+#include "deployment_flags.h"
 #include "extensions/secure_kmeans.h"
 #include "knn/knn.h"
 
@@ -59,67 +58,10 @@ namespace {
 
 using namespace sknn;  // NOLINT
 
-// Minimal --key=value flag parser. The first non-flag argument is the
-// subcommand (skipped here); flags may appear on either side of it.
-class Flags {
- public:
-  Flags(int argc, char** argv) {
-    bool seen_command = false;
-    for (int i = 1; i < argc; ++i) {
-      const char* a = argv[i];
-      if (std::strncmp(a, "--", 2) != 0) {
-        if (!seen_command) {
-          seen_command = true;
-          continue;
-        }
-        std::fprintf(stderr, "ignoring stray argument %s\n", a);
-        continue;
-      }
-      const char* eq = std::strchr(a, '=');
-      if (eq == nullptr) {
-        values_[std::string(a + 2)] = "true";
-      } else {
-        values_[std::string(a + 2, static_cast<size_t>(eq - a - 2))] =
-            std::string(eq + 1);
-      }
-    }
-  }
-
-  uint64_t U64(const char* key, uint64_t def) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : std::strtoull(it->second.c_str(),
-                                                     nullptr, 10);
-  }
-  std::string Str(const char* key, const char* def) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
-
-bgv::SecurityPreset PresetFromString(const std::string& s) {
-  if (s == "bench") return bgv::SecurityPreset::kBench;
-  if (s == "default") return bgv::SecurityPreset::kDefault;
-  if (s == "paranoid") return bgv::SecurityPreset::kParanoid;
-  if (s != "toy") std::fprintf(stderr, "unknown preset '%s', using toy\n",
-                               s.c_str());
-  return bgv::SecurityPreset::kToy;
-}
-
-data::Dataset MakeDataset(const std::string& name, size_t n, size_t* d,
-                          int coord_bits, uint64_t seed) {
-  if (name == "cancer") {
-    *d = 32;
-    return data::SimulatedCervicalCancer(seed).QuantizeToBits(coord_bits);
-  }
-  if (name == "credit") {
-    *d = 23;
-    return data::SimulatedCreditCard(seed, n).QuantizeToBits(coord_bits);
-  }
-  return data::UniformDataset(n, *d, (uint64_t{1} << coord_bits) - 1, seed);
-}
+using tools::DeploymentFlags;
+using tools::Flags;
+using tools::ParseDeploymentFlags;
+using tools::PresetFromString;
 
 // Prints an answer's squared distances and its exactness verdict against
 // plaintext brute force; returns whether the answer is exact.
@@ -144,28 +86,14 @@ bool ReportAnswer(const data::Dataset& dataset,
 }
 
 int RunKnn(const Flags& flags) {
-  size_t d = flags.U64("d", 2);
-  const int coord_bits = static_cast<int>(flags.U64("coord-bits", 4));
-  const uint64_t seed = flags.U64("seed", 1);
-  const std::string dataset_name = flags.Str("dataset", "uniform");
-  data::Dataset dataset =
-      MakeDataset(dataset_name, flags.U64("n", 100), &d, coord_bits, seed);
-
-  core::ProtocolConfig cfg;
-  cfg.k = flags.U64("k", 5);
-  cfg.dims = d;
-  cfg.coord_bits = coord_bits;
-  cfg.poly_degree = flags.U64("degree", 2);
-  cfg.layout = flags.Str("layout", "packed") == std::string("per-point")
-                   ? core::Layout::kPerPoint
-                   : core::Layout::kPacked;
-  cfg.preset = PresetFromString(flags.Str("preset", "toy"));
-  cfg.levels = cfg.MinimumLevels();
-  cfg.threads = flags.U64("threads", 0);
+  const DeploymentFlags dep = ParseDeploymentFlags(flags);
+  const core::ProtocolConfig& cfg = dep.config;
+  const data::Dataset& dataset = dep.dataset;
+  const uint64_t seed = dep.seed;
 
   std::printf("secure k-NN: %s over %zu x %zu dataset '%s'\n",
               cfg.DebugString().c_str(), dataset.num_points(), dataset.dims(),
-              dataset_name.c_str());
+              dep.dataset_name.c_str());
   auto session = core::SecureKnnSession::Create(cfg, dataset, seed);
   if (!session.ok()) {
     std::fprintf(stderr, "setup: %s\n", session.status().ToString().c_str());
@@ -195,8 +123,9 @@ int RunKnn(const Flags& flags) {
   const int queries = static_cast<int>(flags.U64("queries", 1));
   int inexact = 0;
   for (int q = 0; q < queries; ++q) {
-    auto query = data::UniformQuery(d, (uint64_t{1} << coord_bits) - 1,
-                                    seed + 1000 + static_cast<uint64_t>(q));
+    auto query =
+        data::UniformQuery(cfg.dims, (uint64_t{1} << cfg.coord_bits) - 1,
+                           seed + 1000 + static_cast<uint64_t>(q));
     auto result = (*session)->RunQuery(query);
     if (!result.ok()) {
       // Under fault injection a query may exhaust its re-executions; that
@@ -312,28 +241,10 @@ int RunRemote(const Flags& flags) {
                  "remote needs --port (where sknn_server_a listens)\n");
     return 2;
   }
-  // The deployment derivation must mirror tools/sknn_server.cc exactly —
-  // same flags, same defaults — or the handshake fingerprint diverges and
-  // the server rejects us.
-  size_t d = flags.U64("d", 2);
-  const int coord_bits = static_cast<int>(flags.U64("coord-bits", 4));
-  const uint64_t seed = flags.U64("seed", 1);
-  const std::string dataset_name = flags.Str("dataset", "uniform");
-  data::Dataset dataset =
-      MakeDataset(dataset_name, flags.U64("n", 100), &d, coord_bits, seed);
-
-  core::ProtocolConfig cfg;
-  cfg.k = flags.U64("k", 5);
-  cfg.dims = d;
-  cfg.coord_bits = coord_bits;
-  cfg.poly_degree = flags.U64("degree", 2);
-  cfg.layout = flags.Str("layout", "packed") == std::string("per-point")
-                   ? core::Layout::kPerPoint
-                   : core::Layout::kPacked;
-  cfg.preset = PresetFromString(flags.Str("preset", "toy"));
-  cfg.levels = cfg.MinimumLevels();
-  cfg.threads = flags.U64("threads", 0);
-  cfg.compress_indicators = flags.U64("compress", 1) != 0;
+  const DeploymentFlags dep = ParseDeploymentFlags(flags);
+  const core::ProtocolConfig& cfg = dep.config;
+  const data::Dataset& dataset = dep.dataset;
+  const uint64_t seed = dep.seed;
 
   std::printf("deriving client deployment (%s, seed %llu)...\n",
               cfg.DebugString().c_str(),
@@ -361,7 +272,7 @@ int RunRemote(const Flags& flags) {
   int failed = 0;
   for (int q = 0; q < queries; ++q) {
     const auto query = data::UniformQuery(
-        d, (uint64_t{1} << coord_bits) - 1,
+        cfg.dims, (uint64_t{1} << cfg.coord_bits) - 1,
         seed + 1000 + static_cast<uint64_t>(q));
     const auto t0 = std::chrono::steady_clock::now();
     auto result = (*client)->Query(query, deadline_ms);
@@ -418,6 +329,7 @@ void Usage() {
                "usage: sknn_cli <knn|kmeans|baseline|params|advise|remote> "
                "[--key=value...]\n"
                "  knn      --n --d --k --layout --dataset --queries --preset\n"
+               "           --compress=0|1  seed-compressed indicators\n"
                "           --threads=0  worker threads per party for a\n"
                "           query's ciphertexts (0 = one per core, 1 = inline)\n"
                "           --fault-spec=MODE:PROB[,...] --fault-seed  inject\n"
@@ -472,7 +384,7 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
-  Flags flags(argc, argv);
+  const Flags flags(argc, argv, /*has_command=*/true);
   const std::string trace_path = flags.Str("trace", "");
   const std::string metrics_path = flags.Str("metrics-out", "");
   const std::string flight_path = flags.Str("flight-record", "");

@@ -23,7 +23,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <string>
 
 #include "common/flight_recorder.h"
@@ -31,7 +30,7 @@
 #include "common/metrics_registry.h"
 #include "common/trace.h"
 #include "core/server.h"
-#include "data/generators.h"
+#include "deployment_flags.h"
 #include "math/simd/kernels.h"
 #include "obs/telemetry_http.h"
 
@@ -39,51 +38,13 @@ namespace {
 
 using namespace sknn;  // NOLINT
 
+using tools::DeploymentFlags;
+using tools::Flags;
+using tools::ParseDeploymentFlags;
+
 volatile std::sig_atomic_t g_stop = 0;
 
 void HandleSignal(int) { g_stop = 1; }
-
-class Flags {
- public:
-  Flags(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      const char* a = argv[i];
-      if (std::strncmp(a, "--", 2) != 0) {
-        std::fprintf(stderr, "ignoring stray argument %s\n", a);
-        continue;
-      }
-      const char* eq = std::strchr(a, '=');
-      if (eq == nullptr) {
-        values_[std::string(a + 2)] = "true";
-      } else {
-        values_[std::string(a + 2, static_cast<size_t>(eq - a - 2))] =
-            std::string(eq + 1);
-      }
-    }
-  }
-
-  uint64_t U64(const char* key, uint64_t def) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : std::strtoull(it->second.c_str(),
-                                                     nullptr, 10);
-  }
-  std::string Str(const char* key, const char* def) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
-
-bgv::SecurityPreset PresetFromString(const std::string& s) {
-  if (s == "bench") return bgv::SecurityPreset::kBench;
-  if (s == "default") return bgv::SecurityPreset::kDefault;
-  if (s == "paranoid") return bgv::SecurityPreset::kParanoid;
-  if (s != "toy") std::fprintf(stderr, "unknown preset '%s', using toy\n",
-                               s.c_str());
-  return bgv::SecurityPreset::kToy;
-}
 
 void Usage(const char* role) {
   std::fprintf(
@@ -117,46 +78,20 @@ void Usage(const char* role) {
 }
 
 int ServerMain(int argc, char** argv, bool role_a) {
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, /*has_command=*/false);
   if (flags.Str("help", "") == std::string("true")) {
     Usage(role_a ? "a" : "b");
     return 2;
   }
 
-  size_t d = flags.U64("d", 2);
-  const int coord_bits = static_cast<int>(flags.U64("coord-bits", 4));
-  const uint64_t seed = flags.U64("seed", 1);
-  const std::string dataset_name = flags.Str("dataset", "uniform");
-  data::Dataset dataset = [&] {
-    if (dataset_name == "cancer") {
-      d = 32;
-      return data::SimulatedCervicalCancer(seed).QuantizeToBits(coord_bits);
-    }
-    if (dataset_name == "credit") {
-      d = 23;
-      return data::SimulatedCreditCard(seed, flags.U64("n", 100))
-          .QuantizeToBits(coord_bits);
-    }
-    return data::UniformDataset(flags.U64("n", 100), d,
-                                (uint64_t{1} << coord_bits) - 1, seed);
-  }();
-
-  core::ProtocolConfig cfg;
-  cfg.k = flags.U64("k", 5);
-  cfg.dims = d;
-  cfg.coord_bits = coord_bits;
-  cfg.poly_degree = flags.U64("degree", 2);
-  cfg.layout = flags.Str("layout", "packed") == std::string("per-point")
-                   ? core::Layout::kPerPoint
-                   : core::Layout::kPacked;
-  cfg.preset = PresetFromString(flags.Str("preset", "toy"));
-  cfg.levels = cfg.MinimumLevels();
-  cfg.threads = flags.U64("threads", 0);
-  cfg.compress_indicators = flags.U64("compress", 1) != 0;
+  const DeploymentFlags dep = ParseDeploymentFlags(flags);
+  const core::ProtocolConfig& cfg = dep.config;
+  const data::Dataset& dataset = dep.dataset;
+  const uint64_t seed = dep.seed;
 
   std::printf("deriving deployment (%s, %zu x %zu '%s', seed %llu)...\n",
               cfg.DebugString().c_str(), dataset.num_points(), dataset.dims(),
-              dataset_name.c_str(), static_cast<unsigned long long>(seed));
+              dep.dataset_name.c_str(), static_cast<unsigned long long>(seed));
   auto deployment = core::Deployment::Derive(cfg, dataset, seed, role_a);
   if (!deployment.ok()) {
     std::fprintf(stderr, "derive: %s\n",
