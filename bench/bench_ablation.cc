@@ -18,7 +18,7 @@ using namespace sknn::core;  // NOLINT
 
 int RunOne(const data::Dataset& dataset, Layout layout, size_t degree,
            int coord_bits, const bench::BenchArgs& args,
-           bench::BenchJson* out, bool compress = true) {
+           bench::BenchJson* out) {
   out->BeginRow();
   ProtocolConfig cfg;
   cfg.k = 5;
@@ -27,7 +27,6 @@ int RunOne(const data::Dataset& dataset, Layout layout, size_t degree,
   cfg.poly_degree = degree;
   cfg.layout = layout;
   cfg.preset = args.preset;
-  cfg.compress_indicators = compress;
   cfg.levels = cfg.MinimumLevels();
   auto session = SecureKnnSession::Create(cfg, dataset, 42);
   if (!session.ok()) {
@@ -42,9 +41,9 @@ int RunOne(const data::Dataset& dataset, Layout layout, size_t degree,
                  r.status().ToString().c_str());
     return 1;
   }
-  std::printf("%-10s %2zu %7zu %5s %12.2f %12.2f %14s %14s\n",
+  std::printf("%-10s %2zu %7zu %12.2f %12.2f %14s %14s\n",
               LayoutName(layout), degree, cfg.levels,
-              compress ? "yes" : "no", r->timings.total_query_seconds(),
+              r->timings.total_query_seconds(),
               (*session)->setup_report().setup_seconds,
               bench::HumanBytes(r->ab_link.total_bytes()).c_str(),
               bench::HumanBytes((*session)->setup_report().encrypted_db_bytes)
@@ -53,7 +52,6 @@ int RunOne(const data::Dataset& dataset, Layout layout, size_t degree,
   row.Str("layout", LayoutName(layout))
       .Int("degree", degree)
       .Int("levels", cfg.levels)
-      .Bool("compress_indicators", compress)
       .Num("query_seconds", r->timings.total_query_seconds())
       .Num("setup_seconds", (*session)->setup_report().setup_seconds)
       .Int("wire_bytes", r->ab_link.total_bytes())
@@ -74,9 +72,8 @@ int Run(const bench::BenchArgs& args) {
       data::UniformDataset(n, d, (1u << coord_bits) - 1, 7);
   std::printf("n=%zu d=%zu k=5 preset=%s\n\n", n, d,
               bench::PresetName(args.preset));
-  std::printf("%-10s %2s %7s %5s %12s %12s %14s %14s\n", "layout", "D",
-              "levels", "cmpr", "query(s)", "setup(s)", "wire bytes",
-              "db bytes");
+  std::printf("%-10s %2s %7s %12s %12s %14s %14s\n", "layout", "D",
+              "levels", "query(s)", "setup(s)", "wire bytes", "db bytes");
   bench::BenchJson out("ablation");
   const std::vector<size_t> degrees =
       args.smoke ? std::vector<size_t>{2} : std::vector<size_t>{1, 2, 3};
@@ -87,21 +84,11 @@ int Run(const bench::BenchArgs& args) {
       }
     }
   }
-  // Indicator seed-compression ablation at the default degree.
-  if (RunOne(dataset, Layout::kPerPoint, 2, coord_bits, args, &out,
-             /*compress=*/false) != 0) {
-    return 1;
-  }
-  if (RunOne(dataset, Layout::kPacked, 2, coord_bits, args, &out,
-             /*compress=*/false) != 0) {
-    return 1;
-  }
   std::printf(
       "\npacked trades the uniform point-level permutation for block-level "
       "mixing (Party B additionally learns block co-residence) and wins "
       "large factors in time and bytes; each extra masking degree costs "
-      "one modulus level; disabling indicator seed-compression (cmpr=no) "
-      "roughly doubles the B->A share of the wire bytes.\n");
+      "one modulus level.\n");
   out.Write();
   return 0;
 }

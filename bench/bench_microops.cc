@@ -106,7 +106,7 @@ BENCHMARK(BM_NttDispatchAvx512)->Arg(1024)->Arg(4096)->Arg(8192);
 
 // The fused key-switch MAC (both accumulators, Shoup-multiplied key
 // columns), with and without the Galois gather — the inner loop of
-// relinearization and (with perm) hoisted rotations.
+// relinearization and (with perm) rotations.
 void FusedMacBench(benchmark::State& state, bool with_perm) {
   const size_t n = static_cast<size_t>(state.range(0));
   auto primes = GenerateNttPrimes(58, 2 * n, 1);
@@ -297,18 +297,6 @@ void BM_FoldRows(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FoldRows)->Arg(1024)->Arg(4096)->Arg(8192);
-
-// Four rotations of the same ciphertext with the digit decomposition paid
-// once. Compare against 4x BM_RotateRows for the hoisting win.
-void BM_HoistedRotations(benchmark::State& state) {
-  BgvFixture f(static_cast<size_t>(state.range(0)));
-  const std::vector<int> steps = {1, 2, 4, 8};
-  for (auto _ : state) {
-    auto rotated = f.evaluator->HoistedRotations(f.ct_a, steps, f.gk);
-    benchmark::DoNotOptimize(rotated);
-  }
-}
-BENCHMARK(BM_HoistedRotations)->Arg(1024)->Arg(4096)->Arg(8192);
 
 void BM_BgvModSwitch(benchmark::State& state) {
   BgvFixture f(static_cast<size_t>(state.range(0)));

@@ -16,22 +16,20 @@ StatusOr<Ciphertext> Encryptor::Encrypt(const Plaintext& pt) const {
 }
 
 StatusOr<Ciphertext> Encryptor::EncryptAtLevel(const Plaintext& pt,
-                                               size_t level,
-                                               Chacha20Rng* rng) const {
+                                               size_t level) const {
   if (level > ctx_->max_level()) {
     return InvalidArgumentError("encryption level exceeds parameter chain");
   }
   if (pt.coeffs.size() != ctx_->n()) {
     return InvalidArgumentError("plaintext has wrong degree");
   }
-  if (rng == nullptr) rng = rng_;
   const size_t comps = level + 1;
   const RnsBase& base = ctx_->key_base();
 
-  RnsPoly u = SampleTernaryPoly(*ctx_, comps, rng);
+  RnsPoly u = SampleTernaryPoly(*ctx_, comps, rng_);
   ToNttInplace(&u, base);
-  RnsPoly e0 = SampleGaussianPoly(*ctx_, comps, rng);
-  RnsPoly e1 = SampleGaussianPoly(*ctx_, comps, rng);
+  RnsPoly e0 = SampleGaussianPoly(*ctx_, comps, rng_);
+  RnsPoly e1 = SampleGaussianPoly(*ctx_, comps, rng_);
   std::vector<uint64_t> t_mod(comps);
   for (size_t i = 0; i < comps; ++i) t_mod[i] = ctx_->t_mod_q(i);
   MulScalarInplace(&e0, t_mod, base);

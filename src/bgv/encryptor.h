@@ -23,12 +23,7 @@ class Encryptor {
   // Encrypts at the top level (all data primes).
   StatusOr<Ciphertext> Encrypt(const Plaintext& pt) const;
   // Encrypts directly at a lower level: smaller ciphertext, less headroom.
-  // When `rng` is non-null all randomness is drawn from it instead of the
-  // constructor's generator — callers running encryptions in parallel hand
-  // each task a deterministic fork so the transcript does not depend on
-  // scheduling.
-  StatusOr<Ciphertext> EncryptAtLevel(const Plaintext& pt, size_t level,
-                                      Chacha20Rng* rng = nullptr) const;
+  StatusOr<Ciphertext> EncryptAtLevel(const Plaintext& pt, size_t level) const;
 
  private:
   std::shared_ptr<const BgvContext> ctx_;

@@ -279,8 +279,8 @@ void Evaluator::KeySwitchInner(const KSwitchDigits& digits,
       uint64_t* __restrict a0 = acc0.data() + j * n;
       uint64_t* __restrict a1 = acc1.data() + j * n;
       // The fused MAC runs through the SIMD dispatch table; a non-null
-      // perm_ntt folds the NTT-domain automorphism into the gather, so
-      // hoisted rotations never re-decompose.
+      // perm_ntt folds the NTT-domain automorphism into the gather, so a
+      // rotation permutes the digits instead of re-decomposing.
       kernels.fused_mac(a0, a1, dg, perm_ntt, kbv, kbs, kav, kas, n, q);
     }
   }
@@ -634,29 +634,19 @@ Status Evaluator::FoldRowsInplace(Ciphertext* a, size_t block,
   if (a->size() != 2) {
     return InvalidArgumentError("FoldRows requires a size-2 ciphertext");
   }
-  // Power-of-two step keys are the standard set; without them, fall back
-  // to the generic rotate-and-add loop.
-  bool have_keys = true;
+  // Every stage needs its power-of-two step key (the standard set), so
+  // validate them all before mutating the ciphertext.
   for (size_t step = 1; step < block; step <<= 1) {
-    if (!gk.Has(ctx_->GaloisEltForRotation(static_cast<int>(step)))) {
-      have_keys = false;
-      break;
+    const uint64_t elt = ctx_->GaloisEltForRotation(static_cast<int>(step));
+    if (!gk.Has(elt)) {
+      return NotFoundError("missing Galois key for element " +
+                           std::to_string(elt));
     }
   }
-  if (!have_keys) {
-    for (size_t step = 1; step < block; step <<= 1) {
-      Ciphertext rotated = *a;
-      SKNN_RETURN_IF_ERROR(
-          RotateRowsInplace(&rotated, static_cast<int>(step), gk));
-      SKNN_RETURN_IF_ERROR(AddInplace(a, rotated));
-    }
-    return Status::Ok();
-  }
-  // Fast path: keep the running sum in coefficient form across the whole
-  // log2(block) fold. Each stage decomposes the current c1 once and runs
-  // the permuted inner product (a += tau_step(a)); only the final result
-  // pays a ToNtt, so the fold does one NTT conversion set instead of one
-  // per stage.
+  // Keep the running sum in coefficient form across the whole log2(block)
+  // fold. Each stage decomposes the current c1 once and runs the permuted
+  // inner product (a += tau_step(a)); only the final result pays a ToNtt,
+  // so the fold does one NTT conversion set instead of one per stage.
   const RnsBase& base = ctx_->key_base();
   RnsPoly c0 = a->c[0];
   RnsPoly c1 = a->c[1];
@@ -688,72 +678,6 @@ Status Evaluator::FoldRowsInplace(Ciphertext* a, size_t block,
   a->c[0] = std::move(c0);
   a->c[1] = std::move(c1);
   return Status::Ok();
-}
-
-StatusOr<std::vector<Ciphertext>> Evaluator::HoistedRotations(
-    const Ciphertext& ct, const std::vector<int>& steps,
-    const GaloisKeys& gk) const {
-  SKNN_RETURN_IF_ERROR(CheckCt(ct));
-  if (ct.size() != 2) {
-    return InvalidArgumentError(
-        "HoistedRotations requires a size-2 ciphertext");
-  }
-  const size_t row = ctx_->row_size();
-  const RnsBase& base = ctx_->key_base();
-  // Normalize the steps and decide which can ride the shared
-  // decomposition (exact key present).
-  std::vector<int> normalized(steps.size());
-  std::vector<uint64_t> elts(steps.size(), 0);
-  bool any_hoisted = false;
-  for (size_t i = 0; i < steps.size(); ++i) {
-    int step = static_cast<int>(((steps[i] % static_cast<int>(row)) +
-                                 static_cast<int>(row)) %
-                                static_cast<int>(row));
-    normalized[i] = step;
-    if (step == 0) continue;
-    const uint64_t elt = ctx_->GaloisEltForRotation(step);
-    if (gk.Has(elt)) {
-      elts[i] = elt;
-      any_hoisted = true;
-    }
-  }
-  // One decomposition of c1 serves every hoisted step.
-  KSwitchDigits digits;
-  if (any_hoisted) {
-    RnsPoly c1 = ct.c[1];
-    FromNttInplace(&c1, base);
-    digits = DecomposeForKeySwitch(ct.level, c1, /*target_ntt=*/&ct.c[1]);
-  }
-  std::vector<Ciphertext> out;
-  out.reserve(steps.size());
-  for (size_t i = 0; i < steps.size(); ++i) {
-    if (normalized[i] == 0) {
-      out.push_back(ct);
-      continue;
-    }
-    if (elts[i] == 0) {
-      // No exact key: compose power-of-two rotations sequentially.
-      Ciphertext rotated = ct;
-      SKNN_RETURN_IF_ERROR(RotateRowsInplace(&rotated, normalized[i], gk));
-      out.push_back(std::move(rotated));
-      continue;
-    }
-    SKNN_COUNT_EVALUATOR_OP("hoisted_rotation");
-    const std::vector<uint32_t>& perm = base.GaloisPermTableNtt(elts[i]);
-    Ciphertext rotated;
-    rotated.level = ct.level;
-    rotated.scale = ct.scale;
-    rotated.noise_bits = noise_.KeySwitch(ct.noise_bits, ct.level);
-    RnsPoly u0, u1;
-    KeySwitchInner(digits, gk.keys.at(elts[i]), perm.data(), &u0, &u1,
-                   /*ntt_out=*/true);
-    RnsPoly c0_tau = ApplyGaloisNtt(ct.c[0], elts[i], base);
-    sknn::AddInplace(&u0, c0_tau, base);
-    rotated.c.push_back(std::move(u0));
-    rotated.c.push_back(std::move(u1));
-    out.push_back(std::move(rotated));
-  }
-  return out;
 }
 
 StatusOr<const PlainOperand*> PlainOperandCache::MultiplyOperand(

@@ -24,8 +24,7 @@
 // Key switching is split Halevi–Shoup style (DESIGN.md §3.2): the digit
 // decomposition (lift + forward NTTs, the expensive half) is computed once
 // per source polynomial and can be reused across every Galois key applied
-// to it — HoistedRotations and the fold/rotation chains are built on that
-// split.
+// to it — the fold and rotation chains are built on that split.
 
 namespace sknn {
 namespace bgv {
@@ -117,16 +116,9 @@ class Evaluator {
                                  const GaloisKeys& gk) const;
   // Sums an arbitrary contiguous power-of-two block: after this call every
   // slot j holds sum_{r<block} input[j+r] (within rows). Used for the
-  // distance fold.
+  // distance fold. Needs the rotation key of every power-of-two step below
+  // `block`; when one is missing, returns kNotFound with `a` untouched.
   Status FoldRowsInplace(Ciphertext* a, size_t block, const GaloisKeys& gk) const;
-  // Halevi–Shoup hoisting: rotates `ct` by every step in `steps` while
-  // paying the expensive digit decomposition once (steps served this way
-  // bump the bgv.evaluator.hoisted_rotation counter). Steps whose exact
-  // Galois key is missing fall back to sequential composed rotation; step 0
-  // returns a plain copy.
-  StatusOr<std::vector<Ciphertext>> HoistedRotations(
-      const Ciphertext& ct, const std::vector<int>& steps,
-      const GaloisKeys& gk) const;
   // Galois elements whose composition realizes a row rotation by `step`
   // (empty for step 0): the exact element when its key exists, else the
   // power-of-two decomposition. Lets callers splice rotations and column

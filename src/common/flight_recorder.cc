@@ -68,17 +68,6 @@ std::vector<FlightRecord> FlightRecorder::Records() const {
   return std::vector<FlightRecord>(ring_.begin(), ring_.end());
 }
 
-bool FlightRecorder::FindBySeed(uint64_t seed, FlightRecord* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = ring_.rbegin(); it != ring_.rend(); ++it) {
-    if (it->seed == seed) {
-      *out = *it;
-      return true;
-    }
-  }
-  return false;
-}
-
 void FlightRecorder::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   ring_.clear();

@@ -81,9 +81,6 @@ class FlightRecorder {
   // Snapshot, oldest first.
   std::vector<FlightRecord> Records() const;
 
-  // Most recent record whose seed matches; false if none in the ring.
-  bool FindBySeed(uint64_t seed, FlightRecord* out) const;
-
   void Clear();
 
   // {"flight_records": [...]} — the --flight-record=FILE payload.

@@ -83,21 +83,6 @@ uint64_t MetricsRegistry::Histogram::Quantile(double q) const {
   return max();
 }
 
-void MetricsRegistry::Histogram::MergeFrom(const Histogram& other) {
-  for (int i = 0; i < kNumBuckets; ++i) {
-    const uint64_t c = other.bucket_count(i);
-    if (c != 0) buckets_[i].fetch_add(c, std::memory_order_relaxed);
-  }
-  sum_.fetch_add(other.sum(), std::memory_order_relaxed);
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
-  const uint64_t other_max = other.max();
-  uint64_t cur = max_.load(std::memory_order_relaxed);
-  while (other_max > cur &&
-         !max_.compare_exchange_weak(cur, other_max,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
 void MetricsRegistry::Histogram::Reset() {
   for (int i = 0; i < kNumBuckets; ++i) {
     buckets_[i].store(0, std::memory_order_relaxed);
@@ -164,21 +149,6 @@ MetricsRegistry::HistogramValues() const {
     out[name] = snap;
   }
   return out;
-}
-
-void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
-  for (const auto& [name, value] : other.CounterValues()) {
-    if (value != 0) GetCounter(name)->Add(value);
-  }
-  for (const auto& [name, value] : other.GaugeValues()) {
-    GetGauge(name)->Set(value);
-  }
-  {
-    std::lock_guard<std::mutex> lock(other.mu_);
-    for (const auto& [name, hist] : other.histograms_) {
-      if (hist->count() != 0) GetHistogram(name)->MergeFrom(*hist);
-    }
-  }
 }
 
 void MetricsRegistry::ResetValues() {

@@ -103,9 +103,6 @@ class MetricsRegistry {
     // one bucket width (<= 12.5% relative).
     uint64_t Quantile(double q) const;
 
-    // Adds `other`'s events into this histogram.
-    void MergeFrom(const Histogram& other);
-
     void Reset();
 
     // Inclusive upper bound of bucket `i` (the `le` label in Prometheus
@@ -148,11 +145,6 @@ class MetricsRegistry {
   std::map<std::string, uint64_t> CounterValues() const;
   std::map<std::string, double> GaugeValues() const;
   std::map<std::string, HistogramSnapshot> HistogramValues() const;
-
-  // Adds every counter and histogram of `other` into this registry and
-  // overwrites gauges with `other`'s values. Used to fold per-worker or
-  // per-run registries into an aggregate.
-  void MergeFrom(const MetricsRegistry& other);
 
   // Zeroes all counters, gauges and histograms (names and handles
   // survive).

@@ -40,25 +40,8 @@ bool ParseDeadlinePreamble(const std::string& preamble, uint64_t* budget_ms) {
   return ec == std::errc() && ptr == e && b != e;
 }
 
-// Serializes and sends one row of indicator ciphertexts, one frame each.
-template <typename Ct>
-Status SendRow(const std::vector<Ct>& row,
-               void (*write)(const Ct&, ByteSink*),
-               net::ResilientChannel* ch) {
-  for (const Ct& ct : row) {
-    ByteSink sink;
-    write(ct, &sink);
-    trace::TraceSpan span("transfer.indicators");
-    SKNN_RETURN_IF_ERROR(
-        ch->SendMessage(net::MessageType::kIndicators, sink.bytes()));
-  }
-  return Status::Ok();
-}
-
 StatusOr<bgv::Ciphertext> DecodeIndicator(const bgv::BgvContext& ctx,
-                                          bool compressed,
                                           std::vector<uint8_t> bytes) {
-  if (!compressed) return FreshCtFromBytes(ctx, std::move(bytes));
   // ExpandSeeded stamps the symmetric-encryption noise bound itself.
   ByteSource src(std::move(bytes));
   SKNN_ASSIGN_OR_RETURN(bgv::SeededCiphertext seeded,
@@ -139,9 +122,8 @@ Status SendDistances(const PartyA::Query& query, uint64_t trace_id,
   return Status::Ok();
 }
 
-Status AbsorbIndicatorRow(const bgv::BgvContext& ctx, bool compressed,
-                          size_t j, PartyA::Query* query,
-                          net::ResilientChannel* ch) {
+Status AbsorbIndicatorRow(const bgv::BgvContext& ctx, size_t j,
+                          PartyA::Query* query, net::ResilientChannel* ch) {
   const size_t units = query->distances().size();
   for (size_t pos = 0; pos < units; ++pos) {
     std::vector<uint8_t> bytes;
@@ -151,7 +133,7 @@ Status AbsorbIndicatorRow(const bgv::BgvContext& ctx, bool compressed,
           bytes, ch->ReceiveMessage(net::MessageType::kIndicators));
     }
     SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext indicator,
-                          DecodeIndicator(ctx, compressed, std::move(bytes)));
+                          DecodeIndicator(ctx, std::move(bytes)));
     SKNN_RETURN_IF_ERROR(query->AbsorbIndicator(j, pos, indicator));
   }
   return Status::Ok();
@@ -191,18 +173,20 @@ StatusOr<size_t> ReceiveDistancesAndSelect(
   return party_b->FindNeighbours(received, k);
 }
 
-Status SendIndicatorRow(bool compressed, size_t j, PartyB* party_b,
-                        net::ResilientChannel* ch) {
+Status SendIndicatorRow(size_t j, PartyB* party_b, net::ResilientChannel* ch) {
   // B encrypts the whole row in one parallel batch (per-position RNG
-  // forks keep the transcript deterministic), then streams it.
-  if (compressed) {
-    SKNN_ASSIGN_OR_RETURN(std::vector<bgv::SeededCiphertext> row,
-                          party_b->EmitIndicatorsCompressedForResult(j));
-    return SendRow(row, &bgv::WriteSeededCiphertext, ch);
+  // forks keep the transcript deterministic), then streams it, one frame
+  // per indicator.
+  SKNN_ASSIGN_OR_RETURN(std::vector<bgv::SeededCiphertext> row,
+                        party_b->EmitIndicatorsCompressedForResult(j));
+  for (const bgv::SeededCiphertext& ct : row) {
+    ByteSink sink;
+    bgv::WriteSeededCiphertext(ct, &sink);
+    trace::TraceSpan span("transfer.indicators");
+    SKNN_RETURN_IF_ERROR(
+        ch->SendMessage(net::MessageType::kIndicators, sink.bytes()));
   }
-  SKNN_ASSIGN_OR_RETURN(std::vector<bgv::Ciphertext> row,
-                        party_b->EmitIndicatorsForResult(j));
-  return SendRow(row, &bgv::WriteCiphertext, ch);
+  return Status::Ok();
 }
 
 }  // namespace core

@@ -42,9 +42,9 @@ namespace core {
 // The ciphertext codec of messages 1, 2 and 4.
 std::vector<uint8_t> CtToBytes(const bgv::Ciphertext& ct);
 StatusOr<bgv::Ciphertext> CtFromBytes(std::vector<uint8_t> bytes);
-// CtFromBytes for a fresh public-key encryption (a client query, a plain
-// indicator): the wire strips the noise estimate, so the receiver
-// re-stamps the fresh-encryption bound.
+// CtFromBytes for a fresh public-key encryption (a client query): the
+// wire strips the noise estimate, so the receiver re-stamps the
+// fresh-encryption bound.
 StatusOr<bgv::Ciphertext> FreshCtFromBytes(const bgv::BgvContext& ctx,
                                            std::vector<uint8_t> bytes);
 
@@ -90,12 +90,11 @@ bool MayReexecute(const Status& status, int reexecutions,
 Status SendDistances(const PartyA::Query& query, uint64_t trace_id,
                      net::ResilientChannel* ch);
 
-// Message 3, row j: receives the u indicator frames (seeded-compressed
-// when `compressed`), decodes each and absorbs it into `query`. Call
-// query->BeginReturnPhase first.
-Status AbsorbIndicatorRow(const bgv::BgvContext& ctx, bool compressed,
-                          size_t j, PartyA::Query* query,
-                          net::ResilientChannel* ch);
+// Message 3, row j: receives the u seed-compressed indicator frames,
+// expands each and absorbs it into `query`. Call query->BeginReturnPhase
+// first.
+Status AbsorbIndicatorRow(const bgv::BgvContext& ctx, size_t j,
+                          PartyA::Query* query, net::ResilientChannel* ch);
 
 // Message 4 payloads: the k finalized result ciphertexts, serialized.
 StatusOr<std::vector<std::vector<uint8_t>>> FinalizeResults(
@@ -111,9 +110,9 @@ StatusOr<size_t> ReceiveDistancesAndSelect(
     size_t units, size_t k, PartyB* party_b, net::ResilientChannel* ch,
     std::optional<std::vector<uint8_t>> first_payload = std::nullopt);
 
-// Message 3, row j: encrypts the u indicators of result j and sends them.
-Status SendIndicatorRow(bool compressed, size_t j, PartyB* party_b,
-                        net::ResilientChannel* ch);
+// Message 3, row j: encrypts the u seed-compressed indicators of result j
+// and sends them.
+Status SendIndicatorRow(size_t j, PartyB* party_b, net::ResilientChannel* ch);
 
 }  // namespace core
 }  // namespace sknn

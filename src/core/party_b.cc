@@ -9,13 +9,13 @@ namespace sknn {
 namespace core {
 namespace {
 
-// Estimated budget of a fresh indicator encryption at `level` — a constant
-// of the parameter set, exported as `bgv.noise.party_b.indicator` so
-// operators can see how much headroom A's absorb/retrieve phase starts
-// from.
-double FreshIndicatorBudget(const bgv::NoiseModel& model, size_t level,
-                            double fresh_noise_bits) {
-  const double budget = model.LogQ(level) - 1.0 - fresh_noise_bits;
+// Estimated budget of a fresh (symmetric) indicator encryption at `level`
+// — a constant of the parameter set, exported as
+// `bgv.noise.party_b.indicator` so operators can see how much headroom
+// A's absorb/retrieve phase starts from.
+double FreshIndicatorBudget(const bgv::NoiseModel& model, size_t level) {
+  const double budget =
+      model.LogQ(level) - 1.0 - model.FreshSymmetricNoiseBits();
   return budget > 0.0 ? budget : 0.0;
 }
 
@@ -31,9 +31,10 @@ PartyB::PartyB(std::shared_ptr<const bgv::BgvContext> ctx,
       noise_(*ctx),
       decryptor_(ctx, sk),  // keeps a copy; the original moves below
       rng_(rng_seed),
-      encryptor_(ctx, std::move(pk), &rng_),
       sym_encryptor_(ctx, std::move(sk), &rng_),
-      pool_(config_.threads) {}
+      pool_(config_.threads) {
+  (void)pk;  // Indicators are encrypted under the secret key.
+}
 
 StatusOr<size_t> PartyB::FindNeighbours(
     const std::vector<bgv::Ciphertext>& units, size_t k) {
@@ -91,67 +92,13 @@ StatusOr<bgv::Plaintext> PartyB::BuildIndicatorPlaintext(
   return encoder_.Encode(slots);
 }
 
-StatusOr<bgv::Ciphertext> PartyB::EmitIndicator(size_t j,
-                                                size_t unit_pos) const {
-  trace::TraceSpan span("party_b.indicator");
-  SKNN_ASSIGN_OR_RETURN(bgv::Plaintext pt, BuildIndicatorPlaintext(j, unit_pos));
-  SKNN_ASSIGN_OR_RETURN(
-      bgv::Ciphertext ct,
-      encryptor_.EncryptAtLevel(pt, config_.indicator_level));
-  ops_.encryptions += 1;
-  return ct;
-}
-
-StatusOr<bgv::SeededCiphertext> PartyB::EmitIndicatorCompressed(
-    size_t j, size_t unit_pos) const {
-  trace::TraceSpan span("party_b.indicator");
-  SKNN_ASSIGN_OR_RETURN(bgv::Plaintext pt, BuildIndicatorPlaintext(j, unit_pos));
-  SKNN_ASSIGN_OR_RETURN(
-      bgv::SeededCiphertext ct,
-      sym_encryptor_.EncryptSeeded(pt, config_.indicator_level));
-  ops_.encryptions += 1;
-  return ct;
-}
-
-StatusOr<std::vector<bgv::Ciphertext>> PartyB::EmitIndicatorsForResult(
-    size_t j) const {
+StatusOr<std::vector<bgv::SeededCiphertext>>
+PartyB::EmitIndicatorsCompressedForResult(size_t j) const {
   trace::TraceSpan span("party_b.indicator");
   const size_t units = layout_.num_units();
   // Per-indicator deterministic RNG forks: seeds come off the party RNG
   // sequentially BEFORE the parallel section, so the transcript is a pure
   // function of the party seed (same pattern as Party A's per-unit forks).
-  std::vector<uint64_t> seeds(units);
-  for (auto& s : seeds) s = rng_.NextU64();
-  std::vector<bgv::Ciphertext> out(units);
-  std::vector<Status> status(units);
-  pool_.ParallelFor(0, units, [&](size_t pos) {
-    StatusOr<bgv::Plaintext> pt = BuildIndicatorPlaintext(j, pos);
-    if (!pt.ok()) {
-      status[pos] = pt.status();
-      return;
-    }
-    Chacha20Rng fork(seeds[pos]);
-    StatusOr<bgv::Ciphertext> ct =
-        encryptor_.EncryptAtLevel(pt.value(), config_.indicator_level, &fork);
-    if (!ct.ok()) {
-      status[pos] = ct.status();
-      return;
-    }
-    out[pos] = std::move(ct).value();
-  });
-  for (const Status& s : status) SKNN_RETURN_IF_ERROR(s);
-  ops_.encryptions += units;
-  MetricsRegistry::Global()
-      .GetGauge("bgv.noise.party_b.indicator")
-      ->Set(FreshIndicatorBudget(noise_, config_.indicator_level,
-                                 noise_.FreshPkNoiseBits()));
-  return out;
-}
-
-StatusOr<std::vector<bgv::SeededCiphertext>>
-PartyB::EmitIndicatorsCompressedForResult(size_t j) const {
-  trace::TraceSpan span("party_b.indicator");
-  const size_t units = layout_.num_units();
   std::vector<uint64_t> seeds(units);
   for (auto& s : seeds) s = rng_.NextU64();
   std::vector<bgv::SeededCiphertext> out(units);
@@ -175,8 +122,7 @@ PartyB::EmitIndicatorsCompressedForResult(size_t j) const {
   ops_.encryptions += units;
   MetricsRegistry::Global()
       .GetGauge("bgv.noise.party_b.indicator")
-      ->Set(FreshIndicatorBudget(noise_, config_.indicator_level,
-                                 noise_.FreshSymmetricNoiseBits()));
+      ->Set(FreshIndicatorBudget(noise_, config_.indicator_level));
   return out;
 }
 

@@ -9,7 +9,6 @@
 #include "bgv/context.h"
 #include "bgv/decryptor.h"
 #include "bgv/encoder.h"
-#include "bgv/encryptor.h"
 #include "bgv/keys.h"
 #include "bgv/noise_model.h"
 #include "bgv/symmetric.h"
@@ -29,7 +28,7 @@
 // Cost model (n = points, u = units, l = payloads per unit, k = results):
 // FindNeighbours is O(u) decryptions + O(n log k) heap scan; the
 // indicator reply is O(u·k) fresh encryptions (the dominant B→A traffic —
-// see EmitIndicatorCompressed).
+// see EmitIndicatorsCompressedForResult).
 
 namespace sknn {
 namespace core {
@@ -43,33 +42,24 @@ class PartyB {
   // Algorithm 2: decrypts the distance units, selects the k smallest
   // masked values (monotone masking preserves the order, so the selection
   // is exact). Returns the effective k (clamped to the point count).
-  // Selection state persists until the next call; EmitIndicator* answers
-  // are meaningless unless they follow the FindNeighbours of the same
-  // query. O(u) decryptions + O(n log k) scan; span
-  // `query/party_b.decrypt_select`.
+  // Selection state persists until the next call; indicator rows are
+  // meaningless unless they follow the FindNeighbours of the same query.
+  // O(u) decryptions + O(n log k) scan; span `query/party_b.decrypt_select`.
   StatusOr<size_t> FindNeighbours(const std::vector<bgv::Ciphertext>& units,
                                   size_t k);
 
-  // Indicator ciphertext for result j and transformed unit position
-  // `unit_pos`: encrypts the 0/1 block selector (all zeros when result j
-  // does not live in that unit). Every (j, unit_pos) pair gets a FRESH
+  // Message 3, row j: the indicators for result j across ALL transformed
+  // unit positions, in unit-position order. Position `unit_pos` encrypts
+  // the 0/1 block selector (all zeros when result j does not live in that
+  // unit) at `indicator_level`, seed-compressed: B holds the secret key,
+  // so it encrypts symmetrically with a PRF-expanded c1, half the bytes
+  // of a public-key ciphertext. Every (j, unit_pos) pair gets a FRESH
   // encryption — even the all-zero ones — so A cannot distinguish hits
-  // from misses by ciphertext equality. One encryption per call.
-  StatusOr<bgv::Ciphertext> EmitIndicator(size_t j, size_t unit_pos) const;
-  // Seed-compressed variant (half the bytes; B encrypts under its secret
-  // key with a PRF-expanded c1). Same freshness guarantee: a new seed per
-  // indicator.
-  StatusOr<bgv::SeededCiphertext> EmitIndicatorCompressed(
-      size_t j, size_t unit_pos) const;
-  // Batch variants: the indicators for result j across ALL transformed
-  // unit positions, encrypted in parallel on the internal thread pool.
-  // Each position gets a deterministic RNG fork (seeds drawn sequentially
-  // from the party RNG before the parallel section), so the ciphertexts do
-  // not depend on thread count or scheduling. Output order is by unit
-  // position; the freshness guarantee of the per-pair methods carries
-  // over unchanged.
-  StatusOr<std::vector<bgv::Ciphertext>> EmitIndicatorsForResult(
-      size_t j) const;
+  // from misses by ciphertext equality. The row is encrypted in parallel
+  // on the internal thread pool; each position gets a deterministic RNG
+  // fork (seeds drawn sequentially from the party RNG before the parallel
+  // section), so the ciphertexts do not depend on thread count or
+  // scheduling.
   StatusOr<std::vector<bgv::SeededCiphertext>> EmitIndicatorsCompressedForResult(
       size_t j) const;
 
@@ -96,7 +86,6 @@ class PartyB {
   bgv::NoiseModel noise_;
   bgv::Decryptor decryptor_;
   mutable Chacha20Rng rng_;
-  mutable bgv::Encryptor encryptor_;
   bgv::SymmetricEncryptor sym_encryptor_;
   mutable ThreadPool pool_;
   mutable OpCounts ops_;

@@ -60,8 +60,7 @@ std::string ProtocolConfig::DebugString() const {
      << ", preset=" << kPresets[static_cast<int>(preset)]
      << ", levels=" << levels
      << ", plain_bits=" << plain_bits
-     << ", indicator_level=" << indicator_level
-     << ", compress=" << (compress_indicators ? 1 : 0) << "}";
+     << ", indicator_level=" << indicator_level << "}";
   return os.str();
 }
 

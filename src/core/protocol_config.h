@@ -65,10 +65,6 @@ struct ProtocolConfig {
   // ciphertexts across cores: Party A's distance units and Party B's
   // indicator rows (0 = one per core, 1 = inline on the caller).
   size_t threads = 0;
-  // Seed-compress Party B's indicator ciphertexts (halves the dominant
-  // B->A communication; B holds the secret key, so it can encrypt
-  // symmetrically with a PRF-expanded c1 component).
-  bool compress_indicators = true;
 
   // Smallest level count supporting the distance/masking pipeline for this
   // layout and polynomial degree.

@@ -499,8 +499,7 @@ Status PartyBServer::ServeExchange(PartyB* party_b, ExchangeHead head,
                                           deployment_.config.k, party_b, ch,
                                           std::move(head.frame.payload)));
   for (size_t j = 0; j < k; ++j) {
-    SKNN_RETURN_IF_ERROR(SendIndicatorRow(
-        deployment_.config.compress_indicators, j, party_b, ch));
+    SKNN_RETURN_IF_ERROR(SendIndicatorRow(j, party_b, ch));
   }
   ServerCounter("server.b.queries_served")->Increment();
   return Status::Ok();
@@ -746,9 +745,7 @@ Status PartyAServer::RunQueryOnWorker(size_t worker_index, Job* job) {
   for (size_t j = 0; j < k; ++j) {
     SKNN_RETURN_IF_ERROR(cancel());
     SKNN_RETURN_IF_ERROR(
-        AbsorbIndicatorRow(*deployment_.ctx,
-                           deployment_.config.compress_indicators, j,
-                           query.get(), &ch));
+        AbsorbIndicatorRow(*deployment_.ctx, j, query.get(), &ch));
   }
   SKNN_RETURN_IF_ERROR(cancel());
   SKNN_ASSIGN_OR_RETURN(job->result_payloads, FinalizeResults(k, query.get()));

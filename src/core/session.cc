@@ -322,12 +322,10 @@ Status SecureKnnSession::RunAttempt(
   SKNN_RETURN_IF_ERROR(a_query->BeginReturnPhase(k));
   for (size_t j = 0; j < k; ++j) {
     t0 = std::chrono::steady_clock::now();
-    SKNN_RETURN_IF_ERROR(SendIndicatorRow(config_.compress_indicators, j,
-                                          party_b_.get(), &b_ch));
+    SKNN_RETURN_IF_ERROR(SendIndicatorRow(j, party_b_.get(), &b_ch));
     result->timings.find_neighbours_seconds += SecondsSince(t0);
     t0 = std::chrono::steady_clock::now();
-    SKNN_RETURN_IF_ERROR(AbsorbIndicatorRow(
-        *ctx_, config_.compress_indicators, j, a_query.get(), &a_ch));
+    SKNN_RETURN_IF_ERROR(AbsorbIndicatorRow(*ctx_, j, a_query.get(), &a_ch));
     result->timings.return_knn_seconds += SecondsSince(t0);
   }
   t0 = std::chrono::steady_clock::now();

@@ -204,7 +204,7 @@ RnsPoly ApplyGaloisCoeff(const RnsPoly& a, uint64_t galois_elt,
 // permutation (no negations, no FromNtt/ToNtt round-trip): evaluation
 // points of the negacyclic NTT are the primitive 2n-th roots ω^(2i+1), and
 // x -> x^elt permutes them, so NTT(τ(a))[i] = NTT(a)[π(i)] with π cached in
-// the base. This is what makes hoisted rotations cheap.
+// the base. This is what makes NTT-form rotations cheap.
 RnsPoly ApplyGaloisNtt(const RnsPoly& a, uint64_t galois_elt,
                        const RnsBase& base);
 

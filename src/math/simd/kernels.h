@@ -86,7 +86,7 @@ struct KernelTable {
   // accumulators (terms land in [0, 2q), acc + term < 4q < 2^64, one
   // conditional subtract of 2q restores the invariant). `perm` may be null
   // for the identity gather (plain relinearization); non-null fuses the
-  // NTT-domain Galois automorphism of hoisted rotations.
+  // NTT-domain Galois automorphism of a rotation.
   void (*fused_mac)(uint64_t* acc0, uint64_t* acc1, const uint64_t* d,
                     const uint32_t* perm, const uint64_t* kb,
                     const uint64_t* kb_shoup, const uint64_t* ka,

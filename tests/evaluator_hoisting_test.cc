@@ -1,10 +1,7 @@
-// Tests for the hoisted key-switching stack (DESIGN.md §3.2): hoisted
-// rotations vs sequential rotations, the coefficient-form Galois chain,
-// fold-vs-naive equivalence, and the prepared plaintext-operand cache.
-// The hoisted and sequential paths share DecomposeForKeySwitch +
-// KeySwitchInner, so single-hop results are bit-identical — the tests
-// below assert polynomial equality, not just decode equality, wherever
-// that invariant holds.
+// Tests for the split key-switching stack (DESIGN.md §3.2): the
+// coefficient-form Galois chain, fold-vs-naive equivalence, and the
+// prepared plaintext-operand cache. The tests below assert polynomial
+// equality, not just decode equality, wherever that invariant holds.
 
 #include <gtest/gtest.h>
 
@@ -68,55 +65,6 @@ class EvaluatorHoistingTest : public ::testing::Test {
   std::unique_ptr<Evaluator> evaluator_;
 };
 
-// Hoisting must agree with the sequential path for every power-of-two step
-// at every level of the modulus chain (the decomposition width changes with
-// the level, so each level exercises a different code path).
-TEST_F(EvaluatorHoistingTest, HoistedMatchesSequentialAcrossLevels) {
-  std::vector<int> steps;
-  for (size_t s = 1; s < ctx_->row_size(); s <<= 1) {
-    steps.push_back(static_cast<int>(s));
-  }
-  Ciphertext ct = EncryptRamp();
-  for (size_t level = ctx_->max_level();; --level) {
-    auto hoisted = evaluator_->HoistedRotations(ct, steps, gk_);
-    ASSERT_TRUE(hoisted.ok()) << "level " << level;
-    ASSERT_EQ(hoisted.value().size(), steps.size());
-    for (size_t i = 0; i < steps.size(); ++i) {
-      Ciphertext seq = ct;
-      ASSERT_TRUE(evaluator_->RotateRowsInplace(&seq, steps[i], gk_).ok());
-      ExpectSameCiphertext(hoisted.value()[i], seq);
-      EXPECT_EQ(Decode(hoisted.value()[i]), Decode(seq));
-    }
-    if (level == 0) break;
-    ASSERT_TRUE(evaluator_->ModSwitchToNextInplace(&ct).ok());
-  }
-}
-
-TEST_F(EvaluatorHoistingTest, HoistedHandlesNegativeAndZeroSteps) {
-  Ciphertext ct = EncryptRamp();
-  const std::vector<int> steps = {0, -1, -4, 1};
-  auto hoisted = evaluator_->HoistedRotations(ct, steps, gk_);
-  ASSERT_TRUE(hoisted.ok());
-  // Step 0 is a verbatim copy.
-  ExpectSameCiphertext(hoisted.value()[0], ct);
-  for (size_t i = 1; i < steps.size(); ++i) {
-    Ciphertext seq = ct;
-    ASSERT_TRUE(evaluator_->RotateRowsInplace(&seq, steps[i], gk_).ok());
-    EXPECT_EQ(Decode(hoisted.value()[i]), Decode(seq));
-  }
-}
-
-// Steps without an exact Galois key (e.g. 3 = 1+2) take the sequential
-// composed fallback but must still decode correctly.
-TEST_F(EvaluatorHoistingTest, HoistedFallsBackForCompositeSteps) {
-  Ciphertext ct = EncryptRamp();
-  auto hoisted = evaluator_->HoistedRotations(ct, {3, 1}, gk_);
-  ASSERT_TRUE(hoisted.ok());
-  Ciphertext seq = ct;
-  ASSERT_TRUE(evaluator_->RotateRowsInplace(&seq, 3, gk_).ok());
-  EXPECT_EQ(Decode(hoisted.value()[0]), Decode(seq));
-}
-
 // A chain of automorphisms (the permute/absorb sweep shape, including the
 // column swap) must equal the same automorphisms applied one by one.
 TEST_F(EvaluatorHoistingTest, GaloisChainMatchesSequentialHops) {
@@ -158,6 +106,21 @@ TEST_F(EvaluatorHoistingTest, FoldRowsMatchesNaiveRotateAdd) {
     }
     EXPECT_EQ(Decode(folded), Decode(naive)) << "block " << block;
   }
+}
+
+// A fold whose power-of-two key set has a gap must fail before it touches
+// the ciphertext, as the Galois chain does.
+TEST_F(EvaluatorHoistingTest, FoldRowsRejectsMissingKeyUntouched) {
+  GaloisKeys partial;
+  for (int step : {1, 4}) {
+    const uint64_t elt = ctx_->GaloisEltForRotation(step);
+    partial.keys.emplace(elt, gk_.keys.at(elt));
+  }
+  Ciphertext ct = EncryptRamp();
+  const Ciphertext before = ct;
+  Status s = evaluator_->FoldRowsInplace(&ct, 8, partial);
+  EXPECT_EQ(s.code(), StatusCode::kNotFound);
+  ExpectSameCiphertext(ct, before);
 }
 
 // The prepared-operand overloads must be bit-identical to the plain

@@ -54,19 +54,6 @@ TEST(FlightRecorder, RingEvictsOldest) {
   EXPECT_EQ(records.back().query_id, 5u);
 }
 
-TEST(FlightRecorder, FindBySeedPrefersMostRecent) {
-  FlightRecorder recorder(8);
-  recorder.set_dump_on_error(false);
-  recorder.Add(MakeRecord(9, true));
-  recorder.Add(MakeRecord(5, true));
-  recorder.Add(MakeRecord(9, false));  // same seed, later query
-  FlightRecord found;
-  ASSERT_TRUE(recorder.FindBySeed(9, &found));
-  EXPECT_FALSE(found.ok);
-  EXPECT_EQ(found.query_id, 2u);
-  EXPECT_FALSE(recorder.FindBySeed(1234, &found));
-}
-
 TEST(FlightRecorder, ClearEmptiesRingAndJsonWraps) {
   FlightRecorder recorder(8);
   recorder.Add(MakeRecord(1, true));
@@ -185,10 +172,6 @@ TEST(FlightRecorderSession, FailedQueryRecordsErrorAndReplaySeed) {
   EXPECT_EQ(rec.seed, 4242u);  // the first attempt's fault seed: replay key
   EXPECT_EQ(rec.reexecutions, 2u);
   EXPECT_GT(rec.faults_injected, 0u);
-  // The failure is findable by its replay seed.
-  FlightRecord found;
-  ASSERT_TRUE(FlightRecorder::Global().FindBySeed(4242, &found));
-  EXPECT_FALSE(found.ok);
 }
 
 TEST(FlightRecorder, RecordsCarryRestartSafeIdentity) {

@@ -63,7 +63,6 @@ ProtocolConfig HarnessConfig() {
   cfg.layout = Layout::kPacked;
   cfg.preset = bgv::SecurityPreset::kToy;
   cfg.threads = 1;
-  cfg.compress_indicators = true;
   cfg.levels = cfg.MinimumLevels();
   return cfg;
 }

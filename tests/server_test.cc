@@ -280,9 +280,8 @@ TEST_F(ServerTest, DeploymentDerivationIsDeterministic) {
   ASSERT_TRUE(other.ok()) << other.status();
   EXPECT_NE(other->fingerprint, deployment_a_->fingerprint);
 
-  // Every derivation input is in the fingerprint, so a --preset or
-  // --compress mismatch fails the handshake too. The thread count is
-  // per-process and is not.
+  // Every derivation input is in the fingerprint, so a --preset mismatch
+  // fails the handshake too. The thread count is per-process and is not.
   auto fingerprint_with = [&](void (*edit)(ProtocolConfig*)) -> uint64_t {
     ProtocolConfig cfg = ServerConfig();
     edit(&cfg);
@@ -291,10 +290,6 @@ TEST_F(ServerTest, DeploymentDerivationIsDeterministic) {
     return d.ok() ? d->fingerprint : 0;
   };
   const uint64_t base = deployment_a_->fingerprint;
-  EXPECT_NE(fingerprint_with([](ProtocolConfig* c) {
-              c->compress_indicators = false;
-            }),
-            base);
   EXPECT_NE(fingerprint_with([](ProtocolConfig* c) {
               c->preset = bgv::SecurityPreset::kBench;
             }),
@@ -368,35 +363,6 @@ TEST_F(ServerTest, SequentialQueriesOnOneConnection) {
     EXPECT_EQ(SortedDistances(answer.value(), query),
               ReferenceDistances(*dataset_, query, ServerConfig().k));
   }
-}
-
-// The served path with plain (public-key) indicator ciphertexts instead of
-// the default seeded-compressed ones: B encodes and A decodes the other
-// half of the shared indicator codec, and the answer is still exact.
-TEST_F(ServerTest, PlainIndicatorsServeExactAnswer) {
-  ProtocolConfig cfg = ServerConfig();
-  cfg.compress_indicators = false;
-  auto dep_a = Deployment::Derive(cfg, *dataset_, 7, /*role_a=*/true);
-  ASSERT_TRUE(dep_a.ok()) << dep_a.status();
-  auto dep_b = Deployment::Derive(cfg, *dataset_, 7, /*role_a=*/false);
-  ASSERT_TRUE(dep_b.ok()) << dep_b.status();
-  auto b = PartyBServer::Start(*dep_b, ServerOptions());
-  ASSERT_TRUE(b.ok()) << b.status();
-  ServerOptions a_options;
-  a_options.peer_port = (*b)->port();
-  a_options.workers = 1;
-  auto a = PartyAServer::Start(*dep_a, a_options);
-  ASSERT_TRUE(a.ok()) << a.status();
-  auto client = RemoteClient::Connect(*dep_b, "127.0.0.1", (*a)->port(),
-                                      ServerOptions());
-  ASSERT_TRUE(client.ok()) << client.status();
-  const std::vector<uint64_t> query = data::UniformQuery(2, 15, 7100);
-  auto answer = (*client)->Query(query);
-  ASSERT_TRUE(answer.ok()) << answer.status();
-  EXPECT_EQ(SortedDistances(answer.value(), query),
-            ReferenceDistances(*dataset_, query, cfg.k));
-  (*a)->Shutdown();
-  (*b)->Shutdown();
 }
 
 // ServerConfig() pins one thread; this test serves with the default
@@ -631,8 +597,7 @@ TEST_F(ServerTest, DrainingPartyBFinishesInFlightQueryAndServesNoNewConnection) 
   const size_t k = std::min<size_t>(d.config.k, d.layout.num_points());
   ASSERT_TRUE((*query)->BeginReturnPhase(k).ok());
   for (size_t j = 0; j < k; ++j) {
-    Status row = AbsorbIndicatorRow(*d.ctx, d.config.compress_indicators, j,
-                                    query->get(), a.ch.get());
+    Status row = AbsorbIndicatorRow(*d.ctx, j, query->get(), a.ch.get());
     ASSERT_TRUE(row.ok()) << row;
   }
   auto results = FinalizeResults(k, query->get());

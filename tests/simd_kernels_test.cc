@@ -288,7 +288,7 @@ TEST_F(SimdKernelEqualityTest, FusedMacMatchesScalar) {
         ka_shoup[i] = ShoupPrecompute(ka[i], q_);
       }
       // A nontrivial permutation (reversal) standing in for the Galois
-      // gather of hoisted rotations.
+      // gather of a rotation.
       std::vector<uint32_t> perm(n);
       for (size_t i = 0; i < n; ++i) {
         perm[i] = static_cast<uint32_t>(n - 1 - i);

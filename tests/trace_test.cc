@@ -190,19 +190,6 @@ TEST(MetricsRegistryTest, CountersAccumulateAndReset) {
   EXPECT_EQ(c->value(), 0u);
 }
 
-TEST(MetricsRegistryTest, MergeAddsCountersOverwritesGauges) {
-  MetricsRegistry a;
-  MetricsRegistry b;
-  a.GetCounter("x")->Add(2);
-  b.GetCounter("x")->Add(3);
-  b.GetCounter("y")->Add(1);
-  b.GetGauge("g")->Set(7.0);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.GetCounter("x")->value(), 5u);
-  EXPECT_EQ(a.GetCounter("y")->value(), 1u);
-  EXPECT_DOUBLE_EQ(a.GetGauge("g")->value(), 7.0);
-}
-
 TEST(MetricsRegistryTest, CountersJsonSkipsNothing) {
   MetricsRegistry reg;
   reg.GetCounter("alpha")->Add(1);

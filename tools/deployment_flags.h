@@ -80,7 +80,7 @@ struct DeploymentFlags {
 };
 
 // The dataset, protocol config and seed named by --n --d --k --coord-bits
-// --degree --seed --dataset --preset --layout --threads --compress.
+// --degree --seed --dataset --preset --layout --threads.
 // `threads` is per process and stays out of the fingerprint.
 inline DeploymentFlags ParseDeploymentFlags(const Flags& flags) {
   DeploymentFlags out;
@@ -110,7 +110,6 @@ inline DeploymentFlags ParseDeploymentFlags(const Flags& flags) {
   cfg.preset = PresetFromString(flags.Str("preset", "toy"));
   cfg.levels = cfg.MinimumLevels();
   cfg.threads = flags.U64("threads", 0);
-  cfg.compress_indicators = flags.U64("compress", 1) != 0;
   return out;
 }
 

@@ -3,7 +3,7 @@
 //   sknn_cli knn      --n=1000 --d=4 --k=5 [--layout=packed|per-point]
 //                     [--dataset=uniform|cancer|credit] [--queries=3]
 //                     [--preset=toy|bench|default|paranoid] [--seed=1]
-//                     [--threads=0] [--compress=0|1]
+//                     [--threads=0]
 //                     [--fault-spec=drop:0.05,flip:0.01 [--fault-seed=1]]
 //   sknn_cli kmeans   --n=200 --d=2 --clusters=3 [--iterations=5]
 //   sknn_cli baseline --n=50 --d=3 --k=3 [--paillier-bits=256]
@@ -329,7 +329,6 @@ void Usage() {
                "usage: sknn_cli <knn|kmeans|baseline|params|advise|remote> "
                "[--key=value...]\n"
                "  knn      --n --d --k --layout --dataset --queries --preset\n"
-               "           --compress=0|1  seed-compressed indicators\n"
                "           --threads=0  worker threads per party for a\n"
                "           query's ciphertexts (0 = one per core, 1 = inline)\n"
                "           --fault-spec=MODE:PROB[,...] --fault-seed  inject\n"

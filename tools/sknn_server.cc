@@ -53,7 +53,7 @@ void Usage(const char* role) {
       "deployment (must agree between A, B, and clients):\n"
       "  --n=100 --d=2 --k=5 --coord-bits=4 --degree=2 --seed=1\n"
       "  --dataset=uniform|cancer|credit --preset=toy|bench|default\n"
-      "  --layout=packed|per-point --compress=0|1\n"
+      "  --layout=packed|per-point\n"
       "serving:\n"
       "  --host=127.0.0.1 --port=0 (0 = ephemeral, printed at startup)\n"
       "  --drain-ms=5000  graceful-drain budget on SIGINT/SIGTERM\n"
