@@ -598,13 +598,19 @@ std::vector<uint64_t> Evaluator::RotationGaloisElts(
                            static_cast<int>(row)) %
                           static_cast<int>(row));
   if (step == 0) return {};
-  // Prefer the exact key; decompose into power-of-two keys otherwise.
+  // Prefer the exact key; decompose into signed power-of-two keys
+  // otherwise. The non-adjacent form has the fewest nonzero digits of any
+  // signed-binary form (never more than popcount(step)); a top digit of
+  // +row is a full-row rotation, the identity, so it costs no hop.
   const uint64_t elt = ctx_->GaloisEltForRotation(step);
   if (gk.Has(elt)) return {elt};
   std::vector<uint64_t> elts;
-  for (size_t bit = 0; (size_t{1} << bit) < row; ++bit) {
-    if (step & (1 << bit)) {
-      elts.push_back(ctx_->GaloisEltForRotation(1 << bit));
+  for (int bit = 0, rest = step; rest != 0; ++bit, rest >>= 1) {
+    if ((rest & 1) == 0) continue;
+    const int digit = (rest & 3) == 1 ? 1 : -1;
+    rest -= digit;
+    if ((size_t{1} << bit) < row) {
+      elts.push_back(ctx_->GaloisEltForRotation(digit * (1 << bit)));
     }
   }
   return elts;

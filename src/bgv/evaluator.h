@@ -121,8 +121,10 @@ class Evaluator {
   Status FoldRowsInplace(Ciphertext* a, size_t block, const GaloisKeys& gk) const;
   // Galois elements whose composition realizes a row rotation by `step`
   // (empty for step 0): the exact element when its key exists, else the
-  // power-of-two decomposition. Lets callers splice rotations and column
-  // swaps into one ApplyGaloisChainInplace call.
+  // signed-digit (non-adjacent form) decomposition into ±2^i steps — the
+  // keys GeneratePowerOfTwoRotationKeys makes — at most popcount(step)
+  // hops. Lets callers splice rotations and column swaps into one
+  // ApplyGaloisChainInplace call.
   std::vector<uint64_t> RotationGaloisElts(int step,
                                            const GaloisKeys& gk) const;
 

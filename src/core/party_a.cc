@@ -63,6 +63,18 @@ const MaskingPolynomial* PartyA::last_mask() const {
   return last_transform_ ? &last_transform_->mask : nullptr;
 }
 
+std::vector<uint64_t> PartyA::TransformGaloisElts(
+    const QueryTransform& transform, size_t unit) const {
+  if (layout_.mode() != Layout::kPacked) return {};
+  std::vector<uint64_t> elts = evaluator_.RotationGaloisElts(
+      static_cast<int>(transform.rotations[unit] * layout_.padded_dims()),
+      galois_);
+  if (transform.col_swapped[unit]) {
+    elts.push_back(ctx_->GaloisEltForColumnSwap());
+  }
+  return elts;
+}
+
 StatusOr<bgv::Ciphertext> PartyA::DistanceForUnit(
     size_t unit, const bgv::Ciphertext& query_ct, Query* query,
     Chacha20Rng* unit_rng, OpCounts* ops, PhaseNoise* noise) {
@@ -175,22 +187,11 @@ StatusOr<bgv::Ciphertext> PartyA::DistanceForUnit(
   }
   {
     trace::TraceSpan span("permute");
-    // Packed mode: random block rotation + column swap (the intra-unit part
-    // of the permutation), spliced into one coefficient-form Galois chain
-    // so the whole sweep pays a single NTT round-trip.
-    if (layout_.mode() == Layout::kPacked) {
-      const size_t rot = transform.rotations[unit];
-      std::vector<uint64_t> elts = evaluator_.RotationGaloisElts(
-          static_cast<int>(rot * layout_.padded_dims()), galois_);
-      if (transform.col_swapped[unit]) {
-        elts.push_back(ctx_->GaloisEltForColumnSwap());
-      }
-      // One key switch per hop: a step without an exact key is a chain of
-      // power-of-two hops.
-      ops->rotations += elts.size();
-      SKNN_RETURN_IF_ERROR(
-          evaluator_.ApplyGaloisChainInplace(&u, elts, galois_));
-    }
+    // Packed mode: the intra-unit part of the permutation, as one
+    // coefficient-form Galois chain.
+    const std::vector<uint64_t> elts = TransformGaloisElts(transform, unit);
+    ops->rotations += elts.size();
+    SKNN_RETURN_IF_ERROR(evaluator_.ApplyGaloisChainInplace(&u, elts, galois_));
     // Transport level: the smallest ciphertext Party B can decrypt.
     if (u.level > 0) {
       const size_t before = u.level;
@@ -222,6 +223,7 @@ StatusOr<std::unique_ptr<PartyA::Query>> PartyA::StartQuery(
   const size_t units = layout_.num_units();
 
   auto query = std::unique_ptr<Query>(new Query(this));
+  query->cancel_ = cancel;
   std::vector<uint64_t> unit_seeds(units);
   {
     // Draw the whole per-query transform in one critical section, in a
@@ -249,8 +251,7 @@ StatusOr<std::unique_ptr<PartyA::Query>> PartyA::StartQuery(
     last_transform_ = transform;
   }
   SKNN_ASSIGN_OR_RETURN(query->distances_,
-                        DistanceSweep(query_ct, query.get(), unit_seeds,
-                                      cancel));
+                        DistanceSweep(query_ct, query.get(), unit_seeds));
   return query;
 }
 
@@ -263,12 +264,12 @@ StatusOr<std::vector<bgv::Ciphertext>> PartyA::Query::ComputeDistances(
     std::lock_guard<std::mutex> lock(a.rng_mu_);
     for (auto& s : unit_seeds) s = a.rng_.NextU64();
   }
-  return a.DistanceSweep(query_ct, this, unit_seeds, CancelCheck());
+  return a.DistanceSweep(query_ct, this, unit_seeds);
 }
 
 StatusOr<std::vector<bgv::Ciphertext>> PartyA::DistanceSweep(
     const bgv::Ciphertext& query_ct, Query* query,
-    const std::vector<uint64_t>& unit_seeds, const CancelCheck& cancel) {
+    const std::vector<uint64_t>& unit_seeds) {
   const size_t units = layout_.num_units();
   std::vector<bgv::Ciphertext> transformed(units);
   std::vector<OpCounts> unit_ops(units);
@@ -276,16 +277,14 @@ StatusOr<std::vector<bgv::Ciphertext>> PartyA::DistanceSweep(
   Status first_error = Status::Ok();
   std::mutex error_mu;
   pool_.ParallelFor(0, units, [&](size_t u) {
-    if (cancel) {
-      // Cooperative cancellation checkpoint: a cancelled/expired query
-      // skips the remaining units' HE pipelines (earlier units may have
-      // completed — their ciphertexts are simply dropped with the query).
-      Status cancelled = cancel();
-      if (!cancelled.ok()) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (first_error.ok()) first_error = std::move(cancelled);
-        return;
-      }
+    // Cooperative cancellation checkpoint: a cancelled/expired query
+    // skips the remaining units' HE pipelines (earlier units may have
+    // completed — their ciphertexts are simply dropped with the query).
+    Status cancelled = query->Cancelled();
+    if (!cancelled.ok()) {
+      std::lock_guard<std::mutex> lock(error_mu);
+      if (first_error.ok()) first_error = std::move(cancelled);
+      return;
     }
     Chacha20Rng unit_rng(unit_seeds[u]);
     auto result = DistanceForUnit(u, query_ct, query, &unit_rng,
@@ -322,6 +321,39 @@ StatusOr<std::vector<bgv::Ciphertext>> PartyA::DistanceSweep(
 }
 
 Status PartyA::Query::BeginReturnPhase(size_t k) {
+  PartyA& a = *party_;
+  if (a.layout_.mode() == Layout::kPacked) {
+    // Algorithm 3 applies the query's transform to the database, once:
+    // unit u's indicator-level copy gets the same block rotation and
+    // column swap as its distances, so every indicator lines up with it
+    // as sent. One Galois chain per unit, units in parallel.
+    trace::TraceSpan span("party_a.absorb");
+    const size_t units = a.layout_.num_units();
+    std::vector<bgv::Ciphertext> transformed(units);
+    std::vector<size_t> hops(units, 0);
+    Status first_error = Status::Ok();
+    std::mutex error_mu;
+    a.pool_.ParallelFor(0, units, [&](size_t u) {
+      // Same checkpoint as the distance sweep: u chains are most of the
+      // return phase's key switches.
+      Status s = Cancelled();
+      if (s.ok()) {
+        const std::vector<uint64_t> elts =
+            a.TransformGaloisElts(*transform_, u);
+        hops[u] = elts.size();
+        transformed[u] = a.db_ret_[u];
+        s = a.evaluator_.ApplyGaloisChainInplace(&transformed[u], elts,
+                                                 a.galois_);
+      }
+      if (!s.ok()) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (first_error.ok()) first_error = std::move(s);
+      }
+    });
+    SKNN_RETURN_IF_ERROR(first_error);
+    for (size_t h : hops) ops_.rotations += h;
+    transformed_db_ = std::move(transformed);
+  }
   acc_.assign(k, bgv::Ciphertext());
   acc_started_.assign(k, false);
   min_absorb_budget_ = -1;
@@ -343,27 +375,10 @@ Status PartyA::Query::AbsorbIndicator(size_t j, size_t transformed_unit_pos,
   trace::TraceSpan span("party_a.absorb");
   PartyA& a = *party_;
   const size_t unit = transform.perm[transformed_unit_pos];
-  bgv::Ciphertext ind = indicator;
-  // Undo the unit's intra-ciphertext transform so the indicator aligns
-  // with the stored database layout (rotating the small indicator is far
-  // cheaper than re-deriving rotated database units).
-  if (a.layout_.mode() == Layout::kPacked) {
-    std::vector<uint64_t> elts;
-    if (transform.col_swapped[unit]) {
-      elts.push_back(a.ctx_->GaloisEltForColumnSwap());
-    }
-    const std::vector<uint64_t> rot_elts = a.evaluator_.RotationGaloisElts(
-        -static_cast<int>(transform.rotations[unit] * a.layout_.padded_dims()),
-        a.galois_);
-    elts.insert(elts.end(), rot_elts.begin(), rot_elts.end());
-    ops_.rotations += elts.size();
-    // One coefficient-form chain instead of separate column-swap and
-    // rotation round-trips.
-    SKNN_RETURN_IF_ERROR(
-        a.evaluator_.ApplyGaloisChainInplace(&ind, elts, a.galois_));
-  }
+  const bgv::Ciphertext& db_unit =
+      transformed_db_.empty() ? a.db_ret_[unit] : transformed_db_[unit];
   SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext prod,
-                        a.evaluator_.Multiply(a.db_ret_[unit], ind));
+                        a.evaluator_.Multiply(db_unit, indicator));
   ops_.he_multiplications += 1;
   if (!acc_started_[j]) {
     acc_[j] = std::move(prod);

@@ -36,26 +36,30 @@
 //
 // Concurrency: one PartyA serves many queries at once (DESIGN.md §9).
 // All per-query state — mask, permutation, Horner operand cache,
-// accumulators, op counts — lives in the `Query` object returned by
-// `StartQuery`, so concurrent queries cannot cross-contaminate
-// ciphertexts or transforms. The shared pieces are immutable after setup
-// (database units, keys) or internally synchronized (the CSPRNG behind
-// `rng_mu_`, the layout-keyed selector operand cache, the thread pool).
+// transformed database, accumulators, op counts — lives in the `Query`
+// object returned by `StartQuery`, so concurrent queries cannot
+// cross-contaminate ciphertexts or transforms. The shared pieces are
+// immutable after setup (database units, keys) or internally synchronized
+// (the CSPRNG behind `rng_mu_`, the layout-keyed selector operand cache,
+// the thread pool).
 //
 // Cost model (n = database points, u = ciphertext units — n in kPerPoint,
 // ~n·d'/slots in kPacked — d = dimensions, D = mask degree, k = results):
 // distance phase O(u·(log d' + D)) ciphertext multiplies/rotations; return
-// phase O(u·k) plaintext multiplies + O(k) relinearizations.
+// phase O(u·k) ciphertext multiplies (no key switch) + O(k)
+// relinearizations, plus in kPacked one Galois chain per unit to
+// transform the database (independent of k).
 
 namespace sknn {
 namespace core {
 
 class PartyA {
  public:
-  // Cooperative cancellation hook for the distance phase. Called between
-  // per-unit pipelines (the long pole of a query); returning a non-OK
-  // status stops the remaining units and surfaces that status from
-  // StartQuery. The server wires a deadline/shutdown check here so a
+  // Cooperative cancellation hook for a query's per-unit work. Called
+  // before each unit's distance pipeline (StartQuery) and before each
+  // unit's database transform (BeginReturnPhase); returning a non-OK
+  // status stops the remaining units and surfaces that status from the
+  // call. The server wires a deadline/shutdown check here so a
   // query whose deadline expired mid-phase stops burning HE compute
   // instead of finishing an answer nobody is waiting for. Must be
   // thread-safe: units run on the thread pool.
@@ -95,11 +99,15 @@ class PartyA {
         const bgv::Ciphertext& query_ct);
 
     // Phase 2 (Algorithm 3): absorbs Party B's indicator ciphertexts one
-    // at a time (streaming keeps memory at O(1) ciphertexts), accumulating
+    // at a time (streaming keeps memory at O(1) indicators), accumulating
     // the oblivious dot products T^j. Indicator positions refer to this
     // query's TRANSFORMED order. BeginReturnPhase resets the
-    // accumulators. One plaintext multiply (+ inverse rotation
-    // in kPacked) per indicator: O(u·k) total.
+    // accumulators; in kPacked it also applies the query's block
+    // rotations and column swaps to every database unit (u Galois chains
+    // on the pool, u transformed units held until the query ends), so a
+    // selected point's coordinates sit under its indicator block. One
+    // ciphertext-ciphertext multiply per indicator, no key switch: O(u·k)
+    // total.
     Status BeginReturnPhase(size_t k);
     Status AbsorbIndicator(size_t j, size_t transformed_unit_pos,
                            const bgv::Ciphertext& indicator);
@@ -119,14 +127,19 @@ class PartyA {
     enum class State { kDistancesReady, kReturning };
 
     explicit Query(PartyA* party) : party_(party) {}
+    Status Cancelled() const { return cancel_ ? cancel_() : Status::Ok(); }
 
     PartyA* party_;
+    CancelCheck cancel_;  // StartQuery's, kept for the return phase
     std::shared_ptr<const QueryTransform> transform_;
     // Prepared Horner addends for this query's mask coefficients (lifted +
     // NTT'd once by the first unit, shared across units of this query;
     // useless to any other query, whose mask differs).
     bgv::PlainOperandCache horner_cache_;
     std::vector<bgv::Ciphertext> distances_;
+    // kPacked: the indicator-level database units under this query's
+    // intra-unit transform, by original unit (built by BeginReturnPhase).
+    std::vector<bgv::Ciphertext> transformed_db_;
     State state_ = State::kDistancesReady;
     std::vector<bgv::Ciphertext> acc_;
     std::vector<bool> acc_started_;
@@ -151,7 +164,8 @@ class PartyA {
   // distances for the encrypted query. Runs the per-unit pipeline on the
   // internal thread pool; emits `party_a.distance` trace spans.
   // O(u·(log d' + D)) HE ops. The two-argument form checks `cancel`
-  // before each unit's pipeline (see CancelCheck above).
+  // before each unit's pipeline, and the query keeps it for
+  // BeginReturnPhase (see CancelCheck above).
   StatusOr<std::unique_ptr<Query>> StartQuery(const bgv::Ciphertext& query_ct);
   StatusOr<std::unique_ptr<Query>> StartQuery(const bgv::Ciphertext& query_ct,
                                               const CancelCheck& cancel);
@@ -179,11 +193,19 @@ class PartyA {
   };
 
   // Algorithm 1 over every unit under `query`'s transform (unit u's
-  // additive mask drawn from unit_seeds[u]); adds to the query's op counts
-  // and returns the distances in transformed order.
+  // additive mask drawn from unit_seeds[u]), checking the query's cancel
+  // hook before each unit; adds to the query's op counts and returns the
+  // distances in transformed order.
   StatusOr<std::vector<bgv::Ciphertext>> DistanceSweep(
       const bgv::Ciphertext& query_ct, Query* query,
-      const std::vector<uint64_t>& unit_seeds, const CancelCheck& cancel);
+      const std::vector<uint64_t>& unit_seeds);
+
+  // Galois elements of unit `unit`'s intra-unit transform: its block
+  // rotation, then the column swap when drawn (empty in kPerPoint). The
+  // distance phase applies it to the masked distances, the return phase
+  // to the database; one key switch per element.
+  std::vector<uint64_t> TransformGaloisElts(const QueryTransform& transform,
+                                            size_t unit) const;
 
   // Distance pipeline for a single unit (everything after the subtraction
   // is per-unit independent, so units run in parallel).

@@ -319,7 +319,9 @@ Status SecureKnnSession::RunAttempt(
 
   // Message 3, one row at a time: B sends the indicators of result j
   // (label 8), A absorbs them into the oblivious dot products (label 9).
+  t0 = std::chrono::steady_clock::now();
   SKNN_RETURN_IF_ERROR(a_query->BeginReturnPhase(k));
+  result->timings.return_knn_seconds += SecondsSince(t0);
   for (size_t j = 0; j < k; ++j) {
     t0 = std::chrono::steady_clock::now();
     SKNN_RETURN_IF_ERROR(SendIndicatorRow(j, party_b_.get(), &b_ch));

@@ -137,9 +137,9 @@ Status SecureKMeans::Iterate(std::vector<std::vector<uint64_t>>* centroids,
   }
 
   // Party B encrypts the per-cluster indicator units; Party A absorbs
-  // them into the per-cluster sums (undoing its transform), then folds
-  // every block onto block 0 (dimension-aligned strides) and merges the
-  // two rows.
+  // them into the per-cluster sums against its transformed database, then
+  // folds every block onto block 0 (dimension-aligned strides) and merges
+  // the two rows, so where the transform put a point does not matter.
   SKNN_RETURN_IF_ERROR(query->BeginReturnPhase(k));
   for (size_t c = 0; c < k; ++c) {
     for (size_t pos = 0; pos < units; ++pos) {

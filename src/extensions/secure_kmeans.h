@@ -32,9 +32,9 @@
 //   3. Party B decrypts, assigns every (transformed) point to its nearest
 //      centroid, and returns per-cluster encrypted indicator units.
 //   4. Party A absorbs the indicators into per-cluster encrypted sums (the
-//      return phase of Algorithm 3, undoing its transform), relinearizes
-//      them and folds each sum's blocks onto block 0; Party B reveals only
-//      the cluster sizes.
+//      return phase of Algorithm 3, against its transformed database),
+//      relinearizes them and folds each sum's blocks onto block 0; Party B
+//      reveals only the cluster sizes.
 //   5. The client decrypts the sums and derives the next integer centroids
 //      (floor division; empty clusters keep their centroid).
 //

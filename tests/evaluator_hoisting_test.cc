@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -90,6 +91,37 @@ TEST_F(EvaluatorHoistingTest, GaloisChainRejectsMissingKey) {
   ASSERT_FALSE(gk_.Has(elt));
   Status s = evaluator_->ApplyGaloisChainInplace(&ct, {elt}, gk_);
   EXPECT_FALSE(s.ok());
+}
+
+// Row rotations through the power-of-two key set: every step decomposes
+// into signed ±2^i hops, never more than popcount(step) of them, and the
+// chain decrypts to the plaintext rotation of both rows.
+TEST_F(EvaluatorHoistingTest, SignedDigitRotationChainsAreExactAndShort) {
+  const size_t row = ctx_->row_size();
+  const Ciphertext ct = EncryptRamp();
+  const std::vector<uint64_t> values = Decode(ct);
+  size_t hops = 0;
+  size_t binary_hops = 0;
+  for (size_t step = 0; step < row; ++step) {
+    SCOPED_TRACE(step);
+    const std::vector<uint64_t> elts =
+        evaluator_->RotationGaloisElts(static_cast<int>(step), gk_);
+    const size_t bits = static_cast<size_t>(std::popcount(step));
+    EXPECT_LE(elts.size(), bits);
+    hops += elts.size();
+    binary_hops += bits;
+    Ciphertext rotated = ct;
+    ASSERT_TRUE(evaluator_->ApplyGaloisChainInplace(&rotated, elts, gk_).ok());
+    std::vector<uint64_t> expected(values.size());
+    for (size_t r = 0; r < 2; ++r) {
+      for (size_t j = 0; j < row; ++j) {
+        expected[r * row + j] = values[r * row + (j + step) % row];
+      }
+    }
+    EXPECT_EQ(Decode(rotated), expected);
+  }
+  // The signed digits pay off on runs of ones (steps 3, 7, 15, ...).
+  EXPECT_LT(hops, binary_hops);
 }
 
 // FoldRows must equal the naive rotate-and-add ladder.

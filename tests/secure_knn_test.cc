@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 
 #include "bgv/decryptor.h"
@@ -328,6 +329,23 @@ struct Transcript {
   std::vector<std::vector<uint64_t>> neighbours;
 };
 
+// Algorithm 3 between the parties, no transport: B's seeded indicator
+// rows, expanded and absorbed by A, then A's serialized results.
+StatusOr<std::vector<std::vector<uint8_t>>> RunReturnPhase(
+    const bgv::BgvContext& ctx, size_t k, PartyB* b, PartyA::Query* query) {
+  SKNN_RETURN_IF_ERROR(query->BeginReturnPhase(k));
+  for (size_t j = 0; j < k; ++j) {
+    SKNN_ASSIGN_OR_RETURN(std::vector<bgv::SeededCiphertext> row,
+                          b->EmitIndicatorsCompressedForResult(j));
+    for (size_t pos = 0; pos < row.size(); ++pos) {
+      SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext indicator,
+                            bgv::ExpandSeeded(ctx, row[pos]));
+      SKNN_RETURN_IF_ERROR(query->AbsorbIndicator(j, pos, indicator));
+    }
+  }
+  return FinalizeResults(k, query);
+}
+
 // Runs one query through the parties of `d` with `threads` workers each,
 // driving the phases directly (no transport) so the test sees the exact
 // ciphertexts the wire would carry.
@@ -348,17 +366,7 @@ void RunWithThreads(const Deployment& d, size_t threads,
   }
   auto k = b.FindNeighbours((*query)->distances(), cfg.k);
   ASSERT_TRUE(k.ok()) << k.status();
-  ASSERT_TRUE((*query)->BeginReturnPhase(k.value()).ok());
-  for (size_t j = 0; j < k.value(); ++j) {
-    auto row = b.EmitIndicatorsCompressedForResult(j);
-    ASSERT_TRUE(row.ok()) << row.status();
-    for (size_t pos = 0; pos < row->size(); ++pos) {
-      auto indicator = bgv::ExpandSeeded(*d.ctx, (*row)[pos]);
-      ASSERT_TRUE(indicator.ok()) << indicator.status();
-      ASSERT_TRUE((*query)->AbsorbIndicator(j, pos, indicator.value()).ok());
-    }
-  }
-  auto results = FinalizeResults(k.value(), query->get());
+  auto results = RunReturnPhase(*d.ctx, k.value(), &b, query->get());
   ASSERT_TRUE(results.ok()) << results.status();
   out->results = std::move(results).value();
   for (const std::vector<uint8_t>& bytes : out->results) {
@@ -471,6 +479,141 @@ TEST(SecureKnnTest, RotationCountMatchesGaloisKeySwitches) {
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->party_a_ops.rotations, galois->value() - before);
   }
+}
+
+// Algorithm 3 applies the query's transform to the database once per
+// query: every key switch of the return phase is a transform hop the query
+// counts in ops().rotations, and there are as many for k = 1 as for k = 5
+// (none is spent per indicator).
+TEST(SecureKnnTest, ReturnPhaseKeySwitchesDoNotGrowWithK) {
+  data::Dataset dataset = data::UniformDataset(600, 3, 15, 61);
+  ProtocolConfig cfg = SmallConfig(Layout::kPacked);
+  cfg.dims = 3;
+  auto d = Deployment::Derive(cfg, dataset, 62, /*role_a=*/true);
+  ASSERT_TRUE(d.ok()) << d.status();
+  ASSERT_GT(d->layout.num_units(), 1u);
+  const std::vector<uint64_t> point = data::UniformQuery(3, 15, 63);
+  MetricsRegistry::Counter* galois = MetricsRegistry::Global().GetCounter(
+      "bgv.evaluator.galois_automorphism");
+  std::vector<uint64_t> key_switches;
+  for (size_t k : {size_t{1}, size_t{5}}) {
+    SCOPED_TRACE(k);
+    PartyA a(d->ctx, cfg, d->layout, d->pk, d->relin, d->galois,
+             d->party_a_seed);
+    ASSERT_TRUE(a.LoadEncryptedDatabase(d->encrypted_db).ok());
+    PartyB b(d->ctx, cfg, d->layout, d->sk, d->pk, d->party_b_seed);
+    Client client(d->ctx, cfg, d->layout, d->pk, d->sk, d->client_seed);
+    auto query_ct = client.EncryptQuery(point);
+    ASSERT_TRUE(query_ct.ok()) << query_ct.status();
+    auto query = a.StartQuery(query_ct.value());
+    ASSERT_TRUE(query.ok()) << query.status();
+    auto k_eff = b.FindNeighbours((*query)->distances(), k);
+    ASSERT_TRUE(k_eff.ok()) << k_eff.status();
+    const uint64_t galois_before = galois->value();
+    const uint64_t rotations_before = (*query)->ops().rotations;
+    auto results = RunReturnPhase(*d->ctx, k_eff.value(), &b, query->get());
+    ASSERT_TRUE(results.ok()) << results.status();
+    key_switches.push_back(galois->value() - galois_before);
+    EXPECT_EQ(key_switches.back(),
+              (*query)->ops().rotations - rotations_before);
+    std::vector<std::vector<uint64_t>> neighbours;
+    for (const std::vector<uint8_t>& bytes : results.value()) {
+      auto ct = CtFromBytes(bytes);
+      ASSERT_TRUE(ct.ok()) << ct.status();
+      auto neighbour = client.DecryptNeighbour(ct.value());
+      ASSERT_TRUE(neighbour.ok()) << neighbour.status();
+      neighbours.push_back(std::move(neighbour).value());
+    }
+    EXPECT_EQ(SortedDistances(neighbours, point),
+              ReferenceDistances(dataset, point, k));
+  }
+  EXPECT_GT(key_switches[0], 0u);
+  EXPECT_EQ(key_switches[0], key_switches[1]);
+}
+
+// The cancel hook StartQuery receives also guards the return phase's
+// database transform: a query cancelled after its distances were sent
+// stops before any unit's Galois chain.
+TEST(SecureKnnTest, CancelledQuerySkipsTheReturnPhaseTransform) {
+  data::Dataset dataset = data::UniformDataset(600, 3, 15, 61);
+  ProtocolConfig cfg = SmallConfig(Layout::kPacked);
+  cfg.dims = 3;
+  auto d = Deployment::Derive(cfg, dataset, 62, /*role_a=*/true);
+  ASSERT_TRUE(d.ok()) << d.status();
+  ASSERT_GT(d->layout.num_units(), 1u);
+  PartyA a(d->ctx, cfg, d->layout, d->pk, d->relin, d->galois,
+           d->party_a_seed);
+  ASSERT_TRUE(a.LoadEncryptedDatabase(d->encrypted_db).ok());
+  Client client(d->ctx, cfg, d->layout, d->pk, d->sk, d->client_seed);
+  auto query_ct = client.EncryptQuery(data::UniformQuery(3, 15, 63));
+  ASSERT_TRUE(query_ct.ok()) << query_ct.status();
+  std::atomic<bool> expired{false};
+  auto query = a.StartQuery(query_ct.value(), [&expired]() -> Status {
+    return expired.load() ? DeadlineExceededError("deadline passed")
+                          : Status::Ok();
+  });
+  ASSERT_TRUE(query.ok()) << query.status();
+  expired = true;
+  MetricsRegistry::Counter* galois = MetricsRegistry::Global().GetCounter(
+      "bgv.evaluator.galois_automorphism");
+  const uint64_t galois_before = galois->value();
+  const Status status = (*query)->BeginReturnPhase(3);
+  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status;
+  EXPECT_EQ(galois->value(), galois_before);
+}
+
+// The retrieve-side estimate (`bgv.noise.party_a.retrieve`) is a lower
+// bound on what the client really has left: on a packed bench-preset
+// query with a nonzero estimate, every result ciphertext's exact budget
+// (measured with the secret key) is at least the estimate.
+TEST(SecureKnnTest, RetrieveNoiseEstimateBoundsExactBudget) {
+  ProtocolConfig cfg;
+  cfg.preset = bgv::SecurityPreset::kBench;
+  cfg.layout = Layout::kPacked;
+  cfg.dims = 4;
+  cfg.k = 20;
+  cfg.levels = cfg.MinimumLevels();
+  data::Dataset dataset = data::UniformDataset(2048, 4, 15, 71);
+  auto d = Deployment::Derive(cfg, dataset, 72, /*role_a=*/true);
+  ASSERT_TRUE(d.ok()) << d.status();
+  ASSERT_GT(d->layout.num_units(), 1u);
+  PartyA a(d->ctx, cfg, d->layout, d->pk, d->relin, d->galois,
+           d->party_a_seed);
+  ASSERT_TRUE(a.LoadEncryptedDatabase(d->encrypted_db).ok());
+  PartyB b(d->ctx, cfg, d->layout, d->sk, d->pk, d->party_b_seed);
+  Client client(d->ctx, cfg, d->layout, d->pk, d->sk, d->client_seed);
+  const std::vector<uint64_t> point = data::UniformQuery(4, 15, 73);
+  auto query_ct = client.EncryptQuery(point);
+  ASSERT_TRUE(query_ct.ok()) << query_ct.status();
+  auto query = a.StartQuery(query_ct.value());
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto k = b.FindNeighbours((*query)->distances(), cfg.k);
+  ASSERT_TRUE(k.ok()) << k.status();
+  auto results = RunReturnPhase(*d->ctx, k.value(), &b, query->get());
+  ASSERT_TRUE(results.ok()) << results.status();
+  const double estimate = MetricsRegistry::Global()
+                              .GetGauge("bgv.noise.party_a.retrieve")
+                              ->value();
+  ASSERT_GT(estimate, 0.0);
+  bgv::Decryptor decryptor(d->ctx, d->sk);
+  double min_exact = -1;
+  std::vector<std::vector<uint64_t>> neighbours;
+  for (const std::vector<uint8_t>& bytes : results.value()) {
+    auto ct = CtFromBytes(bytes);
+    ASSERT_TRUE(ct.ok()) << ct.status();
+    auto exact = decryptor.NoiseBudgetBits(ct.value());
+    ASSERT_TRUE(exact.ok()) << exact.status();
+    EXPECT_GE(exact.value(), estimate);
+    if (min_exact < 0 || exact.value() < min_exact) min_exact = exact.value();
+    auto neighbour = client.DecryptNeighbour(ct.value());
+    ASSERT_TRUE(neighbour.ok()) << neighbour.status();
+    neighbours.push_back(std::move(neighbour).value());
+  }
+  EXPECT_EQ(SortedDistances(neighbours, point),
+            ReferenceDistances(dataset, point, cfg.k));
+  // Both readings land in --gtest_output=xml, for tracking the margin.
+  RecordProperty("retrieve_estimate_bits", std::to_string(estimate));
+  RecordProperty("retrieve_exact_min_bits", std::to_string(min_exact));
 }
 
 }  // namespace

@@ -366,40 +366,54 @@ TEST_F(ServerTest, SequentialQueriesOnOneConnection) {
 }
 
 // ServerConfig() pins one thread; this test serves with the default
-// per-party pools, so A's distance units and B's indicator rows run
-// across cores while two clients' queries share A's pool. The tsan round
-// of tools/check_robustness.sh runs it.
+// per-party pools, so A's per-unit work (distance pipelines, and in
+// kPacked the return phase's database transform) and B's indicator rows
+// run across cores while two clients' queries share A's pool. The tsan
+// round of tools/check_robustness.sh runs it.
 TEST_F(ServerTest, DefaultThreadsServeExactAnswers) {
-  ProtocolConfig cfg = ServerConfig();
-  cfg.threads = ProtocolConfig().threads;
-  cfg.layout = Layout::kPerPoint;  // one unit per point: work for every thread
-  auto dep_a = Deployment::Derive(cfg, *dataset_, 7, /*role_a=*/true);
-  ASSERT_TRUE(dep_a.ok()) << dep_a.status();
-  auto dep_b = Deployment::Derive(cfg, *dataset_, 7, /*role_a=*/false);
-  ASSERT_TRUE(dep_b.ok()) << dep_b.status();
-  auto b = PartyBServer::Start(*dep_b, ServerOptions());
-  ASSERT_TRUE(b.ok()) << b.status();
-  ServerOptions a_options;
-  a_options.peer_port = (*b)->port();
-  a_options.workers = 2;
-  auto a = PartyAServer::Start(*dep_a, a_options);
-  ASSERT_TRUE(a.ok()) << a.status();
-  std::vector<std::thread> clients;
-  for (uint64_t c = 0; c < 2; ++c) {
-    clients.emplace_back([&, c] {
-      auto client = RemoteClient::Connect(*dep_b, "127.0.0.1", (*a)->port(),
-                                          ServerOptions());
-      ASSERT_TRUE(client.ok()) << client.status();
-      const std::vector<uint64_t> query = data::UniformQuery(2, 15, 7200 + c);
-      auto answer = (*client)->Query(query);
-      ASSERT_TRUE(answer.ok()) << answer.status();
-      EXPECT_EQ(SortedDistances(answer.value(), query),
-                ReferenceDistances(*dataset_, query, cfg.k));
-    });
+  struct Case {
+    Layout layout;
+    data::Dataset dataset;
+  };
+  // Per-point: one unit per point. Packed: 1200 points at d' = 2 fill
+  // three units of the toy ring.
+  for (const Case& c : {Case{Layout::kPerPoint, *dataset_},
+                        Case{Layout::kPacked,
+                             data::UniformDataset(1200, 2, 15, 43)}}) {
+    SCOPED_TRACE(LayoutName(c.layout));
+    ProtocolConfig cfg = ServerConfig();
+    cfg.threads = ProtocolConfig().threads;
+    cfg.layout = c.layout;
+    auto dep_a = Deployment::Derive(cfg, c.dataset, 7, /*role_a=*/true);
+    ASSERT_TRUE(dep_a.ok()) << dep_a.status();
+    ASSERT_GT(dep_a->layout.num_units(), 1u);
+    auto dep_b = Deployment::Derive(cfg, c.dataset, 7, /*role_a=*/false);
+    ASSERT_TRUE(dep_b.ok()) << dep_b.status();
+    auto b = PartyBServer::Start(*dep_b, ServerOptions());
+    ASSERT_TRUE(b.ok()) << b.status();
+    ServerOptions a_options;
+    a_options.peer_port = (*b)->port();
+    a_options.workers = 2;
+    auto a = PartyAServer::Start(*dep_a, a_options);
+    ASSERT_TRUE(a.ok()) << a.status();
+    std::vector<std::thread> clients;
+    for (uint64_t q = 0; q < 2; ++q) {
+      clients.emplace_back([&, q] {
+        auto client = RemoteClient::Connect(*dep_b, "127.0.0.1",
+                                            (*a)->port(), ServerOptions());
+        ASSERT_TRUE(client.ok()) << client.status();
+        const std::vector<uint64_t> query =
+            data::UniformQuery(2, 15, 7200 + q);
+        auto answer = (*client)->Query(query);
+        ASSERT_TRUE(answer.ok()) << answer.status();
+        EXPECT_EQ(SortedDistances(answer.value(), query),
+                  ReferenceDistances(c.dataset, query, cfg.k));
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    (*a)->Shutdown();
+    (*b)->Shutdown();
   }
-  for (std::thread& t : clients) t.join();
-  (*a)->Shutdown();
-  (*b)->Shutdown();
 }
 
 TEST_F(ServerTest, SaturatedQueueShedsWithTypedUnavailable) {
