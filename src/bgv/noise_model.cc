@@ -22,6 +22,11 @@ double LogAdd(double a, double b) {
 
 bool Untracked(double bits) { return bits < 0.0; }
 
+// Registered at process start rather than at the first warning: an
+// OPERATIONS.md alert watches it, so a healthy process exports it at 0.
+MetricsRegistry::Counter* const thin_margin_warnings =
+    MetricsRegistry::Global().GetCounter("bgv.noise.thin_margin_warnings");
+
 }  // namespace
 
 NoiseModel::NoiseModel(const BgvContext& ctx) {
@@ -133,9 +138,7 @@ double NoiseModel::ModSwitch(double a, size_t level_from,
 void NoiseModel::WarnIfThin(const Ciphertext& ct, const char* where) const {
   const double budget = EstimatedBudgetBits(ct);
   if (budget < 0.0 || budget >= kThinMarginBits) return;
-  static MetricsRegistry::Counter* warnings =
-      MetricsRegistry::Global().GetCounter("bgv.noise.thin_margin_warnings");
-  warnings->Increment();
+  thin_margin_warnings->Increment();
   // One log line per site, not per ciphertext: a k*n indicator sweep near
   // the margin would otherwise flood stderr.
   static std::atomic<uint64_t> logged{0};

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <chrono>
 #include <functional>
-#include <optional>
 #include <sstream>
 
 #include "common/flight_recorder.h"
@@ -106,6 +105,17 @@ constexpr int kReconnectBackoffMs = 50;
 constexpr int kReconnectBackoffMaxMs = 2000;
 constexpr int kReconnectAttemptTimeoutMs = 250;
 
+// The deadline of a query whose client sent none, and the bound on each
+// exchange's receives on a served connection (Party B's distance
+// receive). A dead peer ends a receive at once (EOF or RST), so this only
+// bounds a silent network; it sits far above the slowest served query
+// measured (n=200000, EXPERIMENTS.md Fig. 5).
+constexpr int64_t kDefaultQueryDeadlineMs = 10 * 60 * 1000;
+
+Clock::time_point DeadlineIn(int64_t ms) {
+  return Clock::now() + std::chrono::milliseconds(ms);
+}
+
 // Waits for the connection to have traffic, waking every kStopCheckMs so
 // `stop` stays responsive. Returns false on stop, error when the peer is
 // gone.
@@ -160,6 +170,11 @@ Status ParseControlReply(const std::string& reply, size_t* k_out) {
 MetricsRegistry::Counter* ServerCounter(const char* name) {
   return MetricsRegistry::Global().GetCounter(name);
 }
+
+// Registered at process start rather than at the first expiry: an
+// OPERATIONS.md alert watches it, so a healthy process exports it at 0.
+MetricsRegistry::Counter* const expired_queries =
+    ServerCounter("server.queries.expired");
 
 // Little-endian u64 heartbeat clock payload: B echoes its steady-clock
 // "now" so A can estimate the A<->B clock offset from the probe RTT.
@@ -217,8 +232,9 @@ class ConnectionLoop {
         std::unique_ptr<net::SocketListener> listener,
         net::SocketListener::Listen(options.listen_host, options.listen_port));
     auto loop = std::unique_ptr<ConnectionLoop>(
-        new ConnectionLoop(std::move(listener), options.retry, fingerprint,
-                           std::move(name), std::move(new_connection)));
+        new ConnectionLoop(std::move(listener), options.connect_timeout_ms,
+                           fingerprint, std::move(name),
+                           std::move(new_connection)));
     loop->accept_thread_ = std::thread([l = loop.get()] { l->AcceptLoop(); });
     return loop;
   }
@@ -264,10 +280,10 @@ class ConnectionLoop {
   };
 
   ConnectionLoop(std::unique_ptr<net::SocketListener> listener,
-                 const net::RetryPolicy& retry, uint64_t fingerprint,
+                 int handshake_timeout_ms, uint64_t fingerprint,
                  std::string name, HandlerFactory new_connection)
       : listener_(std::move(listener)),
-        retry_(retry),
+        handshake_timeout_ms_(handshake_timeout_ms),
         fingerprint_(fingerprint),
         name_(std::move(name)),
         new_connection_(std::move(new_connection)) {}
@@ -311,7 +327,9 @@ class ConnectionLoop {
     MetricsRegistry::Gauge* active =
         MetricsRegistry::Global().GetGauge("server.connections.active");
     active->Add(1);
-    net::ResilientChannel ch(conn.get(), retry_, conn_id, name_ + "-serve");
+    net::ResilientChannel ch(conn.get(), net::RetryPolicy(), conn_id,
+                             name_ + "-serve");
+    ch.set_deadline(DeadlineIn(handshake_timeout_ms_));
     if (AcceptHandshake(&ch, fingerprint_).ok()) {
       const ExchangeHandler handler = new_connection_(conn_id);
       Status served;
@@ -324,7 +342,9 @@ class ConnectionLoop {
         }
         // Per-exchange epoch: sequence spaces restart at the exchange
         // boundary on both ends (the peer resets before its first frame).
+        // The exchange's receives get the default query deadline.
         ch.ResetEpoch();
+        ch.set_deadline(DeadlineIn(kDefaultQueryDeadlineMs));
         auto head = ReadExchangeHead(&ch);
         served = head.status();
         if (head.ok()) {
@@ -342,7 +362,7 @@ class ConnectionLoop {
   }
 
   const std::unique_ptr<net::SocketListener> listener_;
-  const net::RetryPolicy retry_;
+  const int handshake_timeout_ms_;
   const uint64_t fingerprint_;
   const std::string name_;
   const HandlerFactory new_connection_;
@@ -466,7 +486,7 @@ void PartyBServer::Drain(int deadline_ms) {
   // No new connection is accepted past this point; exchanges already in
   // flight get the deadline to finish, then Shutdown cuts them off.
   loop_->StopAccepting();
-  loop_->AwaitIdle(Clock::now() + std::chrono::milliseconds(deadline_ms));
+  loop_->AwaitIdle(DeadlineIn(deadline_ms));
 }
 
 void PartyBServer::Shutdown() {
@@ -513,9 +533,10 @@ struct PartyAServer::Job {
   Clock::time_point enqueued_at;
   // End-to-end deadline (absolute, this process's steady clock — the
   // client ships a relative budget precisely because the two clocks are
-  // not comparable). Queue wait, every A<->B leg, and the distance-phase
-  // cancellation checkpoints all charge against it.
-  std::optional<Clock::time_point> deadline;
+  // not comparable; kDefaultQueryDeadlineMs when it shipped none). Queue
+  // wait, every A<->B leg, and the cancellation checkpoints all charge
+  // against it.
+  Clock::time_point deadline;
   // Distributed trace id from the client's kControl preamble (0 =
   // untraced). The worker re-establishes it thread-locally while the
   // query runs and forwards it to B ahead of the distance frames, so the
@@ -597,7 +618,7 @@ void PartyAServer::Drain(int deadline_ms) {
   // holds its connection's exchange open, so waiting for an idle loop
   // waits for the queue and the workers.
   MetricsRegistry::Global().GetGauge("server.draining")->Set(1);
-  loop_->AwaitIdle(Clock::now() + std::chrono::milliseconds(deadline_ms));
+  loop_->AwaitIdle(DeadlineIn(deadline_ms));
   // Whatever is still queued at the deadline gets a typed answer — a
   // drained server never leaves a client blocked on a query it will not
   // run. In-flight queries (already on a worker) are left to finish;
@@ -639,17 +660,14 @@ Status PartyAServer::ConnectWorkerToB(size_t worker_index,
                          connect_timeout_ms,
                          "A->B worker " + std::to_string(worker_index)));
   auto ch = std::make_unique<net::ResilientChannel>(
-      conn.get(), options_.retry, worker_index,
+      conn.get(), net::RetryPolicy(), worker_index,
       "A-worker-" + std::to_string(worker_index));
   // The handshake wait is bounded by the same budget as the TCP connect:
   // against a stalled network (accepts connections, delivers nothing) a
-  // reconnect attempt must cost one bounded step, not the full
-  // per-message poll budget.
-  ch->set_deadline(Clock::now() +
-                   std::chrono::milliseconds(connect_timeout_ms));
+  // reconnect attempt must cost one bounded step.
+  ch->set_deadline(DeadlineIn(connect_timeout_ms));
   SKNN_RETURN_IF_ERROR(
       DialHandshake(ch.get(), "party_a", deployment_.fingerprint));
-  ch->clear_deadline();
   b_raw_[worker_index] = std::move(conn);
   b_ch_[worker_index] = std::move(ch);
   return Status::Ok();
@@ -660,30 +678,24 @@ Status PartyAServer::HeartbeatProbe(size_t worker_index) {
   // A heartbeat is its own epoch: B's serve loop resets at every exchange
   // boundary, so the probe and its echo both run at sequence 0.
   ch.ResetEpoch();
-  ch.set_deadline(Clock::now() +
-                  std::chrono::milliseconds(kHeartbeatTimeoutMs));
+  ch.set_deadline(DeadlineIn(kHeartbeatTimeoutMs));
   const uint64_t t0_ns = SteadyNowNs();
-  Status probe = [&]() -> Status {
-    SKNN_RETURN_IF_ERROR(ch.SendMessage(net::MessageType::kHeartbeat, {}));
-    SKNN_ASSIGN_OR_RETURN(std::vector<uint8_t> echo,
-                          ch.ReceiveMessage(net::MessageType::kHeartbeat));
-    // B's echo carries its steady-clock "now" (8 bytes LE); assuming the
-    // sample was taken mid-RTT, offset = b_now - (t0 + rtt/2). An empty
-    // echo (an older B) just skips the estimate — liveness is unaffected.
-    if (echo.size() == 8) {
-      const uint64_t rtt_ns = SteadyNowNs() - t0_ns;
-      const int64_t offset_ns =
-          static_cast<int64_t>(DecodeClockPayload(echo)) -
-          static_cast<int64_t>(t0_ns + rtt_ns / 2);
-      b_clock_offset_ns_.store(offset_ns, std::memory_order_relaxed);
-      MetricsRegistry::Global()
-          .GetGauge("net.b_clock_offset_ns")
-          ->Set(static_cast<double>(offset_ns));
-    }
-    return Status::Ok();
-  }();
-  ch.clear_deadline();
-  return probe;
+  SKNN_RETURN_IF_ERROR(ch.SendMessage(net::MessageType::kHeartbeat, {}));
+  SKNN_ASSIGN_OR_RETURN(std::vector<uint8_t> echo,
+                        ch.ReceiveMessage(net::MessageType::kHeartbeat));
+  // B's echo carries its steady-clock "now" (8 bytes LE); assuming the
+  // sample was taken mid-RTT, offset = b_now - (t0 + rtt/2). An empty
+  // echo (an older B) just skips the estimate — liveness is unaffected.
+  if (echo.size() == 8) {
+    const uint64_t rtt_ns = SteadyNowNs() - t0_ns;
+    const int64_t offset_ns = static_cast<int64_t>(DecodeClockPayload(echo)) -
+                              static_cast<int64_t>(t0_ns + rtt_ns / 2);
+    b_clock_offset_ns_.store(offset_ns, std::memory_order_relaxed);
+    MetricsRegistry::Global()
+        .GetGauge("net.b_clock_offset_ns")
+        ->Set(static_cast<double>(offset_ns));
+  }
+  return Status::Ok();
 }
 
 void PartyAServer::FinishJob(const std::shared_ptr<Job>& job, Status status) {
@@ -712,11 +724,7 @@ Status PartyAServer::RunQueryOnWorker(size_t worker_index, Job* job) {
   // it wakes for our first frame). The query's remaining deadline bounds
   // every receive on this channel for the rest of the exchange.
   ch.ResetEpoch();
-  if (job->deadline) {
-    ch.set_deadline(*job->deadline);
-  } else {
-    ch.clear_deadline();
-  }
+  ch.set_deadline(job->deadline);
   // Cooperative cancellation between state-machine phases and between
   // per-unit distance pipelines: a query whose deadline expired (or whose
   // server is stopping) stops burning HE compute mid-flight instead of
@@ -725,7 +733,7 @@ Status PartyAServer::RunQueryOnWorker(size_t worker_index, Job* job) {
     if (stop_.load(std::memory_order_relaxed)) {
       return AbortedError("server shutting down");
     }
-    if (job->deadline && Clock::now() >= *job->deadline) {
+    if (Clock::now() >= job->deadline) {
       return DeadlineExceededError("query deadline expired mid-execution");
     }
     return Status::Ok();
@@ -831,8 +839,8 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
     trace::ScopedTraceId scoped_trace(job->trace_id);
     // Shed, never run, a query whose deadline expired while it queued:
     // the client has already timed out, so the HE work would be wasted.
-    if (job->deadline && Clock::now() >= *job->deadline) {
-      ServerCounter("server.queries.expired")->Increment();
+    if (Clock::now() >= job->deadline) {
+      expired_queries->Increment();
       ServerCounter("server.queries.failed")->Increment();
       FinishJob(job, DeadlineExceededError(
                          "query deadline expired in the admission queue"));
@@ -861,7 +869,8 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
     // stateless per query, so after a broken A<->B exchange the query is
     // re-run from StartQuery (fresh mask and permutation — the leakage
     // argument is DESIGN.md §8.3) on a fresh connection, at most
-    // retry.max_query_reexecutions times and never past the deadline.
+    // RetryPolicy::max_query_reexecutions times and never past the
+    // deadline.
     const auto t0 = Clock::now();
     uint64_t bytes_moved = 0;
     Status status;
@@ -881,9 +890,9 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
       // only cross-process drain is a fresh connection (PROTOCOL.md).
       if (stop_.load(std::memory_order_relaxed)) break;
       try_reconnect();
-      if (!MayReexecute(status, attempt, options_.retry)) break;
+      if (!MayReexecute(status, attempt, net::RetryPolicy())) break;
       if (status.code() == StatusCode::kDeadlineExceeded ||
-          (job->deadline && Clock::now() >= *job->deadline)) {
+          Clock::now() >= job->deadline) {
         break;  // no budget left to re-execute against
       }
       if (!connected) {
@@ -898,6 +907,10 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
       ServerCounter("server.queries.completed")->Increment();
     } else {
       ServerCounter("server.queries.failed")->Increment();
+      // Every deadline on the worker's channel is the query's own.
+      if (status.code() == StatusCode::kDeadlineExceeded) {
+        expired_queries->Increment();
+      }
     }
     // One flight record per server-side query: shape, A-side duration
     // and A<->B bytes moved across every attempt, re-executions, outcome
@@ -930,7 +943,8 @@ Status PartyAServer::ServeExchange(ExchangeHead head,
   } else {
     job->query_ct = std::move(ct).value();
     job->enqueued_at = Clock::now();
-    job->deadline = head.deadline;
+    job->deadline =
+        head.deadline.value_or(DeadlineIn(kDefaultQueryDeadlineMs));
     job->trace_id = head.trace_id;
     ServerCounter("server.queries.accepted")->Increment();
     if (draining_.load(std::memory_order_relaxed) ||
@@ -938,8 +952,8 @@ Status PartyAServer::ServeExchange(ExchangeHead head,
       ServerCounter("server.queries.shed")->Increment();
       outcome = UnavailableError(
           "server draining: not accepting new queries; retry elsewhere");
-    } else if (job->deadline && Clock::now() >= *job->deadline) {
-      ServerCounter("server.queries.expired")->Increment();
+    } else if (Clock::now() >= job->deadline) {
+      expired_queries->Increment();
       outcome =
           DeadlineExceededError("query deadline expired before admission");
     } else if (!queue_->TryPush(job)) {
@@ -992,7 +1006,8 @@ Status RemoteClient::Reconnect() {
       conn_, net::ConnectSocket(host_, port_, options_.connect_timeout_ms,
                                 "client->A"));
   auto ch = std::make_unique<net::ResilientChannel>(
-      conn_.get(), options_.retry, port_, "client");
+      conn_.get(), net::RetryPolicy(), port_, "client");
+  ch->set_deadline(DeadlineIn(options_.connect_timeout_ms));
   SKNN_RETURN_IF_ERROR(DialHandshake(ch.get(), "client", fingerprint_));
   ch_ = std::move(ch);
   dirty_ = false;
@@ -1022,18 +1037,16 @@ StatusOr<std::vector<std::vector<uint64_t>>> RemoteClient::Query(
   }
   // Per-query epoch, mirrored by the server's connection handler.
   ch_->ResetEpoch();
-  if (deadline_ms > 0) {
-    // Bound the client's own receive waits by the budget plus a grace
-    // window: the server's deadline is anchored later (at receipt) and it
-    // answers expiry with a typed error, so a healthy server's reply
-    // lands inside the grace window and the connection stays clean. Only
-    // a server that is itself dead or stalled runs the window out.
-    const uint64_t grace_ms = deadline_ms / 4 + 250;
-    ch_->set_deadline(Clock::now() +
-                      std::chrono::milliseconds(deadline_ms + grace_ms));
-  } else {
-    ch_->clear_deadline();
-  }
+  // Bound the client's own receive waits by the budget (the server's
+  // default when we send none) plus a grace window: the server's deadline
+  // is anchored later (at receipt) and it answers expiry with a typed
+  // error, so a healthy server's reply lands inside the grace window and
+  // the connection stays clean. Only a server that is itself dead or
+  // stalled runs the window out.
+  const int64_t budget_ms = deadline_ms > 0
+                                ? static_cast<int64_t>(deadline_ms)
+                                : kDefaultQueryDeadlineMs;
+  ch_->set_deadline(DeadlineIn(budget_ms + budget_ms / 4 + 250));
   SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext query_ct,
                         client_->EncryptQuery(query));
   // From the first frame out until the last reply frame in, any failure

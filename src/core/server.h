@@ -67,15 +67,10 @@ struct ServerOptions {
   // one interval instead of at the next query (OPERATIONS.md "Failure
   // runbook").
   int heartbeat_interval_ms = 1000;
-  // Receive budget and the whole-query re-execution bound
-  // (`retry.max_query_reexecutions`: a query whose A<->B exchange broke is
-  // re-run from StartQuery on a fresh connection, never past its
-  // deadline; DESIGN.md §8.2).
-  net::RetryPolicy retry = ServerRetryPolicy();
 
-  // Wire-friendly defaults: protocol phases take real time, so the
-  // per-message receive budget is ~10s (500 polls of a socket's 20 ms
-  // window) instead of the in-memory session's instant polls.
+  // perfbench's probe only: a receive budget of ~10 s (500 polls of a
+  // socket's 20 ms window) for its deadline-less loopback channels. The
+  // servers and RemoteClient bound every receive by a deadline instead.
   static net::RetryPolicy ServerRetryPolicy() {
     net::RetryPolicy p;
     p.max_receive_polls = 500;
@@ -254,8 +249,9 @@ class RemoteClient {
   // kDeadlineExceeded if it expires while queued, and bounds every
   // A<->B leg by the remainder) and bounds the client's own receive
   // waits, so a query can never outlive its deadline on either end.
-  // 0 keeps the fixed RetryPolicy budgets (and sends no preamble — the
-  // wire is byte-identical to the pre-deadline protocol).
+  // 0 sends no preamble (the wire is byte-identical to the pre-deadline
+  // protocol); the server then applies its default deadline of 10 min,
+  // and so does the client to its own waits.
   StatusOr<std::vector<std::vector<uint64_t>>> Query(
       const std::vector<uint64_t>& query, uint64_t deadline_ms = 0);
 

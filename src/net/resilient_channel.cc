@@ -56,8 +56,7 @@ StatusOr<Frame> ResilientChannel::ReceiveFrame() {
         std::chrono::steady_clock::now() >= deadline_) {
       std::ostringstream os;
       os << "endpoint " << name_ << " deadline expired while waiting for "
-         << "frame seq " << next_recv_seq_ << " (" << polls
-         << " polls spent of the leg's remaining budget)";
+         << "frame seq " << next_recv_seq_;
       return DeadlineExceededError(os.str());
     }
     auto raw = inner_->Receive();
@@ -69,17 +68,16 @@ StatusOr<Frame> ResilientChannel::ReceiveFrame() {
       if (raw.status().code() != StatusCode::kUnavailable) {
         return std::move(raw).status();
       }
-      if (polls + 1 >= policy_.max_receive_polls) {
+      if (!has_deadline_ && ++polls >= policy_.max_receive_polls) {
         std::ostringstream os;
         os << "endpoint " << name_ << " timed out waiting for "
            << "frame seq " << next_recv_seq_ << " after "
            << policy_.max_receive_polls
-           << " polls (message lost or delayed beyond the deadline); "
-           << "inner channel: " << raw.status().message();
+           << " polls (message lost or delayed); inner channel: "
+           << raw.status().message();
         return DeadlineExceededError(os.str());
       }
       retries->Increment();
-      ++polls;
       continue;
     }
     auto frame = DecodeFrame(std::move(raw).value());

@@ -17,11 +17,13 @@
 // (net/frame.h) and enforces strict in-order, exactly-once delivery on the
 // receive side:
 //
-//   * empty queue    -> poll again, up to the per-message poll budget, then
-//                       kDeadlineExceeded (per-message timeout). There is
-//                       no sleep between polls: the inner channel's
-//                       Receive is the only wait (a socket blocks for up
-//                       to its poll window and returns the moment a frame
+//   * empty queue    -> poll again until the channel's deadline passes,
+//                       then kDeadlineExceeded; a channel with no deadline
+//                       (the in-process session) gives up after
+//                       `max_receive_polls` polls instead. There is no
+//                       sleep between polls: the inner channel's Receive
+//                       is the only wait (a socket blocks for up to its
+//                       poll window and returns the moment a frame
 //                       completes; the in-memory link never waits);
 //   * corrupt frame  -> kDataLoss immediately (the caller re-executes the
 //                       query on a fresh transport); any other inner
@@ -43,9 +45,10 @@ namespace sknn {
 namespace net {
 
 struct RetryPolicy {
-  // Receive polls per message before kDeadlineExceeded (the per-message
-  // timeout, expressed in polls so in-memory tests stay deterministic; on
-  // a socket each poll lasts at most the channel's poll window).
+  // Receive polls per message before kDeadlineExceeded, on a channel with
+  // no deadline only: in-memory links have no clock, so the in-process
+  // session counts polls and its fault tests stay deterministic. Once a
+  // deadline is set, only the clock ends a receive.
   int max_receive_polls = 16;
   // Whole-query re-executions after a transient failure: the session and
   // Party A's workers re-run a query from PartyA::StartQuery on a fresh
@@ -79,20 +82,15 @@ class ResilientChannel {
   // both ends of a server connection reset before each query.
   void ResetEpoch();
 
-  // Absolute deadline for every subsequent receive: once it passes, a
-  // pending receive stops polling and returns kDeadlineExceeded even if
-  // the poll budget (`RetryPolicy::max_receive_polls`) is not yet spent.
-  // This is how a query's end-to-end deadline bounds each protocol leg
-  // instead of every leg getting the full fixed budget. Cleared by
-  // clear_deadline(); ResetEpoch does NOT clear it (the deadline belongs
-  // to the query, the epoch to the connection).
+  // Absolute deadline for every subsequent receive: a receive polls until
+  // its frame arrives or the deadline passes (kDeadlineExceeded), however
+  // many polls that takes. This is how a query's deadline bounds each
+  // protocol leg. ResetEpoch does NOT clear it (the deadline belongs to
+  // the query, the epoch to the connection).
   void set_deadline(std::chrono::steady_clock::time_point deadline) {
     deadline_ = deadline;
     has_deadline_ = true;
   }
-  void clear_deadline() { has_deadline_ = false; }
-
-  const RetryPolicy& policy() const { return policy_; }
 
  private:
   Channel* inner_;

@@ -21,9 +21,9 @@
 //
 // `Receive` waits for the frame at the head of the stream for at most one
 // `io_poll_ms` window and returns the moment that frame is complete;
-// kUnavailable means the window ended without one. `ResilientChannel`
-// counts such empty windows against its per-message poll budget, so a
-// socket receive never sleeps past the arrival of its frame.
+// kUnavailable means the window ended without one, and `ResilientChannel`
+// polls again until its deadline, so a socket receive never sleeps past
+// the arrival of its frame.
 // Error taxonomy (everything transient per Status::IsTransient):
 //   kUnavailable       no complete frame within the poll window
 //   kAborted           peer disconnected at a frame boundary / send to a
@@ -65,18 +65,16 @@ class SocketChannel : public Channel {
   StatusOr<std::vector<uint8_t>> Receive() override;
 
   // Waits up to `timeout_ms` for the stream to become readable (or for
-  // buffered bytes). Lets servers idle on a connection without burning
-  // the per-message retry budget. Returns false on timeout, kAborted when
-  // the peer disconnected.
+  // buffered bytes). Lets servers idle on a connection between exchanges.
+  // Returns false on timeout, kAborted when the peer disconnected.
   StatusOr<bool> WaitReadable(int timeout_ms);
 
   void Close();
   bool closed() const { return fd_ < 0; }
   const std::string& name() const { return name_; }
 
-  // Per-receive poll window (milliseconds; 0 = never wait). The longest a
-  // Receive waits; ResilientChannel multiplies it by its poll budget to
-  // form the per-message timeout.
+  // Per-receive poll window (milliseconds; 0 = never wait): the longest
+  // one Receive waits.
   void set_io_poll_ms(int ms) { io_poll_ms_ = ms; }
 
   uint64_t bytes_sent() const { return bytes_sent_; }

@@ -28,6 +28,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -429,14 +431,18 @@ TEST_F(ProcessChaosTest, StallAndPartitionBetweenAAndBHealCleanly) {
   // --- Stall ---
   proxy.WriteLine("stall");
   ASSERT_TRUE(proxy.ReadUntil("mode stall", 5000));
+  constexpr int64_t kBudgetMs = 1500;
   const auto t0 = Clock::now();
-  auto stalled = (*client)->Query(query, /*deadline_ms=*/1500);
+  auto stalled = (*client)->Query(query, kBudgetMs);
   const auto stalled_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() - t0)
           .count();
   ExpectExactOrTypedTransient(stalled, query, "query under stall");
-  EXPECT_LT(stalled_ms, 15000)
-      << "a deadlined query under a stalled network must fail bounded";
+  // The budget, the client's grace window (budget/4 + 250 ms) and 1 s of
+  // slack: the query's deadline is the only clock on its receives.
+  EXPECT_LT(stalled_ms, kBudgetMs + (kBudgetMs / 4 + 250) + 1000)
+      << "a deadlined query under a stalled network must fail at its "
+         "deadline";
   proxy.WriteLine("heal");
   ASSERT_TRUE(proxy.ReadUntil("mode forward", 5000));
   EXPECT_TRUE(QueryUntilRecovered(client->get(), query, 60000, "after stall"))
@@ -647,11 +653,45 @@ uint64_t PrometheusValue(const std::string& body, const std::string& name) {
   return 0;
 }
 
+// The metrics OPERATIONS.md's alert rules watch: every identifier on an
+// `expr:` line that is not a PromQL word, a number, a label matcher or a
+// range, with histogram series suffixes stripped (Prometheus form).
+std::vector<std::string> AlertedMetrics() {
+  static const std::set<std::string> kPromql = {
+      "rate", "irate",   "increase", "delta", "sum",       "avg",
+      "min",  "max",     "count",    "by",    "without",   "on",
+      "and",  "or",      "unless",   "offset", "ignoring",
+      "histogram_quantile"};
+  const std::regex selectors(R"(\{[^}]*\}|\[[^\]]*\])");
+  const std::regex identifier(R"([A-Za-z_:][A-Za-z0-9_:]*)");
+  const std::regex series_suffix(R"(_(bucket|sum|count)$)");
+  std::ifstream doc(SKNN_OPERATIONS_MD);
+  std::set<std::string> names;
+  std::string line;
+  while (std::getline(doc, line)) {
+    const size_t at = line.find("expr:");
+    if (at == std::string::npos || line.find_first_not_of(" \t") != at) {
+      continue;
+    }
+    const std::string expr =
+        std::regex_replace(line.substr(at + 5), selectors, " ");
+    for (std::sregex_iterator it(expr.begin(), expr.end(), identifier), end;
+         it != end; ++it) {
+      if (kPromql.count(it->str()) == 0) {
+        names.insert(std::regex_replace(it->str(), series_suffix, ""));
+      }
+    }
+  }
+  return {names.begin(), names.end()};
+}
+
 // Scrape under load against the binaries' real admin wiring: while
 // several clients query concurrently, a side thread scrapes A's /metrics
 // the way a Prometheus scraper races live traffic. A scrape taken
 // mid-run must already show completed queries; afterwards A's /varz and
-// B's /metrics must answer, and every answer must be exact.
+// B's /metrics must answer, and every answer must be exact. Every metric
+// an OPERATIONS.md alert watches must already be exported by the idle,
+// healthy A: an alert on a series that is missing can never fire.
 TEST_F(ProcessChaosTest, AdminScrapeUnderLoadSeesLiveCounters) {
   Subprocess server_b;
   ASSERT_TRUE(StartServerB(&server_b, 0, {"--admin-port=0"}));
@@ -678,6 +718,13 @@ TEST_F(ProcessChaosTest, AdminScrapeUnderLoadSeesLiveCounters) {
   ASSERT_EQ(before->status, 200) << before->body;
   const uint64_t completed0 =
       PrometheusValue(before->body, "server_queries_completed");
+  const std::vector<std::string> alerted = AlertedMetrics();
+  ASSERT_FALSE(alerted.empty()) << "no alert rules read from OPERATIONS.md";
+  for (const std::string& metric : alerted) {
+    EXPECT_NE(before->body.find("# TYPE " + metric + " "), std::string::npos)
+        << "OPERATIONS.md alerts on " << metric
+        << ", which Party A's /metrics does not export";
+  }
 
   constexpr int kClients = 3;
   constexpr int kQueriesPerClient = 3;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -91,6 +92,12 @@ bool AnswerHandshake(net::ResilientChannel* ch) {
   return SendControlText(ch, "sknn-welcome/1").ok();
 }
 
+// Every served channel receives against a deadline; the hand-driven
+// peers below use one far beyond any test's runtime.
+std::chrono::steady_clock::time_point PeerDeadline() {
+  return std::chrono::steady_clock::now() + std::chrono::seconds(60);
+}
+
 // A hand-driven peer of a server: a socket that has completed the
 // dialer half of the handshake, for tests that write the wire directly.
 struct RawPeer {
@@ -107,7 +114,8 @@ RawPeer DialRaw(uint16_t port, const Deployment& deployment) {
   }
   peer.conn = std::move(conn).value();
   peer.ch = std::make_unique<net::ResilientChannel>(
-      peer.conn.get(), ServerOptions::ServerRetryPolicy(), 1, "raw peer");
+      peer.conn.get(), net::RetryPolicy(), 1, "raw peer");
+  peer.ch->set_deadline(PeerDeadline());
   auto welcome = SendControlText(peer.ch.get(), HelloFor(deployment));
   auto reply = peer.ch->ReceiveMessage(net::MessageType::kControl);
   if (!welcome.ok() || !reply.ok()) {
@@ -691,8 +699,9 @@ TEST_F(ServerTest, MalformedControlReplyIsTypedDataLoss) {
       return;
     }
     std::unique_ptr<net::SocketChannel> conn = std::move(conn_or).value();
-    net::ResilientChannel ch(conn.get(), ServerOptions::ServerRetryPolicy(),
-                             1, "fake-A serve");
+    net::ResilientChannel ch(conn.get(), net::RetryPolicy(), 1,
+                             "fake-A serve");
+    ch.set_deadline(PeerDeadline());
     if (!AnswerHandshake(&ch)) return;
     for (const std::string& reply : replies) {
       ch.ResetEpoch();
@@ -854,6 +863,66 @@ TEST_F(ServerTest, ExpiredQueueDeadlineIsTypedDeadlineExceeded) {
   EXPECT_TRUE(after.ok()) << after.status();
 }
 
+// A query's own deadline is the only clock on its receives: a query
+// that runs past the old fixed ~10 s per-message receive budget (500
+// polls of 20 ms) is answered exactly, both with no client deadline (the
+// server's default applies) and with a 30 s one.
+TEST_F(ServerTest, QuerySlowerThanTenSecondsIsServedExactly) {
+  Servers servers = StartServers(/*workers=*/2, /*queue_capacity=*/4);
+  servers.a->set_worker_delay_ms_for_test(11000);
+  const std::vector<uint64_t> deadlines_ms = {0, 30000};
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < deadlines_ms.size(); ++i) {
+    threads.emplace_back([&, i] {
+      ServerOptions options;
+      auto client = RemoteClient::Connect(*deployment_b_, "127.0.0.1",
+                                          servers.a->port(), options);
+      ASSERT_TRUE(client.ok()) << client.status();
+      const std::vector<uint64_t> query = data::UniformQuery(2, 15, 9100 + i);
+      auto answer = (*client)->Query(query, deadlines_ms[i]);
+      ASSERT_TRUE(answer.ok())
+          << "deadline_ms=" << deadlines_ms[i] << ": " << answer.status();
+      EXPECT_EQ(SortedDistances(answer.value(), query),
+                ReferenceDistances(*dataset_, query, ServerConfig().k))
+          << "deadline_ms=" << deadlines_ms[i];
+    });
+  }
+  for (auto& t : threads) t.join();
+}
+
+// A deadline that expires while the worker runs the query (not while it
+// queues) ends the query with a typed kDeadlineExceeded, counted in
+// server.queries.expired, within the budget plus the client's grace
+// window (budget/4 + 250 ms) plus slack.
+TEST_F(ServerTest, DeadlineExpiringMidExecutionIsTypedAndBounded) {
+  Servers servers = StartServers(/*workers=*/1, /*queue_capacity=*/4);
+  servers.a->set_worker_delay_ms_for_test(800);
+  MetricsRegistry::Counter* expired =
+      MetricsRegistry::Global().GetCounter("server.queries.expired");
+  const uint64_t expired_before = expired->value();
+  ServerOptions options;
+  auto client = RemoteClient::Connect(*deployment_b_, "127.0.0.1",
+                                      servers.a->port(), options);
+  ASSERT_TRUE(client.ok()) << client.status();
+  constexpr int64_t kBudgetMs = 500;
+  const auto t0 = std::chrono::steady_clock::now();
+  auto answer = (*client)->Query(data::UniformQuery(2, 15, 9200), kBudgetMs);
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count();
+  ASSERT_FALSE(answer.ok()) << "a 500 ms deadline cannot survive an 800 ms "
+                               "worker";
+  EXPECT_EQ(answer.status().code(), StatusCode::kDeadlineExceeded)
+      << answer.status();
+  EXPECT_NE(answer.status().message().find("mid-execution"),
+            std::string::npos)
+      << answer.status();
+  EXPECT_LT(elapsed_ms, kBudgetMs + (kBudgetMs / 4 + 250) + 1000);
+  // Counted before the worker answers, so already visible here.
+  EXPECT_EQ(expired->value(), expired_before + 1);
+}
+
 // Whole-query re-execution: an injected worker fault aborts the first
 // attempt; the worker must reconnect and re-run the query from
 // StartQuery, and the client sees nothing but a correct answer.
@@ -890,8 +959,9 @@ TEST_F(ServerTest, DisconnectMidResultStreamIsTypedTransient) {
       return;
     }
     std::unique_ptr<net::SocketChannel> conn = std::move(conn_or).value();
-    net::ResilientChannel ch(conn.get(), ServerOptions::ServerRetryPolicy(),
-                             1, "fake-A serve");
+    net::ResilientChannel ch(conn.get(), net::RetryPolicy(), 1,
+                             "fake-A serve");
+    ch.set_deadline(PeerDeadline());
     if (!AnswerHandshake(&ch)) return;
     ch.ResetEpoch();
     auto query = ch.ReceiveMessage(net::MessageType::kQuery);
@@ -918,7 +988,7 @@ TEST_F(ServerTest, DisconnectMidResultStreamIsTypedTransient) {
                                "answer";
   EXPECT_TRUE(answer.status().IsTransient()) << answer.status();
   // Fast-fail contract: a closed peer is detected at the frame boundary,
-  // not after the full receive-poll budget (~10s).
+  // not at the client's deadline.
   EXPECT_LT(elapsed, 5000) << "client hung on a dead connection";
   fake_a.join();
 }

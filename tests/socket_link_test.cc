@@ -249,6 +249,41 @@ TEST(SocketLinkTest, ResilientReceiveSurfacesBrokenStreamAtOnce) {
       << received.status();
 }
 
+// With a deadline set, only the clock ends a resilient receive: a frame
+// that arrives long after the poll budget (2 polls of a 20 ms window) is
+// still received, and an absent one fails at the deadline.
+TEST(SocketLinkTest, ResilientReceiveWaitsForTheDeadlineNotThePollBudget) {
+  RawPair pair = MakePair();
+  RetryPolicy policy;
+  policy.max_receive_polls = 2;
+  ResilientChannel ch(pair.accepted.get(), policy, 1, "accepted");
+  const auto t0 = std::chrono::steady_clock::now();
+  ch.set_deadline(t0 + std::chrono::seconds(3));
+  const std::vector<uint8_t> payload = {7, 7, 7};
+  std::thread late_sender([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    EXPECT_TRUE(
+        pair.dialer->Send(EncodeFrame(MessageType::kDistances, 0, payload))
+            .ok());
+  });
+  auto got = ch.ReceiveMessage(MessageType::kDistances);
+  late_sender.join();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got.value(), payload);
+
+  const auto t1 = std::chrono::steady_clock::now();
+  ch.set_deadline(t1 + std::chrono::milliseconds(300));
+  auto absent = ch.ReceiveMessage(MessageType::kDistances);
+  const auto waited_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                             std::chrono::steady_clock::now() - t1)
+                             .count();
+  ASSERT_FALSE(absent.ok());
+  EXPECT_EQ(absent.status().code(), StatusCode::kDeadlineExceeded)
+      << absent.status();
+  EXPECT_GE(waited_ms, 300);
+  EXPECT_LT(waited_ms, 2000);
+}
+
 TEST(SocketLinkTest, SendToDisconnectedPeerIsAborted) {
   RawPair pair = MakePair();
   pair.accepted->Close();
