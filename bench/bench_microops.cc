@@ -15,6 +15,8 @@
 #include "bgv/encryptor.h"
 #include "bgv/evaluator.h"
 #include "bgv/keys.h"
+#include "bgv/sampling.h"
+#include "bgv/symmetric.h"
 #include "common/metrics_registry.h"
 #include "common/rng.h"
 #include "crypto/paillier.h"
@@ -307,6 +309,79 @@ void BM_BgvModSwitch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BgvModSwitch)->Arg(1024)->Arg(4096);
+
+// ---------- Sampling (ChaCha20 keystream and the samplers on it) ----------
+
+// The first data prime of the preset BgvFixture uses for ring degree n.
+uint64_t PresetPrime(size_t n) {
+  auto params = bgv::BgvParams::Create(
+      n == 1024 ? bgv::SecurityPreset::kToy : bgv::SecurityPreset::kBench, 4,
+      33);
+  return params.value().data_primes[0];
+}
+
+void BM_ChaCha20Keystream(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Chacha20Rng rng(uint64_t{11});
+  for (auto _ : state) {
+    uint64_t acc = 0;
+    for (size_t i = 0; i < n; ++i) acc ^= rng.NextU64();
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * n * 8));
+}
+BENCHMARK(BM_ChaCha20Keystream)->Arg(1024)->Arg(4096);
+
+void BM_SampleUniformMod(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const uint64_t q = PresetPrime(n);
+  Chacha20Rng rng(uint64_t{12});
+  std::vector<uint64_t> out(n);
+  for (auto _ : state) {
+    rng.SampleUniformModInto(q, n, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SampleUniformMod)->Arg(1024)->Arg(4096);
+
+void BM_SampleGaussian(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const GaussianTable table(bgv::kNoiseSigma);
+  Chacha20Rng rng(uint64_t{13});
+  std::vector<int64_t> out(n);
+  for (auto _ : state) {
+    rng.SampleGaussianInto(table, n, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SampleGaussian)->Arg(1024)->Arg(4096);
+
+// Party B's indicator encryption: seeded symmetric encryption at level 1.
+void BM_EncryptSeeded(benchmark::State& state) {
+  BgvFixture f(static_cast<size_t>(state.range(0)));
+  bgv::SymmetricEncryptor sym(f.ctx, f.sk, f.rng.get());
+  auto pt = f.encoder->EncodeScalar(1);
+  for (auto _ : state) {
+    auto seeded = sym.EncryptSeeded(pt, 1);
+    benchmark::DoNotOptimize(seeded);
+  }
+}
+BENCHMARK(BM_EncryptSeeded)->Arg(1024)->Arg(4096);
+
+// Party A's side of it: re-deriving c1 from the seed.
+void BM_ExpandSeeded(benchmark::State& state) {
+  BgvFixture f(static_cast<size_t>(state.range(0)));
+  bgv::SymmetricEncryptor sym(f.ctx, f.sk, f.rng.get());
+  const bgv::SeededCiphertext seeded =
+      sym.EncryptSeeded(f.encoder->EncodeScalar(1), 1).value();
+  for (auto _ : state) {
+    auto ct = bgv::ExpandSeeded(*f.ctx, seeded);
+    benchmark::DoNotOptimize(ct);
+  }
+}
+BENCHMARK(BM_ExpandSeeded)->Arg(1024)->Arg(4096);
 
 // ---------- Paillier ----------
 

@@ -34,8 +34,8 @@ NoiseModel::NoiseModel(const BgvContext& ctx) {
   t_ = ctx.t();
   log_n_ = std::log2(n);
   log_t_ = std::log2(static_cast<double>(t_));
-  // The sampler's inverse-CDF table has hard support [-B, B]; see
-  // Chacha20Rng::SampleGaussian.
+  // The sampler's threshold table has hard support [-B, B]; see
+  // GaussianTable in common/rng.h.
   log_b_ = std::log2(std::ceil(6.0 * kNoiseSigma));
   log_sp_ =
       std::log2(static_cast<double>(

@@ -6,7 +6,9 @@ namespace sknn {
 namespace bgv {
 namespace {
 
-// Builds an RNS polynomial from one vector of signed values.
+// Builds an RNS polynomial from one vector of signed values. Values below
+// q in magnitude (all noise and centered plaintext values) map with a
+// compare; only larger ones take a division.
 RnsPoly FromSigned(const BgvContext& ctx, size_t components,
                    const std::vector<int64_t>& values) {
   RnsPoly p = ZeroPoly(ctx.n(), components, /*ntt_form=*/false);
@@ -14,7 +16,15 @@ RnsPoly FromSigned(const BgvContext& ctx, size_t components,
     const uint64_t q = ctx.key_base().modulus(i).value();
     uint64_t* comp = p.comp(i);
     for (size_t j = 0; j < ctx.n(); ++j) {
-      comp[j] = ToUnsignedMod(values[j], q);
+      const int64_t x = values[j];
+      const uint64_t u = static_cast<uint64_t>(x);
+      if (x >= 0 && u < q) {
+        comp[j] = u;
+      } else if (x < 0 && 0 - u < q) {
+        comp[j] = q + u;  // q - |x|, mod 2^64
+      } else {
+        comp[j] = ToUnsignedMod(x, q);
+      }
     }
   }
   return p;
@@ -34,21 +44,20 @@ RnsPoly SampleUniformPoly(const BgvContext& ctx, size_t components,
 
 RnsPoly SampleTernaryPoly(const BgvContext& ctx, size_t components,
                           Chacha20Rng* rng) {
+  std::vector<uint64_t> draws(ctx.n());
+  rng->SampleUniformModInto(3, draws.size(), draws.data());
   std::vector<int64_t> values(ctx.n());
   for (size_t j = 0; j < ctx.n(); ++j) {
-    values[j] = static_cast<int64_t>(rng->UniformBelow(3)) - 1;
+    values[j] = static_cast<int64_t>(draws[j]) - 1;
   }
   return FromSigned(ctx, components, values);
 }
 
 RnsPoly SampleGaussianPoly(const BgvContext& ctx, size_t components,
                            Chacha20Rng* rng) {
-  // Sample once against a large reference modulus, then recentre.
-  const uint64_t ref = uint64_t{1} << 62;
-  std::vector<uint64_t> raw;
-  rng->SampleGaussian(ref, kNoiseSigma, ctx.n(), &raw);
   std::vector<int64_t> values(ctx.n());
-  for (size_t j = 0; j < ctx.n(); ++j) values[j] = CenterMod(raw[j], ref);
+  static const GaussianTable table(kNoiseSigma);
+  rng->SampleGaussianInto(table, values.size(), values.data());
   return FromSigned(ctx, components, values);
 }
 

@@ -1,52 +1,36 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/logging.h"
 
 namespace sknn {
 namespace {
 
-inline uint32_t Rotl32(uint32_t x, int n) {
-  return (x << n) | (x >> (32 - n));
-}
-
-inline void QuarterRound(uint32_t& a, uint32_t& b, uint32_t& c, uint32_t& d) {
+// One quarter round on scalar words or on lanes of eight blocks' words
+// (GCC/Clang vector extensions, lowered to whatever the baseline ISA has).
+template <typename W>
+inline void QuarterRound(W& a, W& b, W& c, W& d) {
   a += b;
   d ^= a;
-  d = Rotl32(d, 16);
+  d = (d << 16) | (d >> 16);
   c += d;
   b ^= c;
-  b = Rotl32(b, 12);
+  b = (b << 12) | (b >> 20);
   a += b;
   d ^= a;
-  d = Rotl32(d, 8);
+  d = (d << 8) | (d >> 24);
   c += d;
   b ^= c;
-  b = Rotl32(b, 7);
+  b = (b << 7) | (b >> 25);
 }
 
-constexpr uint32_t kChaChaConst[4] = {0x61707865u, 0x3320646eu, 0x79622d32u,
-                                      0x6b206574u};
-
-}  // namespace
-
-void ChaCha20Block(const std::array<uint32_t, 8>& key, uint32_t counter,
-                   const std::array<uint32_t, 3>& nonce,
-                   std::array<uint8_t, 64>* out) {
-  uint32_t state[16];
-  uint32_t working[16];
-  state[0] = kChaChaConst[0];
-  state[1] = kChaChaConst[1];
-  state[2] = kChaChaConst[2];
-  state[3] = kChaChaConst[3];
-  for (int i = 0; i < 8; ++i) state[4 + i] = key[i];
-  state[12] = counter;
-  state[13] = nonce[0];
-  state[14] = nonce[1];
-  state[15] = nonce[2];
-  std::memcpy(working, state, sizeof(state));
+// The 20 ChaCha20 rounds over a 16-word state, then the feed-forward add.
+template <typename W>
+inline void ChaChaCore(W (&x)[16]) {
+  W working[16];
+  for (int i = 0; i < 16; ++i) working[i] = x[i];
   for (int round = 0; round < 10; ++round) {
     QuarterRound(working[0], working[4], working[8], working[12]);
     QuarterRound(working[1], working[5], working[9], working[13]);
@@ -57,17 +41,88 @@ void ChaCha20Block(const std::array<uint32_t, 8>& key, uint32_t counter,
     QuarterRound(working[2], working[7], working[8], working[13]);
     QuarterRound(working[3], working[4], working[9], working[14]);
   }
-  for (int i = 0; i < 16; ++i) {
-    uint32_t v = working[i] + state[i];
-    (*out)[4 * i + 0] = static_cast<uint8_t>(v);
-    (*out)[4 * i + 1] = static_cast<uint8_t>(v >> 8);
-    (*out)[4 * i + 2] = static_cast<uint8_t>(v >> 16);
-    (*out)[4 * i + 3] = static_cast<uint8_t>(v >> 24);
+  for (int i = 0; i < 16; ++i) x[i] += working[i];
+}
+
+constexpr uint32_t kChaChaConst[4] = {0x61707865u, 0x3320646eu, 0x79622d32u,
+                                      0x6b206574u};
+
+}  // namespace
+
+void ChaCha20Block(const std::array<uint32_t, 8>& key, uint32_t counter,
+                   const std::array<uint32_t, 3>& nonce,
+                   std::array<uint8_t, 64>* out) {
+  uint32_t x[16];
+  for (int i = 0; i < 4; ++i) x[i] = kChaChaConst[i];
+  for (int i = 0; i < 8; ++i) x[4 + i] = key[i];
+  x[12] = counter;
+  x[13] = nonce[0];
+  x[14] = nonce[1];
+  x[15] = nonce[2];
+  ChaChaCore(x);
+  std::memcpy(out->data(), x, sizeof(x));
+}
+
+// Lane b of every state word belongs to block counter + b.
+void ChaCha20Blocks(const std::array<uint32_t, 8>& key, uint32_t counter,
+                    const std::array<uint32_t, 3>& nonce, uint32_t* out) {
+  constexpr size_t kLanes = kChaCha20BatchBlocks;
+  static_assert(kLanes == 8, "the counter lanes below list eight offsets");
+  SKNN_CHECK_LE(counter, UINT32_MAX - (kLanes - 1));
+  typedef uint32_t Lanes __attribute__((vector_size(4 * kLanes)));
+  Lanes x[16];
+  for (int i = 0; i < 4; ++i) x[i] = Lanes{} + kChaChaConst[i];
+  for (int i = 0; i < 8; ++i) x[4 + i] = Lanes{} + key[i];
+  x[12] = Lanes{0, 1, 2, 3, 4, 5, 6, 7} + counter;
+  x[13] = Lanes{} + nonce[0];
+  x[14] = Lanes{} + nonce[1];
+  x[15] = Lanes{} + nonce[2];
+  ChaChaCore(x);
+  for (size_t b = 0; b < kLanes; ++b) {
+    for (size_t i = 0; i < 16; ++i) out[16 * b + i] = x[i][b];
+  }
+}
+
+UniformModQ::UniformModQ(uint64_t q) : q_(q) {
+  SKNN_CHECK_GE(q, 1u);
+  m_ = UINT64_MAX / q;
+  // [0, 2^64) holds m whole copies of [0, q) plus (2^64 - 1) - m*q + 1
+  // spare words; when those spare words are themselves a whole copy (q
+  // divides 2^64), every word is accepted.
+  const uint64_t spare = UINT64_MAX - m_ * q;
+  limit_ = spare == q - 1 ? UINT64_MAX : UINT64_MAX - spare - 1;
+}
+
+GaussianTable::GaussianTable(double sigma)
+    : tail_(static_cast<int64_t>(std::ceil(6.0 * sigma))) {
+  SKNN_CHECK_GT(sigma, 0.0);
+  std::vector<double> cdf(static_cast<size_t>(2 * tail_ + 1));
+  double acc = 0.0;
+  for (int64_t x = -tail_; x <= tail_; ++x) {
+    acc += std::exp(-(static_cast<double>(x) * x) / (2.0 * sigma * sigma));
+    cdf[static_cast<size_t>(x + tail_)] = acc;
+  }
+  const double total = acc;
+  // u(r) = r * 2^-53 * total never decreases as r grows, so "cdf[j] < u(r)"
+  // holds exactly from the smallest such r on.
+  constexpr uint64_t kNever = uint64_t{1} << 53;
+  thresholds_.assign(std::bit_ceil(cdf.size()), kNever);
+  for (size_t j = 0; j < cdf.size(); ++j) {
+    uint64_t lo = 0, hi = kNever;
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (cdf[j] < static_cast<double>(mid) * 0x1.0p-53 * total) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    thresholds_[j] = lo;
   }
 }
 
 Chacha20Rng::Chacha20Rng(const Seed& seed, uint64_t stream_id)
-    : counter_(0), buffer_pos_(64) {
+    : counter_(0), buffer_pos_(kBufferBytes) {
   for (int i = 0; i < 8; ++i) {
     key_[i] = static_cast<uint32_t>(seed[4 * i]) |
               (static_cast<uint32_t>(seed[4 * i + 1]) << 8) |
@@ -80,7 +135,7 @@ Chacha20Rng::Chacha20Rng(const Seed& seed, uint64_t stream_id)
 }
 
 Chacha20Rng::Chacha20Rng(uint64_t seed64, uint64_t stream_id)
-    : counter_(0), buffer_pos_(64) {
+    : counter_(0), buffer_pos_(kBufferBytes) {
   Seed seed{};
   for (int i = 0; i < 8; ++i) {
     seed[i] = static_cast<uint8_t>(seed64 >> (8 * i));
@@ -103,56 +158,37 @@ Chacha20Rng Chacha20Rng::Fork(uint64_t label) {
 }
 
 void Chacha20Rng::Refill() {
-  ChaCha20Block(key_, counter_, nonce_, &buffer_);
-  ++counter_;
-  if (counter_ == 0) {
-    // 256 GiB of keystream consumed on one nonce: advance the nonce rather
-    // than repeat blocks.
-    ++nonce_[2];
-  }
+  ChaCha20Blocks(key_, counter_, nonce_, buffer_.data());
+  counter_ += kChaCha20BatchBlocks;
+  // 256 GiB of keystream consumed on one nonce: advance the nonce rather
+  // than repeat blocks.
+  if (counter_ == 0) ++nonce_[2];
   buffer_pos_ = 0;
 }
 
-uint64_t Chacha20Rng::NextU64() {
-  if (buffer_pos_ + 8 > 64) Refill();
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | buffer_[buffer_pos_ + static_cast<size_t>(i)];
+void Chacha20Rng::SkipForWord(size_t bytes) {
+  if (buffer_pos_ % kBlockBytes > kBlockBytes - bytes) {
+    buffer_pos_ += kBlockBytes - buffer_pos_ % kBlockBytes;
   }
-  buffer_pos_ += 8;
-  return v;
-}
-
-uint32_t Chacha20Rng::NextU32() {
-  if (buffer_pos_ + 4 > 64) Refill();
-  uint32_t v = static_cast<uint32_t>(buffer_[buffer_pos_]) |
-               (static_cast<uint32_t>(buffer_[buffer_pos_ + 1]) << 8) |
-               (static_cast<uint32_t>(buffer_[buffer_pos_ + 2]) << 16) |
-               (static_cast<uint32_t>(buffer_[buffer_pos_ + 3]) << 24);
-  buffer_pos_ += 4;
-  return v;
+  if (buffer_pos_ >= kBufferBytes) Refill();
 }
 
 void Chacha20Rng::FillBytes(uint8_t* out, size_t len) {
+  const uint8_t* stream = reinterpret_cast<const uint8_t*>(buffer_.data());
   size_t written = 0;
   while (written < len) {
-    if (buffer_pos_ >= 64) Refill();
-    size_t take = std::min<size_t>(64 - buffer_pos_, len - written);
-    std::memcpy(out + written, buffer_.data() + buffer_pos_, take);
+    if (buffer_pos_ >= kBufferBytes) Refill();
+    size_t take = std::min(kBufferBytes - buffer_pos_, len - written);
+    std::memcpy(out + written, stream + buffer_pos_, take);
     buffer_pos_ += take;
     written += take;
   }
 }
 
 uint64_t Chacha20Rng::UniformBelow(uint64_t bound) {
-  SKNN_CHECK_GE(bound, 1u);
-  if (bound == 1) return 0;
-  // Rejection sampling to avoid modulo bias.
-  uint64_t limit = UINT64_MAX - (UINT64_MAX % bound + 1) % bound;
-  for (;;) {
-    uint64_t v = NextU64();
-    if (v <= limit) return v % bound;
-  }
+  uint64_t v = 0;
+  SampleUniformModInto(bound, 1, &v);
+  return v;
 }
 
 uint64_t Chacha20Rng::UniformInRange(uint64_t lo, uint64_t hi) {
@@ -170,41 +206,15 @@ double Chacha20Rng::NextDouble() {
 void Chacha20Rng::SampleTernary(uint64_t q, size_t n,
                                 std::vector<uint64_t>* out) {
   out->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t r = UniformBelow(3);
-    (*out)[i] = (r == 2) ? q - 1 : r;  // {0,1,q-1} == {0,1,-1} mod q
+  SampleUniformModInto(3, n, out->data());
+  for (uint64_t& r : *out) {
+    if (r == 2) r = q - 1;  // {0,1,q-1} == {0,1,-1} mod q
   }
 }
 
-void Chacha20Rng::SampleGaussian(uint64_t q, double sigma, size_t n,
-                                 std::vector<uint64_t>* out) {
-  SKNN_CHECK_GT(sigma, 0.0);
-  // Inverse-CDF table over the integer support [-tail, tail], tail = 6*sigma.
-  const int tail = static_cast<int>(std::ceil(6.0 * sigma));
-  std::vector<double> cdf(static_cast<size_t>(2 * tail + 1));
-  double acc = 0.0;
-  for (int x = -tail; x <= tail; ++x) {
-    acc += std::exp(-(static_cast<double>(x) * x) / (2.0 * sigma * sigma));
-    cdf[static_cast<size_t>(x + tail)] = acc;
-  }
-  const double total = acc;
-  out->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    double u = NextDouble() * total;
-    // Binary search for the first cdf entry >= u.
-    size_t lo = 0, hi = cdf.size() - 1;
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      if (cdf[mid] < u) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    int64_t x = static_cast<int64_t>(lo) - tail;
-    (*out)[i] = (x >= 0) ? static_cast<uint64_t>(x)
-                         : q - static_cast<uint64_t>(-x);
-  }
+void Chacha20Rng::SampleGaussianInto(const GaussianTable& table, size_t n,
+                                     int64_t* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = table.Sample(NextU64() >> 11);
 }
 
 void Chacha20Rng::SampleUniformMod(uint64_t q, size_t n,
@@ -214,7 +224,17 @@ void Chacha20Rng::SampleUniformMod(uint64_t q, size_t n,
 }
 
 void Chacha20Rng::SampleUniformModInto(uint64_t q, size_t n, uint64_t* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = UniformBelow(q);
+  const UniformModQ mod(q);
+  if (q == 1) {
+    // The only residue; nothing is drawn.
+    std::fill_n(out, n, 0);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t v = NextU64();
+    while (v > mod.limit()) v = NextU64();
+    out[i] = mod.Reduce(v);
+  }
 }
 
 std::vector<size_t> Chacha20Rng::RandomPermutation(size_t n) {

@@ -173,8 +173,12 @@ StatusOr<bgv::Ciphertext> PartyA::DistanceForUnit(
     // Party A knows), zero on real payloads.
     std::vector<uint64_t> mask_slots(ctx_->n(), 0);
     const std::vector<bool> random_pos = layout_.RandomMaskPositions(unit);
-    for (size_t s = 0; s < mask_slots.size(); ++s) {
-      if (random_pos[s]) mask_slots[s] = unit_rng->UniformBelow(t);
+    std::vector<uint64_t> draws(
+        static_cast<size_t>(std::count(random_pos.begin(), random_pos.end(),
+                                       true)));
+    unit_rng->SampleUniformModInto(t, draws.size(), draws.data());
+    for (size_t s = 0, next = 0; s < mask_slots.size(); ++s) {
+      if (random_pos[s]) mask_slots[s] = draws[next++];
     }
     const uint64_t pad_sentinel = SubMod(t - 1, a[0] % t, t);
     for (size_t s : layout_.PaddingPayloadSlots(unit)) {
