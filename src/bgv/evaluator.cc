@@ -104,51 +104,45 @@ void Evaluator::NegateInplace(Ciphertext* a) const {
   for (RnsPoly& p : a->c) sknn::NegateInplace(&p, ctx_->key_base());
 }
 
-StatusOr<PlainOperand> Evaluator::MakeAddOperand(const Plaintext& pt,
-                                                 size_t level,
-                                                 uint64_t scale) const {
+Status Evaluator::AddPlainInplace(Ciphertext* a, const Plaintext& pt) const {
+  SKNN_COUNT_EVALUATOR_OP("add_plain");
+  SKNN_RETURN_IF_ERROR(CheckCt(*a));
   if (pt.coeffs.size() != ctx_->n()) {
     return InvalidArgumentError("plaintext degree mismatch");
   }
-  if (level > ctx_->max_level()) {
-    return InvalidArgumentError("operand level out of range");
-  }
-  PlainOperand op;
-  op.level = level;
-  op.scale = scale;
   // Scale the addend by the ciphertext's correction factor so that it
   // lands on the plaintext with weight one after decryption.
-  if (scale != 1) {
-    Plaintext scaled = pt;
+  std::vector<uint64_t> coeffs = pt.coeffs;
+  if (a->scale != 1) {
     const Modulus& t_mod = ctx_->plain_modulus();
-    for (uint64_t& c : scaled.coeffs) c = t_mod.MulMod(c, scale);
-    op.m = LiftPlainCentered(*ctx_, scaled.coeffs, level + 1);
-  } else {
-    op.m = LiftPlainCentered(*ctx_, pt.coeffs, level + 1);
+    for (uint64_t& c : coeffs) c = t_mod.MulMod(c, a->scale);
   }
-  ToNttInplace(&op.m, ctx_->key_base());
-  return op;
-}
-
-Status Evaluator::AddPlainInplace(Ciphertext* a, const PlainOperand& op) const {
-  SKNN_COUNT_EVALUATOR_OP("add_plain");
-  SKNN_RETURN_IF_ERROR(CheckCt(*a));
-  if (op.level != a->level) {
-    return InvalidArgumentError("plaintext operand prepared for another level");
-  }
-  if (op.scale != a->scale) {
-    return InvalidArgumentError("plaintext operand prepared for another scale");
-  }
-  sknn::AddInplace(&a->c[0], op.m, ctx_->key_base());
+  RnsPoly m = LiftPlainCentered(*ctx_, coeffs, a->level + 1);
+  ToNttInplace(&m, ctx_->key_base());
+  sknn::AddInplace(&a->c[0], m, ctx_->key_base());
   a->noise_bits = noise_.AddPlain(a->noise_bits);
   return Status::Ok();
 }
 
-Status Evaluator::AddPlainInplace(Ciphertext* a, const Plaintext& pt) const {
+Status Evaluator::AddScalarInplace(Ciphertext* a, uint64_t scalar_mod_t) const {
+  SKNN_COUNT_EVALUATOR_OP("add_plain");
   SKNN_RETURN_IF_ERROR(CheckCt(*a));
-  SKNN_ASSIGN_OR_RETURN(PlainOperand op,
-                        MakeAddOperand(pt, a->level, a->scale));
-  return AddPlainInplace(a, op);
+  if (scalar_mod_t >= ctx_->t()) {
+    return InvalidArgumentError("scalar exceeds plaintext modulus");
+  }
+  // The constant's lift, scale-corrected as in AddPlainInplace, is the
+  // same centered value in every NTT slot of every prime.
+  const int64_t centered = CenterMod(
+      ctx_->plain_modulus().MulMod(scalar_mod_t, a->scale), ctx_->t());
+  const size_t n = ctx_->n();
+  for (size_t i = 0; i <= a->level; ++i) {
+    const uint64_t q = ctx_->key_base().modulus(i).value();
+    const uint64_t v = ToUnsignedMod(centered, q);
+    uint64_t* __restrict c0 = a->c[0].comp(i);
+    for (size_t c = 0; c < n; ++c) c0[c] = AddMod(c0[c], v, q);
+  }
+  a->noise_bits = noise_.AddPlain(a->noise_bits);
+  return Status::Ok();
 }
 
 StatusOr<Ciphertext> Evaluator::Multiply(const Ciphertext& a,
@@ -190,7 +184,7 @@ StatusOr<Ciphertext> Evaluator::Multiply(const Ciphertext& a,
   return out;
 }
 
-KSwitchDigits Evaluator::DecomposeForKeySwitch(
+Evaluator::KSwitchDigits Evaluator::DecomposeForKeySwitch(
     size_t level, const RnsPoly& target, const RnsPoly* target_ntt) const {
   SKNN_CHECK(!target.ntt_form());
   SKNN_CHECK_EQ(target.num_components(), level + 1);
@@ -338,13 +332,6 @@ void Evaluator::KeySwitchInner(const KSwitchDigits& digits,
   }
 }
 
-void Evaluator::KeySwitchCore(size_t level, const RnsPoly& target,
-                              const KSwitchKey& ksk, RnsPoly* u0, RnsPoly* u1,
-                              const RnsPoly* target_ntt) const {
-  KSwitchDigits digits = DecomposeForKeySwitch(level, target, target_ntt);
-  KeySwitchInner(digits, ksk, /*perm_ntt=*/nullptr, u0, u1, /*ntt_out=*/true);
-}
-
 Status Evaluator::RelinearizeInplace(Ciphertext* a,
                                      const RelinKeys& rk) const {
   SKNN_COUNT_EVALUATOR_OP("relinearize");
@@ -354,7 +341,8 @@ Status Evaluator::RelinearizeInplace(Ciphertext* a,
   RnsPoly d2 = a->c[2];
   FromNttInplace(&d2, ctx_->key_base());
   RnsPoly u0, u1;
-  KeySwitchCore(a->level, d2, rk.key, &u0, &u1, /*target_ntt=*/&a->c[2]);
+  KeySwitchInner(DecomposeForKeySwitch(a->level, d2, /*target_ntt=*/&a->c[2]),
+                 rk.key, /*perm_ntt=*/nullptr, &u0, &u1, /*ntt_out=*/true);
   sknn::AddInplace(&a->c[0], u0, ctx_->key_base());
   sknn::AddInplace(&a->c[1], u1, ctx_->key_base());
   a->c.pop_back();
@@ -364,54 +352,32 @@ Status Evaluator::RelinearizeInplace(Ciphertext* a,
 
 StatusOr<Ciphertext> Evaluator::MultiplyRelin(const Ciphertext& a,
                                               const Ciphertext& b,
-                                              const RelinKeys& rk,
-                                              bool mod_switch) const {
+                                              const RelinKeys& rk) const {
   SKNN_ASSIGN_OR_RETURN(Ciphertext out, Multiply(a, b));
   SKNN_RETURN_IF_ERROR(RelinearizeInplace(&out, rk));
-  if (mod_switch && out.level > 0) {
+  if (out.level > 0) {
     SKNN_RETURN_IF_ERROR(ModSwitchToNextInplace(&out));
   }
   return out;
 }
 
-StatusOr<PlainOperand> Evaluator::MakeMultiplyOperand(const Plaintext& pt,
-                                                      size_t level) const {
+Status Evaluator::MultiplyPlainInplace(Ciphertext* a,
+                                       const Plaintext& pt) const {
+  SKNN_COUNT_EVALUATOR_OP("multiply_plain");
+  SKNN_RETURN_IF_ERROR(CheckCt(*a));
   if (pt.coeffs.size() != ctx_->n()) {
     return InvalidArgumentError("plaintext degree mismatch");
-  }
-  if (level > ctx_->max_level()) {
-    return InvalidArgumentError("operand level out of range");
   }
   if (pt.IsZero()) {
     return InvalidArgumentError(
         "multiplying by the zero plaintext produces a transparent "
         "ciphertext; subtract instead");
   }
-  PlainOperand op;
-  op.level = level;
-  op.scale = 1;
-  op.m = LiftPlainCentered(*ctx_, pt.coeffs, level + 1);
-  ToNttInplace(&op.m, ctx_->key_base());
-  return op;
-}
-
-Status Evaluator::MultiplyPlainInplace(Ciphertext* a,
-                                       const PlainOperand& op) const {
-  SKNN_COUNT_EVALUATOR_OP("multiply_plain");
-  SKNN_RETURN_IF_ERROR(CheckCt(*a));
-  if (op.level != a->level) {
-    return InvalidArgumentError("plaintext operand prepared for another level");
-  }
-  for (RnsPoly& p : a->c) MulPointwiseInplace(&p, op.m, ctx_->key_base());
+  RnsPoly m = LiftPlainCentered(*ctx_, pt.coeffs, a->level + 1);
+  ToNttInplace(&m, ctx_->key_base());
+  for (RnsPoly& p : a->c) MulPointwiseInplace(&p, m, ctx_->key_base());
   a->noise_bits = noise_.MultiplyPlain(a->noise_bits);
   return Status::Ok();
-}
-
-Status Evaluator::MultiplyPlainInplace(Ciphertext* a,
-                                       const Plaintext& pt) const {
-  SKNN_RETURN_IF_ERROR(CheckCt(*a));
-  SKNN_ASSIGN_OR_RETURN(PlainOperand op, MakeMultiplyOperand(pt, a->level));
-  return MultiplyPlainInplace(a, op);
 }
 
 Status Evaluator::MultiplyScalarInplace(Ciphertext* a,
@@ -527,13 +493,11 @@ Status Evaluator::ApplyGaloisInplace(Ciphertext* a, uint64_t galois_elt,
   const RnsBase& base = ctx_->key_base();
   RnsPoly c1 = a->c[1];
   FromNttInplace(&c1, base);
-  KSwitchDigits digits =
-      DecomposeForKeySwitch(a->level, c1, /*target_ntt=*/&a->c[1]);
-  const std::vector<uint32_t>& perm = base.GaloisPermTableNtt(galois_elt);
   RnsPoly u0, u1;
-  KeySwitchInner(digits, it->second, perm.data(), &u0, &u1, /*ntt_out=*/true);
-  RnsPoly c0_tau = ApplyGaloisNtt(a->c[0], galois_elt, base);
-  sknn::AddInplace(&u0, c0_tau, base);
+  KeySwitchInner(DecomposeForKeySwitch(a->level, c1, /*target_ntt=*/&a->c[1]),
+                 it->second, base.GaloisPermTableNtt(galois_elt).data(), &u0,
+                 &u1, /*ntt_out=*/true);
+  sknn::AddInplace(&u0, ApplyGaloisNtt(a->c[0], galois_elt, base), base);
   a->c[0] = std::move(u0);
   a->c[1] = std::move(u1);
   a->noise_bits = noise_.KeySwitch(a->noise_bits, a->level);
@@ -558,11 +522,10 @@ Status Evaluator::ApplyGaloisChainInplace(
                            std::to_string(elt));
     }
   }
-  // Chain in coefficient form: each hop decomposes the current c1, runs the
-  // permuted inner product, and folds tau into c0 coefficient-side. Only
-  // the final result pays a ToNtt conversion, so h hops cost h decomposes
-  // plus 2 conversions instead of the ~5h conversions of repeated
-  // ApplyGaloisInplace.
+  // Chain in coefficient form: each hop decomposes the current c1 and
+  // replaces (c0, c1) with the hop's result. Only the final result pays a
+  // ToNtt conversion, so h hops cost h decomposes plus 2 conversions
+  // instead of the ~5h conversions of repeated ApplyGaloisInplace.
   const RnsBase& base = ctx_->key_base();
   RnsPoly c0 = a->c[0];
   RnsPoly c1 = a->c[1];
@@ -572,16 +535,11 @@ Status Evaluator::ApplyGaloisChainInplace(
   // digit components; later hops only have the coefficient form.
   const RnsPoly* c1_ntt = &a->c[1];
   for (uint64_t elt : galois_elts) {
-    SKNN_COUNT_EVALUATOR_OP("galois_automorphism");
-    KSwitchDigits digits = DecomposeForKeySwitch(a->level, c1, c1_ntt);
+    RnsPoly h0, h1;
+    GaloisHopCoeff(a->level, elt, gk.keys.at(elt), c0, c1, c1_ntt, &h0, &h1);
     c1_ntt = nullptr;
-    const std::vector<uint32_t>& perm = base.GaloisPermTableNtt(elt);
-    RnsPoly u0, u1;
-    KeySwitchInner(digits, gk.keys.at(elt), perm.data(), &u0, &u1,
-                   /*ntt_out=*/false);
-    c0 = ApplyGaloisCoeff(c0, elt, base);
-    sknn::AddInplace(&c0, u0, base);
-    c1 = std::move(u1);
+    c0 = std::move(h0);
+    c1 = std::move(h1);
     a->noise_bits = noise_.KeySwitch(a->noise_bits, a->level);
   }
   ToNttInplace(&c0, base);
@@ -589,6 +547,18 @@ Status Evaluator::ApplyGaloisChainInplace(
   a->c[0] = std::move(c0);
   a->c[1] = std::move(c1);
   return Status::Ok();
+}
+
+void Evaluator::GaloisHopCoeff(size_t level, uint64_t galois_elt,
+                               const KSwitchKey& key, const RnsPoly& c0,
+                               const RnsPoly& c1, const RnsPoly* c1_ntt,
+                               RnsPoly* h0, RnsPoly* h1) const {
+  SKNN_COUNT_EVALUATOR_OP("galois_automorphism");
+  const RnsBase& base = ctx_->key_base();
+  KeySwitchInner(DecomposeForKeySwitch(level, c1, c1_ntt), key,
+                 base.GaloisPermTableNtt(galois_elt).data(), h0, h1,
+                 /*ntt_out=*/false);
+  sknn::AddInplace(h0, ApplyGaloisCoeff(c0, galois_elt, base), base);
 }
 
 std::vector<uint64_t> Evaluator::RotationGaloisElts(
@@ -650,9 +620,9 @@ Status Evaluator::FoldRowsInplace(Ciphertext* a, size_t block,
     }
   }
   // Keep the running sum in coefficient form across the whole log2(block)
-  // fold. Each stage decomposes the current c1 once and runs the permuted
-  // inner product (a += tau_step(a)); only the final result pays a ToNtt,
-  // so the fold does one NTT conversion set instead of one per stage.
+  // fold. Each stage adds one Galois hop of the current sum to it
+  // (a += tau_step(a)); only the final result pays a ToNtt, so the fold
+  // does one NTT conversion set instead of one per stage.
   const RnsBase& base = ctx_->key_base();
   RnsPoly c0 = a->c[0];
   RnsPoly c1 = a->c[1];
@@ -662,20 +632,13 @@ Status Evaluator::FoldRowsInplace(Ciphertext* a, size_t block,
   // components; later stages only have the coefficient form.
   const RnsPoly* c1_ntt = &a->c[1];
   for (size_t step = 1; step < block; step <<= 1) {
-    SKNN_COUNT_EVALUATOR_OP("galois_automorphism");
     SKNN_COUNT_EVALUATOR_OP("add");
     const uint64_t elt = ctx_->GaloisEltForRotation(static_cast<int>(step));
-    KSwitchDigits digits = DecomposeForKeySwitch(a->level, c1, c1_ntt);
+    RnsPoly h0, h1;
+    GaloisHopCoeff(a->level, elt, gk.keys.at(elt), c0, c1, c1_ntt, &h0, &h1);
     c1_ntt = nullptr;
-    const std::vector<uint32_t>& perm = base.GaloisPermTableNtt(elt);
-    RnsPoly u0, u1;
-    KeySwitchInner(digits, gk.keys.at(elt), perm.data(), &u0, &u1,
-                   /*ntt_out=*/false);
-    // Rotated ciphertext is (tau(c0) + u0, u1); fold it into the sum.
-    RnsPoly c0_tau = ApplyGaloisCoeff(c0, elt, base);
-    sknn::AddInplace(&c0, c0_tau, base);
-    sknn::AddInplace(&c0, u0, base);
-    sknn::AddInplace(&c1, u1, base);
+    sknn::AddInplace(&c0, h0, base);
+    sknn::AddInplace(&c1, h1, base);
     a->noise_bits = noise_.Add(
         a->noise_bits, noise_.KeySwitch(a->noise_bits, a->level));
   }
@@ -684,47 +647,6 @@ Status Evaluator::FoldRowsInplace(Ciphertext* a, size_t block,
   a->c[0] = std::move(c0);
   a->c[1] = std::move(c1);
   return Status::Ok();
-}
-
-StatusOr<const PlainOperand*> PlainOperandCache::MultiplyOperand(
-    const Evaluator& ev, uint64_t tag, const Plaintext& pt, size_t level) {
-  const Key key{0, tag, level, 0};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = ops_.find(key);
-    if (it != ops_.end()) return it->second.get();
-  }
-  SKNN_ASSIGN_OR_RETURN(PlainOperand op, ev.MakeMultiplyOperand(pt, level));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = ops_[key];
-  if (slot == nullptr) slot = std::make_unique<PlainOperand>(std::move(op));
-  return slot.get();
-}
-
-StatusOr<const PlainOperand*> PlainOperandCache::AddOperand(
-    const Evaluator& ev, uint64_t tag, const Plaintext& pt, size_t level,
-    uint64_t scale) {
-  const Key key{1, tag, level, scale};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = ops_.find(key);
-    if (it != ops_.end()) return it->second.get();
-  }
-  SKNN_ASSIGN_OR_RETURN(PlainOperand op, ev.MakeAddOperand(pt, level, scale));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = ops_[key];
-  if (slot == nullptr) slot = std::make_unique<PlainOperand>(std::move(op));
-  return slot.get();
-}
-
-void PlainOperandCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ops_.clear();
-}
-
-size_t PlainOperandCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ops_.size();
 }
 
 }  // namespace bgv

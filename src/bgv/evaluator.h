@@ -1,10 +1,7 @@
 #ifndef SKNN_BGV_EVALUATOR_H_
 #define SKNN_BGV_EVALUATOR_H_
 
-#include <map>
 #include <memory>
-#include <mutex>
-#include <tuple>
 #include <vector>
 
 #include "bgv/ciphertext.h"
@@ -17,9 +14,9 @@
 // Homomorphic operations on BGV ciphertexts.
 //
 // Levels: fresh ciphertexts sit at max_level(); every ct-ct multiplication
-// should be followed by ModSwitchToNextInplace (the Multiply helpers do it
-// on request). Binary operations equalize operand levels automatically by
-// switching the higher one down.
+// should be followed by ModSwitchToNextInplace (MultiplyRelin does it).
+// Binary operations equalize operand levels automatically by switching the
+// higher one down.
 //
 // Key switching is split Halevi–Shoup style (DESIGN.md §3.2): the digit
 // decomposition (lift + forward NTTs, the expensive half) is computed once
@@ -28,28 +25,6 @@
 
 namespace sknn {
 namespace bgv {
-
-// The hoisted half of a key switch: RNS digits of a polynomial lifted to
-// the extended base (the level's data primes + the special prime) and
-// NTT'd. digits[i] has level+2 components; component j lives mod key-base
-// prime j for j <= level and mod the special prime for j == level+1.
-// Reusable across keys because the decomposition only depends on the
-// source polynomial.
-struct KSwitchDigits {
-  size_t level = 0;
-  std::vector<RnsPoly> digits;
-};
-
-// A plaintext operand prepared for repeated use against ciphertexts at one
-// (level, scale): lifted to the RNS base (centered mod t) and NTT'd. For
-// additive operands the ciphertext's scale correction is baked into the
-// lift, so `scale` records which ciphertexts the operand is valid for
-// (multiplicative operands are scale-independent; their scale is 1).
-struct PlainOperand {
-  size_t level = 0;
-  uint64_t scale = 1;
-  RnsPoly m;
-};
 
 class Evaluator {
  public:
@@ -67,6 +42,10 @@ class Evaluator {
   void NegateInplace(Ciphertext* a) const;
   // a += Enc(pt) without encryption (transparent addend).
   Status AddPlainInplace(Ciphertext* a, const Plaintext& pt) const;
+  // a += the constant `scalar_mod_t` in every slot: bit-identical to
+  // AddPlainInplace(a, EncodeScalar(scalar_mod_t)) without the lift and NTT
+  // (the NTT of a constant polynomial is that constant in every slot).
+  Status AddScalarInplace(Ciphertext* a, uint64_t scalar_mod_t) const;
 
   // --- multiplications ---
   // Tensor product; result has size 3 and must be relinearized before any
@@ -76,24 +55,12 @@ class Evaluator {
   Status RelinearizeInplace(Ciphertext* a, const RelinKeys& rk) const;
   // Multiply + relinearize + modulus switch (the common idiom).
   StatusOr<Ciphertext> MultiplyRelin(const Ciphertext& a, const Ciphertext& b,
-                                     const RelinKeys& rk,
-                                     bool mod_switch = true) const;
+                                     const RelinKeys& rk) const;
   // Slot-wise product with an encoded plaintext.
   Status MultiplyPlainInplace(Ciphertext* a, const Plaintext& pt) const;
   // Product with a scalar (constant polynomial): cheaper, noise grows by
   // |scalar| only.
   Status MultiplyScalarInplace(Ciphertext* a, uint64_t scalar_mod_t) const;
-
-  // --- prepared plaintext operands ---
-  // Builds the lifted+NTT'd operand once; the Inplace overloads below then
-  // skip LiftPlainCentered + ToNttInplace on every use. The operand is
-  // bound to a level (and, for addition, a ciphertext scale).
-  StatusOr<PlainOperand> MakeMultiplyOperand(const Plaintext& pt,
-                                             size_t level) const;
-  StatusOr<PlainOperand> MakeAddOperand(const Plaintext& pt, size_t level,
-                                        uint64_t scale) const;
-  Status MultiplyPlainInplace(Ciphertext* a, const PlainOperand& op) const;
-  Status AddPlainInplace(Ciphertext* a, const PlainOperand& op) const;
 
   // --- level management ---
   Status ModSwitchToNextInplace(Ciphertext* a) const;
@@ -129,6 +96,17 @@ class Evaluator {
                                            const GaloisKeys& gk) const;
 
  private:
+  // The hoisted half of a key switch: RNS digits of a polynomial lifted to
+  // the extended base (the level's data primes + the special prime) and
+  // NTT'd. digits[i] has level+2 components; component j lives mod key-base
+  // prime j for j <= level and mod the special prime for j == level+1.
+  // Reusable across keys because the decomposition only depends on the
+  // source polynomial.
+  struct KSwitchDigits {
+    size_t level = 0;
+    std::vector<RnsPoly> digits;
+  };
+
   Status CheckCt(const Ciphertext& a) const;
   // Equalizes ciphertext levels by switching the higher one down.
   Status Equalize(Ciphertext* a, Ciphertext* b) const;
@@ -150,45 +128,20 @@ class Evaluator {
   void KeySwitchInner(const KSwitchDigits& digits, const KSwitchKey& ksk,
                       const uint32_t* perm_ntt, RnsPoly* u0, RnsPoly* u1,
                       bool ntt_out) const;
-  // Decompose + inner product (no permutation), NTT-form outputs.
-  void KeySwitchCore(size_t level, const RnsPoly& target,
-                     const KSwitchKey& ksk, RnsPoly* u0, RnsPoly* u1,
-                     const RnsPoly* target_ntt = nullptr) const;
+  // One key-switched Galois hop in coefficient form, the step shared by
+  // the chain and the fold: (h0, h1) = (tau(c0) + u0, u1), where (u0, u1)
+  // key-switches tau(c1) back to the secret key. `c1_ntt` (may be null) is
+  // c1 in NTT form, reused for the diagonal digits as in
+  // DecomposeForKeySwitch.
+  void GaloisHopCoeff(size_t level, uint64_t galois_elt, const KSwitchKey& key,
+                      const RnsPoly& c0, const RnsPoly& c1,
+                      const RnsPoly* c1_ntt, RnsPoly* h0, RnsPoly* h1) const;
   // Drops the last RNS component of a poly with BGV rounding (coefficient
   // form in, coefficient form out).
   RnsPoly DropLastComponent(const RnsPoly& poly, size_t level) const;
 
   std::shared_ptr<const BgvContext> ctx_;
   NoiseModel noise_;
-};
-
-// Thread-safe keyed cache of prepared plaintext operands. Callers pick the
-// tag namespace (e.g. "selector for unit u", "mask coefficient j"); the
-// cache key is (kind, tag, level, scale). Entries are stable: returned
-// pointers stay valid until Clear(). Typical use: Party A's per-query mask
-// polynomial, whose coefficients hit every unit at the same few levels.
-class PlainOperandCache {
- public:
-  // Returns the cached multiply operand for (tag, level), building it from
-  // `pt` on a miss. The caller must pass the same plaintext for the same
-  // tag while the cache lives.
-  StatusOr<const PlainOperand*> MultiplyOperand(const Evaluator& ev,
-                                                uint64_t tag,
-                                                const Plaintext& pt,
-                                                size_t level);
-  // Additive variant; the operand also depends on the ciphertext scale it
-  // will be added to.
-  StatusOr<const PlainOperand*> AddOperand(const Evaluator& ev, uint64_t tag,
-                                           const Plaintext& pt, size_t level,
-                                           uint64_t scale);
-  void Clear();
-  size_t size() const;
-
- private:
-  // (is_add, tag, level, scale) -> operand.
-  using Key = std::tuple<int, uint64_t, size_t, uint64_t>;
-  mutable std::mutex mu_;
-  std::map<Key, std::unique_ptr<PlainOperand>> ops_;
 };
 
 }  // namespace bgv

@@ -2,6 +2,17 @@
 
 namespace sknn {
 namespace bgv {
+namespace {
+
+void WriteKSwitchKey(const KSwitchKey& k, ByteSink* sink) {
+  sink->WriteU64(k.digits.size());
+  for (const auto& [b, a] : k.digits) {
+    WriteRnsPoly(b, sink);
+    WriteRnsPoly(a, sink);
+  }
+}
+
+}  // namespace
 
 void WriteRnsPoly(const RnsPoly& p, ByteSink* sink) {
   sink->WriteU64(p.n());
@@ -40,16 +51,6 @@ StatusOr<RnsPoly> ReadRnsPoly(ByteSource* src) {
   return p;
 }
 
-void WritePlaintext(const Plaintext& pt, ByteSink* sink) {
-  sink->WriteU64Vector(pt.coeffs);
-}
-
-StatusOr<Plaintext> ReadPlaintext(ByteSource* src) {
-  Plaintext pt;
-  SKNN_ASSIGN_OR_RETURN(pt.coeffs, src->ReadU64Vector());
-  return pt;
-}
-
 void WriteCiphertext(const Ciphertext& ct, ByteSink* sink) {
   sink->WriteU64(ct.level);
   sink->WriteU64(ct.scale);
@@ -76,53 +77,13 @@ void WritePublicKey(const PublicKey& pk, ByteSink* sink) {
   WriteRnsPoly(pk.a, sink);
 }
 
-StatusOr<PublicKey> ReadPublicKey(ByteSource* src) {
-  PublicKey pk;
-  SKNN_ASSIGN_OR_RETURN(pk.b, ReadRnsPoly(src));
-  SKNN_ASSIGN_OR_RETURN(pk.a, ReadRnsPoly(src));
-  return pk;
-}
-
 void WriteSecretKey(const SecretKey& sk, ByteSink* sink) {
   WriteRnsPoly(sk.s_ntt, sink);
   WriteRnsPoly(sk.s_coeff, sink);
 }
 
-StatusOr<SecretKey> ReadSecretKey(ByteSource* src) {
-  SecretKey sk;
-  SKNN_ASSIGN_OR_RETURN(sk.s_ntt, ReadRnsPoly(src));
-  SKNN_ASSIGN_OR_RETURN(sk.s_coeff, ReadRnsPoly(src));
-  return sk;
-}
-
-void WriteKSwitchKey(const KSwitchKey& k, ByteSink* sink) {
-  sink->WriteU64(k.digits.size());
-  for (const auto& [b, a] : k.digits) {
-    WriteRnsPoly(b, sink);
-    WriteRnsPoly(a, sink);
-  }
-}
-
-StatusOr<KSwitchKey> ReadKSwitchKey(ByteSource* src) {
-  KSwitchKey k;
-  SKNN_ASSIGN_OR_RETURN(uint64_t digits, src->ReadU64());
-  if (digits > 64) return OutOfRangeError("implausible digit count");
-  for (uint64_t i = 0; i < digits; ++i) {
-    SKNN_ASSIGN_OR_RETURN(RnsPoly b, ReadRnsPoly(src));
-    SKNN_ASSIGN_OR_RETURN(RnsPoly a, ReadRnsPoly(src));
-    k.digits.emplace_back(std::move(b), std::move(a));
-  }
-  return k;
-}
-
 void WriteRelinKeys(const RelinKeys& rk, ByteSink* sink) {
   WriteKSwitchKey(rk.key, sink);
-}
-
-StatusOr<RelinKeys> ReadRelinKeys(ByteSource* src) {
-  RelinKeys rk;
-  SKNN_ASSIGN_OR_RETURN(rk.key, ReadKSwitchKey(src));
-  return rk;
 }
 
 void WriteGaloisKeys(const GaloisKeys& gk, ByteSink* sink) {
@@ -131,18 +92,6 @@ void WriteGaloisKeys(const GaloisKeys& gk, ByteSink* sink) {
     sink->WriteU64(elt);
     WriteKSwitchKey(key, sink);
   }
-}
-
-StatusOr<GaloisKeys> ReadGaloisKeys(ByteSource* src) {
-  GaloisKeys gk;
-  SKNN_ASSIGN_OR_RETURN(uint64_t count, src->ReadU64());
-  if (count > 4096) return OutOfRangeError("implausible Galois key count");
-  for (uint64_t i = 0; i < count; ++i) {
-    SKNN_ASSIGN_OR_RETURN(uint64_t elt, src->ReadU64());
-    SKNN_ASSIGN_OR_RETURN(KSwitchKey key, ReadKSwitchKey(src));
-    gk.keys.emplace(elt, std::move(key));
-  }
-  return gk;
 }
 
 }  // namespace bgv

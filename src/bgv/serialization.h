@@ -7,9 +7,11 @@
 #include "common/status.h"
 #include "common/statusor.h"
 
-// Byte-level (de)serialization for everything that crosses a protocol
-// channel. Readers validate structure but trust the caller to check shapes
-// against the active context.
+// Byte-level (de)serialization of ciphertexts, the only BGV objects that
+// cross a protocol channel (every process derives its keys locally). The
+// reader validates structure but trusts the caller to check shapes against
+// the active context. The key writers measure and pin key material: the
+// session reports the evaluation-key size, and tests digest keys.
 
 namespace sknn {
 namespace bgv {
@@ -17,26 +19,13 @@ namespace bgv {
 void WriteRnsPoly(const RnsPoly& p, ByteSink* sink);
 StatusOr<RnsPoly> ReadRnsPoly(ByteSource* src);
 
-void WritePlaintext(const Plaintext& pt, ByteSink* sink);
-StatusOr<Plaintext> ReadPlaintext(ByteSource* src);
-
 void WriteCiphertext(const Ciphertext& ct, ByteSink* sink);
 StatusOr<Ciphertext> ReadCiphertext(ByteSource* src);
 
 void WritePublicKey(const PublicKey& pk, ByteSink* sink);
-StatusOr<PublicKey> ReadPublicKey(ByteSource* src);
-
 void WriteSecretKey(const SecretKey& sk, ByteSink* sink);
-StatusOr<SecretKey> ReadSecretKey(ByteSource* src);
-
-void WriteKSwitchKey(const KSwitchKey& k, ByteSink* sink);
-StatusOr<KSwitchKey> ReadKSwitchKey(ByteSource* src);
-
 void WriteRelinKeys(const RelinKeys& rk, ByteSink* sink);
-StatusOr<RelinKeys> ReadRelinKeys(ByteSource* src);
-
 void WriteGaloisKeys(const GaloisKeys& gk, ByteSink* sink);
-StatusOr<GaloisKeys> ReadGaloisKeys(ByteSource* src);
 
 }  // namespace bgv
 }  // namespace sknn

@@ -110,13 +110,7 @@ StatusOr<bgv::Ciphertext> PartyA::DistanceForUnit(
     if (layout_.mode() == Layout::kPacked) {
       SKNN_ASSIGN_OR_RETURN(bgv::Plaintext selector,
                             encoder_.Encode(layout_.SelectorSlots(unit)));
-      // The selector depends only on the layout, so its lifted+NTT'd
-      // operand is cached across queries (keyed by unit).
-      SKNN_ASSIGN_OR_RETURN(
-          const bgv::PlainOperand* selector_op,
-          selector_cache_.MultiplyOperand(evaluator_, unit, selector,
-                                          x.level));
-      SKNN_RETURN_IF_ERROR(evaluator_.MultiplyPlainInplace(&x, *selector_op));
+      SKNN_RETURN_IF_ERROR(evaluator_.MultiplyPlainInplace(&x, selector));
       ops->he_plain_ops += 1;
       // A plaintext product costs as much noise as a ciphertext product;
       // spend a level on it.
@@ -135,28 +129,14 @@ StatusOr<bgv::Ciphertext> PartyA::DistanceForUnit(
     u = x;
     SKNN_RETURN_IF_ERROR(evaluator_.MultiplyScalarInplace(&u, a[d]));
     ops->he_plain_ops += 1;
-    // Every unit walks the same coefficient sequence through the same
-    // (level, scale) trajectory, so the lifted+NTT'd addends are built
-    // once per query (by the first unit) and served from the query's
-    // cache after.
-    SKNN_ASSIGN_OR_RETURN(
-        const bgv::PlainOperand* addend,
-        query->horner_cache_.AddOperand(evaluator_, d - 1,
-                                        encoder_.EncodeScalar(a[d - 1]),
-                                        u.level, u.scale));
-    SKNN_RETURN_IF_ERROR(evaluator_.AddPlainInplace(&u, *addend));
+    SKNN_RETURN_IF_ERROR(evaluator_.AddScalarInplace(&u, a[d - 1]));
     ops->he_plain_ops += 1;
     for (size_t j = d - 1; j-- > 0;) {
       SKNN_ASSIGN_OR_RETURN(u, evaluator_.MultiplyRelin(u, x, relin_));
       ops->he_multiplications += 1;
       ops->relinearizations += 1;
       ops->mod_switches += 1;
-      SKNN_ASSIGN_OR_RETURN(
-          const bgv::PlainOperand* addend_j,
-          query->horner_cache_.AddOperand(evaluator_, j,
-                                          encoder_.EncodeScalar(a[j]), u.level,
-                                          u.scale));
-      SKNN_RETURN_IF_ERROR(evaluator_.AddPlainInplace(&u, *addend_j));
+      SKNN_RETURN_IF_ERROR(evaluator_.AddScalarInplace(&u, a[j]));
       ops->he_plain_ops += 1;
     }
     // Masking and rotations happen at level 1: level 0 is reserved for

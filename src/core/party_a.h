@@ -35,12 +35,11 @@
 //    only the additive mask on non-payload slots is redrawn per call.
 //
 // Concurrency: one PartyA serves many queries at once (DESIGN.md §9).
-// All per-query state — mask, permutation, Horner operand cache,
-// transformed database, accumulators, op counts — lives in the `Query`
-// object returned by `StartQuery`, so concurrent queries cannot
-// cross-contaminate ciphertexts or transforms. The shared pieces are
-// immutable after setup (database units, keys) or internally synchronized
-// (the CSPRNG behind `rng_mu_`, the layout-keyed selector operand cache,
+// All per-query state — mask, permutation, transformed database,
+// accumulators, op counts — lives in the `Query` object returned by
+// `StartQuery`, so concurrent queries cannot cross-contaminate ciphertexts
+// or transforms. The shared pieces are immutable after setup (database
+// units, keys) or internally synchronized (the CSPRNG behind `rng_mu_`,
 // the thread pool).
 //
 // Cost model (n = database points, u = ciphertext units — n in kPerPoint,
@@ -132,10 +131,6 @@ class PartyA {
     PartyA* party_;
     CancelCheck cancel_;  // StartQuery's, kept for the return phase
     std::shared_ptr<const QueryTransform> transform_;
-    // Prepared Horner addends for this query's mask coefficients (lifted +
-    // NTT'd once by the first unit, shared across units of this query;
-    // useless to any other query, whose mask differs).
-    bgv::PlainOperandCache horner_cache_;
     std::vector<bgv::Ciphertext> distances_;
     // kPacked: the indicator-level database units under this query's
     // intra-unit transform, by original unit (built by BeginReturnPhase).
@@ -229,11 +224,6 @@ class PartyA {
 
   std::vector<bgv::Ciphertext> db_top_;  // distance phase operands
   std::vector<bgv::Ciphertext> db_ret_;  // return phase operands (low level)
-
-  // Prepared selector operands (lifted + NTT'd once, reused across units
-  // AND queries — the packed-mode zeroing selector depends only on the
-  // layout, keyed by unit index). Internally mutex-guarded.
-  bgv::PlainOperandCache selector_cache_;
 
   // Most recent transform, for the test hooks above.
   std::shared_ptr<const QueryTransform> last_transform_;

@@ -15,33 +15,41 @@ std::string LinkStats::DebugString() const {
   return os.str();
 }
 
+Status CountingEndpoint::Send(std::vector<uint8_t> message) {
+  trace::Tracer::Global().AddBytesSent(message.size());
+  const int dir = is_a_ ? 1 : -1;
+  if (*last_direction_ != dir) {
+    ++stats_->rounds;
+    *last_direction_ = dir;
+  }
+  if (is_a_) {
+    ++stats_->messages_a_to_b;
+    stats_->bytes_a_to_b += message.size();
+  } else {
+    ++stats_->messages_b_to_a;
+    stats_->bytes_b_to_a += message.size();
+  }
+  return raw_->Send(std::move(message));
+}
+
+StatusOr<std::vector<uint8_t>> CountingEndpoint::Receive() {
+  SKNN_ASSIGN_OR_RETURN(std::vector<uint8_t> msg, raw_->Receive());
+  trace::Tracer::Global().AddBytesReceived(msg.size());
+  return msg;
+}
+
 namespace {
 
-class LinkEndpointImpl : public Channel {
+// The raw in-memory endpoint: a pair of queues. `stats` (kept by the
+// counting endpoint above it) only feeds the empty-queue diagnostic.
+class QueueEndpoint : public Channel {
  public:
-  LinkEndpointImpl(std::deque<std::vector<uint8_t>>* out,
-                   std::deque<std::vector<uint8_t>>* in, LinkStats* stats,
-                   int* last_direction, bool is_a)
-      : out_(out),
-        in_(in),
-        stats_(stats),
-        last_direction_(last_direction),
-        is_a_(is_a) {}
+  QueueEndpoint(std::deque<std::vector<uint8_t>>* out,
+                std::deque<std::vector<uint8_t>>* in, const LinkStats* stats,
+                bool is_a)
+      : out_(out), in_(in), stats_(stats), is_a_(is_a) {}
 
   Status Send(std::vector<uint8_t> message) override {
-    trace::Tracer::Global().AddBytesSent(message.size());
-    const int dir = is_a_ ? 1 : -1;
-    if (*last_direction_ != dir) {
-      ++stats_->rounds;
-      *last_direction_ = dir;
-    }
-    if (is_a_) {
-      ++stats_->messages_a_to_b;
-      stats_->bytes_a_to_b += message.size();
-    } else {
-      ++stats_->messages_b_to_a;
-      stats_->bytes_b_to_a += message.size();
-    }
     out_->push_back(std::move(message));
     return Status::Ok();
   }
@@ -66,26 +74,28 @@ class LinkEndpointImpl : public Channel {
     }
     std::vector<uint8_t> msg = std::move(in_->front());
     in_->pop_front();
-    trace::Tracer::Global().AddBytesReceived(msg.size());
     return msg;
   }
 
  private:
   std::deque<std::vector<uint8_t>>* out_;
   std::deque<std::vector<uint8_t>>* in_;
-  LinkStats* stats_;
-  int* last_direction_;
+  const LinkStats* stats_;
   bool is_a_;
 };
 
 }  // namespace
 
-InMemoryLink::InMemoryLink() {
-  a_ = std::make_unique<LinkEndpointImpl>(&a_to_b_, &b_to_a_, &stats_,
-                                          &last_direction_, /*is_a=*/true);
-  b_ = std::make_unique<LinkEndpointImpl>(&b_to_a_, &a_to_b_, &stats_,
-                                          &last_direction_, /*is_a=*/false);
-}
+InMemoryLink::InMemoryLink()
+    : a_queue_(std::make_unique<QueueEndpoint>(&a_to_b_, &b_to_a_, &stats_,
+                                               /*is_a=*/true)),
+      b_queue_(std::make_unique<QueueEndpoint>(&b_to_a_, &a_to_b_, &stats_,
+                                               /*is_a=*/false)),
+      a_(std::make_unique<CountingEndpoint>(a_queue_.get(), &stats_,
+                                            &last_direction_, /*is_a=*/true)),
+      b_(std::make_unique<CountingEndpoint>(b_queue_.get(), &stats_,
+                                            &last_direction_,
+                                            /*is_a=*/false)) {}
 
 }  // namespace net
 }  // namespace sknn

@@ -50,6 +50,33 @@ struct LinkStats {
   std::string DebugString() const;
 };
 
+// One endpoint of a two-party link with Table 1 accounting: each Send
+// counts its message and bytes in its direction, and a round whenever the
+// direction of traffic flips, in the link's shared LinkStats; Send and
+// Receive attribute the message size to the active trace span. The raw
+// endpoint underneath (an in-memory queue or a socket) moves the bytes.
+// Single-threaded, like the links that own it.
+class CountingEndpoint : public Channel {
+ public:
+  // `last_direction` is shared by the link's two endpoints: +1 = last
+  // traffic flowed A->B, -1 = B->A, 0 = none yet.
+  CountingEndpoint(Channel* raw, LinkStats* stats, int* last_direction,
+                   bool is_a)
+      : raw_(raw),
+        stats_(stats),
+        last_direction_(last_direction),
+        is_a_(is_a) {}
+
+  Status Send(std::vector<uint8_t> message) override;
+  StatusOr<std::vector<uint8_t>> Receive() override;
+
+ private:
+  Channel* raw_;
+  LinkStats* stats_;
+  int* last_direction_;
+  bool is_a_;
+};
+
 // An in-process bidirectional link between two parties A and B.
 //
 // Threading contract: SINGLE-THREADED ONLY. The deques, stats, and
@@ -76,14 +103,13 @@ class InMemoryLink {
   const LinkStats& stats() const { return stats_; }
 
  private:
-  friend class LinkEndpoint;
-
   std::deque<std::vector<uint8_t>> a_to_b_;
   std::deque<std::vector<uint8_t>> b_to_a_;
   LinkStats stats_;
-  // +1 = last traffic flowed A->B, -1 = B->A, 0 = none yet.
   int last_direction_ = 0;
 
+  std::unique_ptr<Channel> a_queue_;
+  std::unique_ptr<Channel> b_queue_;
   std::unique_ptr<Channel> a_;
   std::unique_ptr<Channel> b_;
 };

@@ -17,7 +17,6 @@
 
 #include "common/metrics_registry.h"
 #include "common/serial.h"
-#include "common/trace.h"
 #include "net/frame.h"
 
 namespace sknn {
@@ -341,52 +340,6 @@ StatusOr<std::unique_ptr<SocketChannel>> ConnectSocket(
   }
 }
 
-namespace {
-
-// Mirrors LinkEndpointImpl from channel.cc: per-direction LinkStats, round
-// counting, and trace-span byte attribution, delegating transport to a
-// SocketChannel. Single-threaded like InMemoryLink.
-class CountingSocketEndpoint : public Channel {
- public:
-  CountingSocketEndpoint(SocketChannel* transport, LinkStats* stats,
-                         int* last_direction, bool is_a)
-      : transport_(transport),
-        stats_(stats),
-        last_direction_(last_direction),
-        is_a_(is_a) {}
-
-  Status Send(std::vector<uint8_t> message) override {
-    trace::Tracer::Global().AddBytesSent(message.size());
-    const int dir = is_a_ ? 1 : -1;
-    if (*last_direction_ != dir) {
-      ++stats_->rounds;
-      *last_direction_ = dir;
-    }
-    if (is_a_) {
-      ++stats_->messages_a_to_b;
-      stats_->bytes_a_to_b += message.size();
-    } else {
-      ++stats_->messages_b_to_a;
-      stats_->bytes_b_to_a += message.size();
-    }
-    return transport_->Send(std::move(message));
-  }
-
-  StatusOr<std::vector<uint8_t>> Receive() override {
-    SKNN_ASSIGN_OR_RETURN(std::vector<uint8_t> msg, transport_->Receive());
-    trace::Tracer::Global().AddBytesReceived(msg.size());
-    return msg;
-  }
-
- private:
-  SocketChannel* transport_;
-  LinkStats* stats_;
-  int* last_direction_;
-  bool is_a_;
-};
-
-}  // namespace
-
 SocketLink::~SocketLink() = default;
 
 StatusOr<std::unique_ptr<SocketLink>> SocketLink::Create() {
@@ -402,9 +355,9 @@ StatusOr<std::unique_ptr<SocketLink>> SocketLink::Create() {
   auto link = std::unique_ptr<SocketLink>(new SocketLink());
   link->a_ = std::move(a);
   link->b_ = std::move(b);
-  link->a_counting_ = std::make_unique<CountingSocketEndpoint>(
+  link->a_counting_ = std::make_unique<CountingEndpoint>(
       link->a_.get(), &link->stats_, &link->last_direction_, /*is_a=*/true);
-  link->b_counting_ = std::make_unique<CountingSocketEndpoint>(
+  link->b_counting_ = std::make_unique<CountingEndpoint>(
       link->b_.get(), &link->stats_, &link->last_direction_, /*is_a=*/false);
   return link;
 }

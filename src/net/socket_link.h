@@ -128,9 +128,9 @@ StatusOr<std::unique_ptr<SocketChannel>> ConnectSocket(
     const std::string& host, uint16_t port, int timeout_ms,
     const std::string& name);
 
-// A loopback TCP pair with the same link interface as InMemoryLink: two
-// byte-counted endpoints and LinkStats. Used
-// by SecureKnnSession's socket transport mode and by the chaos harness to
+// A loopback TCP pair with the same link interface as InMemoryLink: the
+// two sockets wrapped in CountingEndpoints that share LinkStats. Used by
+// SecureKnnSession's socket transport mode and by the chaos harness to
 // run the full fault matrix over real sockets (a FaultyLink decorates the
 // endpoints exactly as it decorates the in-memory ones).
 //

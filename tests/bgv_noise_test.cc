@@ -87,8 +87,9 @@ TEST_F(BgvNoiseTest, CiphertextMultCostsMuchMoreThanScalar) {
   Ciphertext b = Fresh();
   Ciphertext s = Fresh();
   const double before = Budget(a);
-  auto prod = evaluator_->MultiplyRelin(a, b, rk_, /*mod_switch=*/false);
+  auto prod = evaluator_->Multiply(a, b);
   ASSERT_TRUE(prod.ok());
+  ASSERT_TRUE(evaluator_->RelinearizeInplace(&*prod, rk_).ok());
   const double mult_cost = before - Budget(prod.value());
   ASSERT_TRUE(evaluator_->MultiplyScalarInplace(&s, 7).ok());
   const double scalar_cost = before - Budget(s);
@@ -99,8 +100,9 @@ TEST_F(BgvNoiseTest, ModSwitchRecoversRelativeBudget) {
   // After a multiplication, switching down sheds noise along with modulus
   // so the *relative* budget is nearly preserved while ciphertexts shrink.
   Ciphertext a = Fresh();
-  auto prod = evaluator_->MultiplyRelin(a, a, rk_, /*mod_switch=*/false);
+  auto prod = evaluator_->Multiply(a, a);
   ASSERT_TRUE(prod.ok());
+  ASSERT_TRUE(evaluator_->RelinearizeInplace(&*prod, rk_).ok());
   const double before = Budget(prod.value());
   Ciphertext switched = prod.value();
   ASSERT_TRUE(evaluator_->ModSwitchToNextInplace(&switched).ok());

@@ -24,8 +24,6 @@ class BgvSerializationTest : public ::testing::Test {
     KeyGenerator keygen(ctx_, rng_.get());
     sk_ = keygen.GenerateSecretKey();
     pk_ = keygen.GeneratePublicKey(sk_);
-    rk_ = keygen.GenerateRelinKeys(sk_);
-    gk_ = keygen.GenerateGaloisKeys(sk_, {ctx_->GaloisEltForRotation(1)});
     encoder_ = std::make_unique<BatchEncoder>(ctx_);
     encryptor_ = std::make_unique<Encryptor>(ctx_, pk_, rng_.get());
     decryptor_ = std::make_unique<Decryptor>(ctx_, sk_);
@@ -36,8 +34,6 @@ class BgvSerializationTest : public ::testing::Test {
   std::unique_ptr<Chacha20Rng> rng_;
   SecretKey sk_;
   PublicKey pk_;
-  RelinKeys rk_;
-  GaloisKeys gk_;
   std::unique_ptr<BatchEncoder> encoder_;
   std::unique_ptr<Encryptor> encryptor_;
   std::unique_ptr<Decryptor> decryptor_;
@@ -76,73 +72,6 @@ TEST_F(BgvSerializationTest, ModSwitchedCiphertextRoundtrip) {
   auto decoded = encoder_->Decode(pt.value());
   EXPECT_EQ(decoded[0], 1u);
   EXPECT_EQ(decoded[2], 3u);
-}
-
-TEST_F(BgvSerializationTest, PublicKeyRoundtripUsable) {
-  ByteSink sink;
-  WritePublicKey(pk_, &sink);
-  ByteSource src(sink.TakeBytes());
-  auto pk2 = ReadPublicKey(&src);
-  ASSERT_TRUE(pk2.ok());
-  Encryptor enc2(ctx_, pk2.value(), rng_.get());
-  auto ct = enc2.Encrypt(encoder_->EncodeScalar(42)).value();
-  auto pt = decryptor_->Decrypt(ct);
-  ASSERT_TRUE(pt.ok());
-  EXPECT_EQ(encoder_->Decode(pt.value())[0], 42u);
-}
-
-TEST_F(BgvSerializationTest, SecretKeyRoundtripUsable) {
-  ByteSink sink;
-  WriteSecretKey(sk_, &sink);
-  ByteSource src(sink.TakeBytes());
-  auto sk2 = ReadSecretKey(&src);
-  ASSERT_TRUE(sk2.ok());
-  Decryptor dec2(ctx_, sk2.value());
-  auto ct = encryptor_->Encrypt(encoder_->EncodeScalar(7)).value();
-  auto pt = dec2.Decrypt(ct);
-  ASSERT_TRUE(pt.ok());
-  EXPECT_EQ(encoder_->Decode(pt.value())[0], 7u);
-}
-
-TEST_F(BgvSerializationTest, RelinKeysRoundtripUsable) {
-  ByteSink sink;
-  WriteRelinKeys(rk_, &sink);
-  ByteSource src(sink.TakeBytes());
-  auto rk2 = ReadRelinKeys(&src);
-  ASSERT_TRUE(rk2.ok());
-  auto ca = encryptor_->Encrypt(encoder_->EncodeScalar(6)).value();
-  auto cb = encryptor_->Encrypt(encoder_->EncodeScalar(7)).value();
-  auto prod = evaluator_->MultiplyRelin(ca, cb, rk2.value());
-  ASSERT_TRUE(prod.ok());
-  auto pt = decryptor_->Decrypt(prod.value());
-  ASSERT_TRUE(pt.ok());
-  EXPECT_EQ(encoder_->Decode(pt.value())[0], 42u);
-}
-
-TEST_F(BgvSerializationTest, GaloisKeysRoundtripUsable) {
-  ByteSink sink;
-  WriteGaloisKeys(gk_, &sink);
-  ByteSource src(sink.TakeBytes());
-  auto gk2 = ReadGaloisKeys(&src);
-  ASSERT_TRUE(gk2.ok());
-  EXPECT_EQ(gk2->keys.size(), gk_.keys.size());
-  std::vector<uint64_t> v(ctx_->n());
-  for (size_t i = 0; i < v.size(); ++i) v[i] = i;
-  auto ct = encryptor_->Encrypt(encoder_->Encode(v).value()).value();
-  ASSERT_TRUE(evaluator_->RotateRowsInplace(&ct, 1, gk2.value()).ok());
-  auto pt = decryptor_->Decrypt(ct);
-  ASSERT_TRUE(pt.ok());
-  EXPECT_EQ(encoder_->Decode(pt.value())[0], 1u);
-}
-
-TEST_F(BgvSerializationTest, PlaintextRoundtrip) {
-  auto pt = encoder_->Encode({9, 8, 7}).value();
-  ByteSink sink;
-  WritePlaintext(pt, &sink);
-  ByteSource src(sink.TakeBytes());
-  auto back = ReadPlaintext(&src);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->coeffs, pt.coeffs);
 }
 
 TEST_F(BgvSerializationTest, TruncatedCiphertextRejected) {

@@ -325,8 +325,9 @@ TEST_F(BgvTest, NoiseBudgetDecreasesWithMultiplication) {
   Ciphertext ct = EncryptVec(RandomSlots());
   auto fresh = decryptor_->NoiseBudgetBits(ct);
   ASSERT_TRUE(fresh.ok());
-  auto prod = evaluator_->MultiplyRelin(ct, ct, rk_, /*mod_switch=*/false);
+  auto prod = evaluator_->Multiply(ct, ct);
   ASSERT_TRUE(prod.ok());
+  ASSERT_TRUE(evaluator_->RelinearizeInplace(&*prod, rk_).ok());
   auto after = decryptor_->NoiseBudgetBits(prod.value());
   ASSERT_TRUE(after.ok());
   EXPECT_LT(after.value(), fresh.value());

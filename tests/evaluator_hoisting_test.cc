@@ -1,12 +1,13 @@
 // Tests for the split key-switching stack (DESIGN.md §3.2): the
-// coefficient-form Galois chain, fold-vs-naive equivalence, and the
-// prepared plaintext-operand cache. The tests below assert polynomial
+// coefficient-form Galois chain, fold-vs-naive equivalence, constant
+// addends, and digests pinning every evaluator output. The tests below assert polynomial
 // equality, not just decode equality, wherever that invariant holds.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "bgv/context.h"
@@ -15,7 +16,17 @@
 #include "bgv/encryptor.h"
 #include "bgv/evaluator.h"
 #include "bgv/keys.h"
+#include "bgv/serialization.h"
+#include "bgv/symmetric.h"
 #include "common/rng.h"
+#include "common/serial.h"
+#include "common/xxhash.h"
+#include "core/client.h"
+#include "core/deployment.h"
+#include "core/exchange.h"
+#include "core/party_a.h"
+#include "core/party_b.h"
+#include "data/generators.h"
 
 namespace sknn {
 namespace bgv {
@@ -155,87 +166,175 @@ TEST_F(EvaluatorHoistingTest, FoldRowsRejectsMissingKeyUntouched) {
   ExpectSameCiphertext(ct, before);
 }
 
-// The prepared-operand overloads must be bit-identical to the plain
-// overloads (same lift, same NTT, same pointwise ops).
-TEST_F(EvaluatorHoistingTest, MultiplyOperandMatchesPlainOverload) {
-  std::vector<uint64_t> values(ctx_->n());
-  for (size_t i = 0; i < values.size(); ++i) values[i] = (3 * i + 1) % 17;
-  Plaintext pt = encoder_->Encode(values).value();
-  Ciphertext ct = EncryptRamp();
-
-  Ciphertext direct = ct;
-  ASSERT_TRUE(evaluator_->MultiplyPlainInplace(&direct, pt).ok());
-
-  auto op = evaluator_->MakeMultiplyOperand(pt, ct.level);
-  ASSERT_TRUE(op.ok());
-  Ciphertext prepared = ct;
-  ASSERT_TRUE(evaluator_->MultiplyPlainInplace(&prepared, op.value()).ok());
-  ExpectSameCiphertext(direct, prepared);
+// AddScalarInplace adds the constant straight into c0's NTT slots; it must
+// equal adding the encoded scalar polynomial bit for bit, at every level,
+// on fresh (scale 1) and mod-switched (scale != 1) ciphertexts.
+TEST_F(EvaluatorHoistingTest, AddScalarMatchesEncodedScalarAtEveryLevel) {
+  const uint64_t t = ctx_->t();
+  const Ciphertext top = EncryptRamp();
+  for (size_t level = 0; level <= ctx_->max_level(); ++level) {
+    SCOPED_TRACE(level);
+    Ciphertext switched = top;
+    ASSERT_TRUE(evaluator_->ModSwitchToLevelInplace(&switched, level).ok());
+    if (level < ctx_->max_level()) {
+      ASSERT_NE(switched.scale, 1u);
+    }
+    auto fresh = encryptor_->EncryptAtLevel(encoder_->EncodeScalar(3), level);
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_EQ(fresh->scale, 1u);
+    for (const Ciphertext& ct : {fresh.value(), switched}) {
+      for (uint64_t c : {uint64_t{0}, uint64_t{1}, t / 2, t - 1}) {
+        SCOPED_TRACE(c);
+        Ciphertext plain = ct;
+        ASSERT_TRUE(
+            evaluator_->AddPlainInplace(&plain, encoder_->EncodeScalar(c))
+                .ok());
+        Ciphertext scalar = ct;
+        ASSERT_TRUE(evaluator_->AddScalarInplace(&scalar, c).ok());
+        ExpectSameCiphertext(scalar, plain);
+        EXPECT_EQ(scalar.noise_bits, plain.noise_bits);
+      }
+    }
+  }
+  Ciphertext ct = top;
+  EXPECT_FALSE(evaluator_->AddScalarInplace(&ct, t).ok());
 }
 
-TEST_F(EvaluatorHoistingTest, AddOperandMatchesPlainOverload) {
-  Plaintext pt = encoder_->EncodeScalar(9);
-  Ciphertext ct = EncryptRamp();
-  // Mod-switch once so the ciphertext carries a non-trivial scale — the
-  // operand must bake the same correction in.
-  ASSERT_TRUE(evaluator_->ModSwitchToNextInplace(&ct).ok());
-
-  Ciphertext direct = ct;
-  ASSERT_TRUE(evaluator_->AddPlainInplace(&direct, pt).ok());
-
-  auto op = evaluator_->MakeAddOperand(pt, ct.level, ct.scale);
-  ASSERT_TRUE(op.ok());
-  Ciphertext prepared = ct;
-  ASSERT_TRUE(evaluator_->AddPlainInplace(&prepared, op.value()).ok());
-  ExpectSameCiphertext(direct, prepared);
+uint64_t Digest(const ByteSink& sink) {
+  return Xxh64(sink.bytes().data(), sink.bytes().size(), 0);
 }
 
-TEST_F(EvaluatorHoistingTest, OperandRejectsLevelAndScaleMismatch) {
-  Plaintext pt = encoder_->EncodeScalar(2);
-  Ciphertext ct = EncryptRamp();
-  auto mul_op = evaluator_->MakeMultiplyOperand(pt, ct.level);
-  ASSERT_TRUE(mul_op.ok());
-  Ciphertext lower = ct;
-  ASSERT_TRUE(evaluator_->ModSwitchToNextInplace(&lower).ok());
-  EXPECT_FALSE(
-      evaluator_->MultiplyPlainInplace(&lower, mul_op.value()).ok());
-
-  auto add_op = evaluator_->MakeAddOperand(pt, lower.level, lower.scale);
-  ASSERT_TRUE(add_op.ok());
-  Ciphertext wrong_scale = lower;
-  wrong_scale.scale = lower.scale + 1;
-  EXPECT_FALSE(
-      evaluator_->AddPlainInplace(&wrong_scale, add_op.value()).ok());
+// A ciphertext's wire bytes plus its noise estimate, so a digest pins both
+// the polynomials and the noise model's bookkeeping.
+void WritePinned(const Ciphertext& ct, ByteSink* sink) {
+  WriteCiphertext(ct, sink);
+  uint64_t noise_bits;
+  std::memcpy(&noise_bits, &ct.noise_bits, sizeof(noise_bits));
+  sink->WriteU64(noise_bits);
 }
 
-// The cache must hand back the same prepared operand (same pointer) for
-// the same key and produce ciphertexts identical to the uncached path.
-TEST_F(EvaluatorHoistingTest, PlainOperandCacheReturnsStableIdenticalOperands) {
-  PlainOperandCache cache;
-  Plaintext pt = encoder_->EncodeScalar(5);
-  Ciphertext ct = EncryptRamp();
+// Party A's protocol outputs for one query on the toy preset: the
+// serialized distance ciphertexts (message 2) and results (message 4).
+uint64_t PartyADigest(core::Layout layout, size_t threads) {
+  core::ProtocolConfig cfg;
+  cfg.layout = layout;
+  cfg.preset = SecurityPreset::kToy;
+  cfg.dims = layout == core::Layout::kPacked ? 3 : 2;
+  cfg.k = layout == core::Layout::kPacked ? 3 : 2;
+  cfg.poly_degree = 3;
+  cfg.levels = cfg.MinimumLevels();
+  cfg.threads = threads;
+  const data::Dataset dataset = data::UniformDataset(
+      layout == core::Layout::kPacked ? 600 : 40, cfg.dims, 15, 61);
+  auto d = core::Deployment::Derive(cfg, dataset, 62, /*role_a=*/true);
+  EXPECT_TRUE(d.ok()) << d.status();
+  if (!d.ok()) return 0;
+  core::PartyA a(d->ctx, cfg, d->layout, d->pk, d->relin, d->galois,
+                 d->party_a_seed);
+  EXPECT_TRUE(a.LoadEncryptedDatabase(d->encrypted_db).ok());
+  core::PartyB b(d->ctx, cfg, d->layout, d->sk, d->pk, d->party_b_seed);
+  core::Client client(d->ctx, cfg, d->layout, d->pk, d->sk, d->client_seed);
+  auto query_ct = client.EncryptQuery(data::UniformQuery(cfg.dims, 15, 63));
+  EXPECT_TRUE(query_ct.ok()) << query_ct.status();
+  auto query = a.StartQuery(query_ct.value());
+  EXPECT_TRUE(query.ok()) << query.status();
+  if (!query.ok()) return 0;
+  ByteSink sink;
+  for (const Ciphertext& ct : (*query)->distances()) {
+    const std::vector<uint8_t> bytes = core::CtToBytes(ct);
+    sink.WriteBytes(bytes.data(), bytes.size());
+  }
+  auto k = b.FindNeighbours((*query)->distances(), cfg.k);
+  EXPECT_TRUE(k.ok()) << k.status();
+  EXPECT_TRUE((*query)->BeginReturnPhase(k.value()).ok());
+  for (size_t j = 0; j < k.value(); ++j) {
+    auto row = b.EmitIndicatorsCompressedForResult(j);
+    EXPECT_TRUE(row.ok()) << row.status();
+    for (size_t pos = 0; pos < row->size(); ++pos) {
+      auto indicator = ExpandSeeded(*d->ctx, (*row)[pos]);
+      EXPECT_TRUE(indicator.ok());
+      EXPECT_TRUE((*query)->AbsorbIndicator(j, pos, indicator.value()).ok());
+    }
+  }
+  auto results = core::FinalizeResults(k.value(), query->get());
+  EXPECT_TRUE(results.ok()) << results.status();
+  for (const std::vector<uint8_t>& bytes : results.value()) {
+    sink.WriteBytes(bytes.data(), bytes.size());
+  }
+  return Digest(sink);
+}
 
-  auto first = cache.MultiplyOperand(*evaluator_, /*tag=*/7, pt, ct.level);
-  ASSERT_TRUE(first.ok());
-  auto second = cache.MultiplyOperand(*evaluator_, /*tag=*/7, pt, ct.level);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first.value(), second.value());  // same cached entry
-  EXPECT_EQ(cache.size(), 1u);
+// Pins, bit for bit, Party A's protocol outputs (both layouts, inline and
+// pooled) and every evaluator path that applies a plaintext, a constant or
+// a Galois hop at the bench preset, so any change to a ciphertext, a noise
+// estimate or a wire byte shows here.
+TEST_F(EvaluatorHoistingTest, OutputsArePinned) {
+  for (size_t threads : {size_t{1}, core::ProtocolConfig().threads}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(PartyADigest(core::Layout::kPacked, threads),
+              0x9257caf10dccf412ull)
+        << "packed";
+    EXPECT_EQ(PartyADigest(core::Layout::kPerPoint, threads),
+              0x4361c6e8606cd762ull)
+        << "per-point";
+  }
 
-  Ciphertext cached = ct;
-  ASSERT_TRUE(
-      evaluator_->MultiplyPlainInplace(&cached, *first.value()).ok());
-  Ciphertext uncached = ct;
-  ASSERT_TRUE(evaluator_->MultiplyPlainInplace(&uncached, pt).ok());
-  ExpectSameCiphertext(cached, uncached);
+  auto params = BgvParams::Create(SecurityPreset::kBench, 4, 33);
+  ASSERT_TRUE(params.ok());
+  auto ctx = BgvContext::Create(params.value()).value();
+  Chacha20Rng rng(uint64_t{99});
+  KeyGenerator keygen(ctx, &rng);
+  const SecretKey sk = keygen.GenerateSecretKey();
+  const PublicKey pk = keygen.GeneratePublicKey(sk);
+  const RelinKeys rk = keygen.GenerateRelinKeys(sk);
+  const GaloisKeys gk = keygen.GeneratePowerOfTwoRotationKeys(sk);
+  BatchEncoder encoder(ctx);
+  Encryptor encryptor(ctx, pk, &rng);
+  Evaluator ev(ctx);
+  const uint64_t t = ctx->t();
+  std::vector<uint64_t> slots(ctx->n());
+  for (size_t i = 0; i < slots.size(); ++i) slots[i] = (i * 7919 + 3) % t;
+  const Plaintext full = encoder.Encode(slots).value();
+  const Ciphertext fresh = encryptor.Encrypt(full).value();
+  // One level down the ciphertext carries a scale other than 1.
+  Ciphertext lower = fresh;
+  ASSERT_TRUE(ev.ModSwitchToNextInplace(&lower).ok());
+  ASSERT_NE(lower.scale, 1u);
 
-  // Distinct tags and levels are distinct entries; Clear empties the map.
-  auto other = cache.MultiplyOperand(*evaluator_, /*tag=*/8, pt, ct.level);
-  ASSERT_TRUE(other.ok());
-  EXPECT_NE(first.value(), other.value());
-  EXPECT_EQ(cache.size(), 2u);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
+  ByteSink sink;
+  Ciphertext ct = fresh;
+  ASSERT_TRUE(ev.MultiplyPlainInplace(&ct, full).ok());
+  WritePinned(ct, &sink);
+  ct = lower;
+  ASSERT_TRUE(ev.AddPlainInplace(&ct, full).ok());
+  WritePinned(ct, &sink);
+  for (uint64_t c : {uint64_t{0}, uint64_t{5}, t / 2, t - 1}) {
+    ct = lower;
+    ASSERT_TRUE(ev.AddPlainInplace(&ct, encoder.EncodeScalar(c)).ok());
+    WritePinned(ct, &sink);
+  }
+  ct = fresh;
+  ASSERT_TRUE(ev.FoldRowsInplace(&ct, 8, gk).ok());
+  WritePinned(ct, &sink);
+  const std::vector<uint64_t> hops = {ctx->GaloisEltForRotation(4),
+                                      ctx->GaloisEltForColumnSwap(),
+                                      ctx->GaloisEltForRotation(-2)};
+  for (size_t h = 1; h <= hops.size(); ++h) {
+    ct = lower;
+    ASSERT_TRUE(ev.ApplyGaloisChainInplace(
+                      &ct, {hops.begin(), hops.begin() + h}, gk)
+                    .ok());
+    WritePinned(ct, &sink);
+  }
+  ct = fresh;
+  ASSERT_TRUE(ev.RotateRowsInplace(&ct, 1, gk).ok());
+  WritePinned(ct, &sink);
+  auto product = ev.Multiply(fresh, fresh);
+  ASSERT_TRUE(product.ok());
+  ct = std::move(product).value();
+  ASSERT_TRUE(ev.RelinearizeInplace(&ct, rk).ok());
+  WritePinned(ct, &sink);
+  EXPECT_EQ(Digest(sink), 0xe4278ddecd0e30b6ull) << "bench evaluator";
 }
 
 }  // namespace

@@ -76,8 +76,9 @@ TEST_F(EvaluatorScaleTest, MultiplicationMultipliesScales) {
   Ciphertext b = Enc(4);
   ASSERT_TRUE(evaluator_->ModSwitchToNextInplace(&a).ok());
   ASSERT_TRUE(evaluator_->ModSwitchToNextInplace(&b).ok());
-  auto prod = evaluator_->MultiplyRelin(a, b, rk_, /*mod_switch=*/false);
+  auto prod = evaluator_->Multiply(a, b);
   ASSERT_TRUE(prod.ok());
+  ASSERT_TRUE(evaluator_->RelinearizeInplace(&*prod, rk_).ok());
   EXPECT_EQ(prod->scale, MulModSlow(a.scale, b.scale, ctx_->t()));
   EXPECT_EQ(Dec0(prod.value()), 12u);
 }

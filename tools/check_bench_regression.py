@@ -3,9 +3,11 @@
 
 Compares a candidate google-benchmark JSON result (either an existing file
 via --candidate, or fresh runs of the binary via --bin) against the
-committed baseline (BENCH_microops.json at the repo root). Only the
-intersection of benchmark names is compared, so a filtered candidate run
-against a full baseline works.
+committed baseline (BENCH_microops.json at the repo root). A filtered
+candidate run against a full baseline works, but every kernel the
+candidate ran must be in the baseline: a kernel the baseline lacks (a new
+benchmark, or a baseline overwritten by a partial run) fails the gate
+instead of silently shrinking the comparison.
 
 Measurement: on a shared VM one kernel's time can shift by 2x for seconds
 at a time (a neighbour's burst) or for a whole process (where its buffers
@@ -148,11 +150,17 @@ def main():
             json.dump(doc, f, indent=1)
             f.write("\n")
 
-    shared = sorted(set(baseline) & set(candidate))
-    if not shared:
-        print("bench_regression: no shared benchmark names between "
-              f"{args.baseline} and the candidate — nothing to compare",
+    missing = sorted(set(candidate) - set(baseline))
+    if missing:
+        print(f"bench_regression: {len(missing)} candidate benchmark(s) "
+              f"missing from {args.baseline}: {', '.join(missing)}; "
+              "regenerate the baseline (see bench/CMakeLists.txt)",
               file=sys.stderr)
+        return 1
+    shared = sorted(candidate)
+    if not shared:
+        print("bench_regression: the candidate ran no benchmarks — "
+              "nothing to compare", file=sys.stderr)
         return 1
 
     ratios = {name: candidate[name] / baseline[name] for name in shared
