@@ -141,12 +141,11 @@ Status AbsorbIndicatorRow(const bgv::BgvContext& ctx, size_t j,
 
 StatusOr<std::vector<std::vector<uint8_t>>> FinalizeResults(
     size_t k, PartyA::Query* query) {
+  SKNN_ASSIGN_OR_RETURN(std::vector<bgv::Ciphertext> results,
+                        query->FinalizeResults(k));
   std::vector<std::vector<uint8_t>> payloads;
   payloads.reserve(k);
-  for (size_t j = 0; j < k; ++j) {
-    SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext ct, query->FinalizeResult(j));
-    payloads.push_back(CtToBytes(ct));
-  }
+  for (const bgv::Ciphertext& ct : results) payloads.push_back(CtToBytes(ct));
   return payloads;
 }
 

@@ -23,7 +23,8 @@
 //   A  SendDistances ──── u × kDistances ───▶ B  ReceiveDistancesAndSelect
 //   A  AbsorbIndicatorRow(j) ◀─ u × kIndicators ─ B  SendIndicatorRow(j)
 //                                                  (for j < effective k)
-//   A  FinalizeResults
+//   A  FinalizeResults (after the last row: the k results as one batch
+//      on A's pool)
 //
 // SecureKnnSession sequences both sides on one thread (A sends, B
 // selects, then per row B sends and A absorbs), so the in-memory links
@@ -96,7 +97,9 @@ Status SendDistances(const PartyA::Query& query, uint64_t trace_id,
 Status AbsorbIndicatorRow(const bgv::BgvContext& ctx, size_t j,
                           PartyA::Query* query, net::ResilientChannel* ch);
 
-// Message 4 payloads: the k finalized result ciphertexts, serialized.
+// Message 4 payloads: the k finalized result ciphertexts
+// (PartyA::Query::FinalizeResults, one batch on A's pool), serialized in
+// j order.
 StatusOr<std::vector<std::vector<uint8_t>>> FinalizeResults(
     size_t k, PartyA::Query* query);
 

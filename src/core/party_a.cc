@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <utility>
 
 #include "common/metrics_registry.h"
 #include "common/trace.h"
@@ -339,7 +340,6 @@ Status PartyA::Query::BeginReturnPhase(size_t k) {
     transformed_db_ = std::move(transformed);
   }
   acc_.assign(k, bgv::Ciphertext());
-  acc_started_.assign(k, false);
   min_absorb_budget_ = -1;
   min_retrieve_budget_ = -1;
   state_ = State::kReturning;
@@ -364,9 +364,8 @@ Status PartyA::Query::AbsorbIndicator(size_t j, size_t transformed_unit_pos,
   SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext prod,
                         a.evaluator_.Multiply(db_unit, indicator));
   ops_.he_multiplications += 1;
-  if (!acc_started_[j]) {
+  if (acc_[j].c.empty()) {
     acc_[j] = std::move(prod);
-    acc_started_[j] = true;
   } else {
     SKNN_RETURN_IF_ERROR(a.evaluator_.AddInplace(&acc_[j], prod));
     ops_.he_additions += 1;
@@ -380,35 +379,78 @@ Status PartyA::Query::AbsorbIndicator(size_t j, size_t transformed_unit_pos,
   return Status::Ok();
 }
 
-StatusOr<bgv::Ciphertext> PartyA::Query::RelinearizedSum(size_t j) {
-  if (state_ != State::kReturning || j >= acc_.size() || !acc_started_[j]) {
+Status PartyA::Query::CheckAbsorbed(size_t j) const {
+  if (state_ != State::kReturning || j >= acc_.size() || acc_[j].c.empty()) {
     return FailedPreconditionError("no indicators absorbed for this result");
   }
-  bgv::Ciphertext sum = std::move(acc_[j]);
-  acc_started_[j] = false;
+  return Status::Ok();
+}
+
+StatusOr<bgv::Ciphertext> PartyA::Query::TakeSum(size_t j, size_t level) {
+  bgv::Ciphertext sum = std::exchange(acc_[j], bgv::Ciphertext());
   SKNN_RETURN_IF_ERROR(
       party_->evaluator_.RelinearizeInplace(&sum, party_->relin_));
+  SKNN_RETURN_IF_ERROR(
+      party_->evaluator_.ModSwitchToLevelInplace(&sum, level));
+  return sum;
+}
+
+StatusOr<bgv::Ciphertext> PartyA::Query::RelinearizedSum(size_t j) {
+  SKNN_RETURN_IF_ERROR(CheckAbsorbed(j));
+  SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext sum, TakeSum(j, acc_[j].level));
   ops_.relinearizations += 1;
   return sum;
 }
 
 StatusOr<bgv::Ciphertext> PartyA::Query::FinalizeResult(size_t j) {
+  SKNN_ASSIGN_OR_RETURN(std::vector<bgv::Ciphertext> results,
+                        FinalizeRange(j, j + 1));
+  return std::move(results[0]);
+}
+
+StatusOr<std::vector<bgv::Ciphertext>> PartyA::Query::FinalizeResults(
+    size_t k) {
+  return FinalizeRange(0, k);
+}
+
+StatusOr<std::vector<bgv::Ciphertext>> PartyA::Query::FinalizeRange(
+    size_t begin, size_t end) {
   trace::TraceSpan span("party_a.retrieve");
   PartyA& a = *party_;
-  SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext result, RelinearizedSum(j));
-  const size_t before = result.level;
-  SKNN_RETURN_IF_ERROR(a.evaluator_.ModSwitchToLevelInplace(&result, 0));
-  ops_.mod_switches += before;
-  min_retrieve_budget_ =
-      MinBudget(min_retrieve_budget_,
-                a.evaluator_.noise_model().EstimatedBudgetBits(result));
-  MetricsRegistry::Global()
-      .GetGauge("bgv.noise.party_a.retrieve")
-      ->Set(min_retrieve_budget_);
-  // The client must decrypt this ciphertext; warn before it gets the
-  // chance to fail.
-  a.evaluator_.noise_model().WarnIfThin(result, "party_a.retrieve");
-  return result;
+  // Check every result before consuming any, so a missing row leaves the
+  // accumulators (and the op counts) as they were.
+  std::vector<size_t> levels;
+  for (size_t j = begin; j < end; ++j) {
+    SKNN_RETURN_IF_ERROR(CheckAbsorbed(j));
+    levels.push_back(acc_[j].level);
+  }
+  // The results are independent: one iteration per result, each touching
+  // only acc_[j] and its own slot. A batch of one runs inline.
+  std::vector<bgv::Ciphertext> results(end - begin);
+  std::vector<Status> statuses(end - begin);
+  a.pool_.ParallelFor(begin, end, [&](size_t j) {
+    auto result = TakeSum(j, 0);
+    if (result.ok()) {
+      results[j - begin] = std::move(result).value();
+    } else {
+      statuses[j - begin] = result.status();
+    }
+  });
+  for (const Status& s : statuses) SKNN_RETURN_IF_ERROR(s);
+  const bgv::NoiseModel& noise = a.evaluator_.noise_model();
+  for (size_t i = 0; i < results.size(); ++i) {
+    ops_.relinearizations += 1;
+    ops_.mod_switches += levels[i];
+    min_retrieve_budget_ = MinBudget(min_retrieve_budget_,
+                                     noise.EstimatedBudgetBits(results[i]));
+    MetricsRegistry::Global()
+        .GetGauge("bgv.noise.party_a.retrieve")
+        ->Set(min_retrieve_budget_);
+    // The client must decrypt this ciphertext; warn before it gets the
+    // chance to fail.
+    noise.WarnIfThin(results[i], "party_a.retrieve");
+  }
+  return results;
 }
 
 }  // namespace core

@@ -82,7 +82,10 @@ class PartyA {
   // the return-phase methods run Algorithm 3 against this query's own
   // accumulators and transform. Not thread-safe itself — one query is
   // driven by one worker — but independent Query objects may run
-  // concurrently on one PartyA.
+  // concurrently on one PartyA. Its parallel sections (the distance
+  // units, the database transform and FinalizeResults' k results) run on
+  // the party's pool, and each iteration writes only its own unit or
+  // result slot.
   class Query {
    public:
     // Masked, permuted, transport-level distance ciphertexts in
@@ -113,9 +116,15 @@ class PartyA {
     // Relinearizes T^j and hands it over at the indicator level, with
     // budget left for more work (secure k-means folds it). Consumes T^j.
     StatusOr<bgv::Ciphertext> RelinearizedSum(size_t j);
-    // RelinearizedSum, then a switch to the transport level (message 4
+    // Relinearizes T^j, then switches it to the transport level (message 4
     // payload). One relinearization + mod-switch chain per result.
+    // Consumes T^j.
     StatusOr<bgv::Ciphertext> FinalizeResult(size_t j);
+    // FinalizeResult for T^0..T^{k-1} as one batch on the party's pool,
+    // results in j order, bit-identical to k FinalizeResult calls (no RNG
+    // in this phase). Checks that every j < k has something absorbed
+    // before it consumes any accumulator.
+    StatusOr<std::vector<bgv::Ciphertext>> FinalizeResults(size_t k);
 
     // HE work performed by this query so far (distance phase included).
     const OpCounts& ops() const { return ops_; }
@@ -127,6 +136,17 @@ class PartyA {
 
     explicit Query(PartyA* party) : party_(party) {}
     Status Cancelled() const { return cancel_ ? cancel_() : Status::Ok(); }
+    // kFailedPrecondition unless T^j has something absorbed.
+    Status CheckAbsorbed(size_t j) const;
+    // The one body behind RelinearizedSum and the finalizers: moves T^j
+    // out, relinearizes it and switches it down to `level`. Touches only
+    // acc_[j], so the batch runs it for distinct j on the pool; the
+    // caller checks first and counts the work afterwards.
+    StatusOr<bgv::Ciphertext> TakeSum(size_t j, size_t level);
+    // FinalizeResults over [begin, end), under one `party_a.retrieve`
+    // span; shared state is updated after the join, in j order.
+    StatusOr<std::vector<bgv::Ciphertext>> FinalizeRange(size_t begin,
+                                                         size_t end);
 
     PartyA* party_;
     CancelCheck cancel_;  // StartQuery's, kept for the return phase
@@ -136,8 +156,9 @@ class PartyA {
     // intra-unit transform, by original unit (built by BeginReturnPhase).
     std::vector<bgv::Ciphertext> transformed_db_;
     State state_ = State::kDistancesReady;
+    // T^j by result; empty (no parts) until its first indicator is
+    // absorbed and again once it is consumed.
     std::vector<bgv::Ciphertext> acc_;
-    std::vector<bool> acc_started_;
     // Running minima for the return phase (reset by BeginReturnPhase),
     // exported as `bgv.noise.party_a.{absorb,retrieve}`.
     double min_absorb_budget_ = -1;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
+#include <string>
 
 #include "bgv/decryptor.h"
 #include "bgv/encoder.h"
@@ -327,6 +328,7 @@ struct Transcript {
   std::string a_ops;
   std::string b_ops;
   std::vector<std::vector<uint64_t>> neighbours;
+  double retrieve_budget = 0;  // the bgv.noise.party_a.retrieve gauge
 };
 
 // Algorithm 3 between the parties, no transport: B's seeded indicator
@@ -378,11 +380,14 @@ void RunWithThreads(const Deployment& d, size_t threads,
   }
   out->a_ops = (*query)->ops().DebugString();
   out->b_ops = b.ops().DebugString();
+  out->retrieve_budget = MetricsRegistry::Global()
+                             .GetGauge("bgv.noise.party_a.retrieve")
+                             ->value();
 }
 
 // Per-unit RNG forks make a query a pure function of the party seeds: the
-// default pools (one thread per core, on A's distance units and B's
-// indicator rows) must reproduce the inline run byte for byte.
+// default pools (one thread per core, on A's distance units and results
+// and B's indicator rows) must reproduce the inline run byte for byte.
 TEST(SecureKnnTest, MultiThreadedPartyAMatchesSingleThreaded) {
   struct Case {
     Layout layout;
@@ -390,10 +395,13 @@ TEST(SecureKnnTest, MultiThreadedPartyAMatchesSingleThreaded) {
     size_t dims;
     size_t k;
   };
-  // Packed: 600 points at d' = 4 fill three units of the toy ring.
+  // Packed: 600 points at d' = 4 fill three units of the toy ring. k = 9
+  // gives A's results batch more results than a 4- or 8-thread pool.
   for (const Case& c : {Case{Layout::kPacked, 600, 3, 3},
+                        Case{Layout::kPacked, 600, 3, 9},
                         Case{Layout::kPerPoint, 40, 2, 2}}) {
-    SCOPED_TRACE(LayoutName(c.layout));
+    SCOPED_TRACE(std::string(LayoutName(c.layout)) + " k=" +
+                 std::to_string(c.k));
     data::Dataset dataset = data::UniformDataset(c.n, c.dims, 15, 22);
     ProtocolConfig cfg = SmallConfig(c.layout);
     cfg.dims = c.dims;
@@ -410,6 +418,7 @@ TEST(SecureKnnTest, MultiThreadedPartyAMatchesSingleThreaded) {
     EXPECT_EQ(inline_run.a_ops, pooled_run.a_ops);
     EXPECT_EQ(inline_run.b_ops, pooled_run.b_ops);
     EXPECT_EQ(inline_run.neighbours, pooled_run.neighbours);
+    EXPECT_EQ(inline_run.retrieve_budget, pooled_run.retrieve_budget);
     EXPECT_EQ(SortedDistances(pooled_run.neighbours, point),
               ReferenceDistances(dataset, point, c.k));
   }
@@ -560,6 +569,46 @@ TEST(SecureKnnTest, CancelledQuerySkipsTheReturnPhaseTransform) {
   const Status status = (*query)->BeginReturnPhase(3);
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status;
   EXPECT_EQ(galois->value(), galois_before);
+}
+
+// FinalizeResults checks every result before it consumes any: with the
+// last row never absorbed it fails without relinearizing the others, and
+// result 0 can still be finalized afterwards.
+TEST(SecureKnnTest, FinalizeResultsChecksEveryResultFirst) {
+  data::Dataset dataset = data::UniformDataset(600, 3, 15, 61);
+  ProtocolConfig cfg = SmallConfig(Layout::kPacked);
+  cfg.dims = 3;
+  auto d = Deployment::Derive(cfg, dataset, 62, /*role_a=*/true);
+  ASSERT_TRUE(d.ok()) << d.status();
+  PartyA a(d->ctx, cfg, d->layout, d->pk, d->relin, d->galois,
+           d->party_a_seed);
+  ASSERT_TRUE(a.LoadEncryptedDatabase(d->encrypted_db).ok());
+  PartyB b(d->ctx, cfg, d->layout, d->sk, d->pk, d->party_b_seed);
+  Client client(d->ctx, cfg, d->layout, d->pk, d->sk, d->client_seed);
+  auto query_ct = client.EncryptQuery(data::UniformQuery(3, 15, 63));
+  ASSERT_TRUE(query_ct.ok()) << query_ct.status();
+  auto query = a.StartQuery(query_ct.value());
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto k = b.FindNeighbours((*query)->distances(), cfg.k);
+  ASSERT_TRUE(k.ok()) << k.status();
+  ASSERT_GT(k.value(), 1u);
+  ASSERT_TRUE((*query)->BeginReturnPhase(k.value()).ok());
+  for (size_t j = 0; j + 1 < k.value(); ++j) {
+    auto row = b.EmitIndicatorsCompressedForResult(j);
+    ASSERT_TRUE(row.ok()) << row.status();
+    for (size_t pos = 0; pos < row->size(); ++pos) {
+      auto indicator = bgv::ExpandSeeded(*d->ctx, (*row)[pos]);
+      ASSERT_TRUE(indicator.ok()) << indicator.status();
+      ASSERT_TRUE((*query)->AbsorbIndicator(j, pos, indicator.value()).ok());
+    }
+  }
+  const uint64_t relins_before = (*query)->ops().relinearizations;
+  auto results = FinalizeResults(k.value(), query->get());
+  EXPECT_EQ(results.status().code(), StatusCode::kFailedPrecondition)
+      << results.status();
+  EXPECT_EQ((*query)->ops().relinearizations, relins_before);
+  auto first = (*query)->FinalizeResult(0);
+  EXPECT_TRUE(first.ok()) << first.status();
 }
 
 // The retrieve-side estimate (`bgv.noise.party_a.retrieve`) is a lower
