@@ -259,6 +259,19 @@ void BM_BgvDecryptLevel0(benchmark::State& state) {
 }
 BENCHMARK(BM_BgvDecryptLevel0)->Arg(1024)->Arg(4096);
 
+// Party B's exact noise read: at level 0 it comes out of the same 64-bit
+// pass as the decryption, so it should time like BM_BgvDecryptLevel0.
+void BM_BgvNoiseBudgetLevel0(benchmark::State& state) {
+  BgvFixture f(static_cast<size_t>(state.range(0)));
+  bgv::Ciphertext ct = f.ct_a;
+  f.evaluator->ModSwitchToLevelInplace(&ct, 0).ok();
+  for (auto _ : state) {
+    auto budget = f.decryptor->NoiseBudgetBits(ct);
+    benchmark::DoNotOptimize(budget);
+  }
+}
+BENCHMARK(BM_BgvNoiseBudgetLevel0)->Arg(1024)->Arg(4096);
+
 void BM_BgvMultiplyRelin(benchmark::State& state) {
   BgvFixture f(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {

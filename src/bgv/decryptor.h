@@ -14,18 +14,31 @@
 namespace sknn {
 namespace bgv {
 
+// The plaintext and the exact noise budget of one ciphertext, both read
+// off the same c0 + c1·s (+ c2·s²) product.
+struct Decryption {
+  Plaintext plaintext;
+  double budget_bits = 0.0;
+};
+
 class Decryptor {
  public:
   Decryptor(std::shared_ptr<const BgvContext> ctx, SecretKey sk);
 
-  // Decrypts a ciphertext of size 2 or 3 at any level. Applies the modulus
-  // switching correction factor so the result equals the originally
-  // encrypted plaintext.
-  StatusOr<Plaintext> Decrypt(const Ciphertext& ct) const;
+  // Decrypts a ciphertext of size 2 or 3 at any level, and measures its
+  // remaining noise budget in bits: bitlen(Q_level) - 1 - bitlen(|noise|),
+  // the noise taken at the worst coefficient. Decryption fails (garbage
+  // output) when the budget reaches 0. Applies the modulus switching
+  // correction factor so the plaintext equals the originally encrypted one.
+  // Cost: the inner product with the secret key, one inverse NTT per
+  // prime, then one pass over the coefficients that yields both outputs —
+  // 64-bit arithmetic at level 0, where the budget adds a few word
+  // operations per coefficient to the decryption; a BigUint CRT
+  // reconstruction per coefficient above it.
+  StatusOr<Decryption> DecryptWithBudget(const Ciphertext& ct) const;
 
-  // Remaining noise budget in bits: log2(Q_level / (2 * |noise|)).
-  // Decryption fails (garbage output) when this reaches 0. Exact
-  // computation via CRT reconstruction; intended for tests and diagnostics.
+  // The plaintext or the budget alone; each costs a DecryptWithBudget.
+  StatusOr<Plaintext> Decrypt(const Ciphertext& ct) const;
   StatusOr<double> NoiseBudgetBits(const Ciphertext& ct) const;
 
  private:

@@ -1,5 +1,9 @@
 #include "core/client.h"
 
+#include <algorithm>
+#include <limits>
+
+#include "common/metrics_registry.h"
 #include "common/trace.h"
 
 namespace sknn {
@@ -32,15 +36,20 @@ StatusOr<bgv::Ciphertext> Client::EncryptQuery(
                         encoder_.Encode(layout_.EncodeQuery(query)));
   SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext ct, encryptor_.Encrypt(pt));
   ops_.encryptions += 1;
+  min_result_budget_ = std::numeric_limits<double>::infinity();
   return ct;
 }
 
 StatusOr<std::vector<uint64_t>> Client::DecryptNeighbour(
     const bgv::Ciphertext& ct) {
   trace::TraceSpan span("client.decrypt");
-  SKNN_ASSIGN_OR_RETURN(bgv::Plaintext pt, decryptor_.Decrypt(ct));
+  SKNN_ASSIGN_OR_RETURN(bgv::Decryption d, decryptor_.DecryptWithBudget(ct));
   ops_.decryptions += 1;
-  return layout_.ExtractPoint(encoder_.Decode(pt), ctx_->t());
+  min_result_budget_ = std::min(min_result_budget_, d.budget_bits);
+  MetricsRegistry::Global()
+      .GetGauge("bgv.noise.client.exact_result_budget")
+      ->Set(min_result_budget_);
+  return layout_.ExtractPoint(encoder_.Decode(d.plaintext), ctx_->t());
 }
 
 }  // namespace core

@@ -1,6 +1,7 @@
 #ifndef SKNN_CORE_CLIENT_H_
 #define SKNN_CORE_CLIENT_H_
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -38,6 +39,9 @@ class Client {
   // Decrypts one returned neighbour ciphertext into its coordinates by
   // summing the decoded blocks (non-selected blocks decrypt to exact
   // zeros). One decryption per neighbour; span `query/client.decrypt`.
+  // The same decryption measures the result's exact noise budget; the
+  // minimum over the results since the last EncryptQuery is the gauge
+  // `bgv.noise.client.exact_result_budget`.
   StatusOr<std::vector<uint64_t>> DecryptNeighbour(const bgv::Ciphertext& ct);
 
   const OpCounts& ops() const { return ops_; }
@@ -52,6 +56,7 @@ class Client {
   bgv::Encryptor encryptor_;
   bgv::Decryptor decryptor_;
   OpCounts ops_;
+  double min_result_budget_ = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace core

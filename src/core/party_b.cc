@@ -1,5 +1,8 @@
 #include "core/party_b.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "bgv/noise_model.h"
 #include "common/metrics_registry.h"
 #include "common/trace.h"
@@ -42,27 +45,26 @@ StatusOr<size_t> PartyB::FindNeighbours(
     return InvalidArgumentError("unexpected distance unit count");
   }
   trace::TraceSpan span("party_b.decrypt_select");
-  // B holds the secret key, so it can afford one EXACT noise measurement
-  // per query (CRT reconstruction — too slow for every unit). The sampled
-  // unit's margin is the ground truth the static estimator's
-  // `bgv.noise.party_a.permute` gauge must stay at or below.
-  if (!units.empty()) {
-    StatusOr<double> exact = decryptor_.NoiseBudgetBits(units[0]);
-    if (exact.ok()) {
-      MetricsRegistry::Global()
-          .GetGauge("bgv.noise.party_b.exact_distance_budget")
-          ->Set(exact.value());
-    }
-  }
+  // B holds the secret key, so every decryption also yields the unit's
+  // EXACT noise budget. Their minimum is the ground truth the static
+  // estimator's `bgv.noise.party_a.permute` gauge must stay at or below.
   const size_t ppu = layout_.payloads_per_unit();
   observed_.assign(units.size() * ppu, 0);
+  double min_budget = std::numeric_limits<double>::infinity();
   for (size_t pos = 0; pos < units.size(); ++pos) {
-    SKNN_ASSIGN_OR_RETURN(bgv::Plaintext pt, decryptor_.Decrypt(units[pos]));
+    SKNN_ASSIGN_OR_RETURN(bgv::Decryption d,
+                          decryptor_.DecryptWithBudget(units[pos]));
     ops_.decryptions += 1;
-    const std::vector<uint64_t> slots = encoder_.Decode(pt);
+    min_budget = std::min(min_budget, d.budget_bits);
+    const std::vector<uint64_t> slots = encoder_.Decode(d.plaintext);
     for (size_t p = 0; p < ppu; ++p) {
       observed_[pos * ppu + p] = slots[layout_.PayloadSlot(p)];
     }
+  }
+  if (!units.empty()) {
+    MetricsRegistry::Global()
+        .GetGauge("bgv.noise.party_b.exact_distance_budget")
+        ->Set(min_budget);
   }
   const size_t effective_k = std::min(k, layout_.num_points());
   const std::vector<size_t> flat =

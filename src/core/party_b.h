@@ -44,6 +44,8 @@ class PartyB {
   // is exact). Returns the effective k (clamped to the point count).
   // Selection state persists until the next call; indicator rows are
   // meaningless unless they follow the FindNeighbours of the same query.
+  // Each decryption also yields its unit's exact noise budget; the minimum
+  // over the u units is the `bgv.noise.party_b.exact_distance_budget` gauge.
   // O(u) decryptions + O(n log k) scan; span `query/party_b.decrypt_select`.
   StatusOr<size_t> FindNeighbours(const std::vector<bgv::Ciphertext>& units,
                                   size_t k);

@@ -46,7 +46,7 @@ constexpr const char* kNoiseGauges[] = {
     "bgv.noise.party_a.square_fold", "bgv.noise.party_a.mask",
     "bgv.noise.party_a.permute",     "bgv.noise.party_a.absorb",
     "bgv.noise.party_a.retrieve",    "bgv.noise.party_b.exact_distance_budget",
-    "bgv.noise.party_b.indicator",
+    "bgv.noise.party_b.indicator",   "bgv.noise.client.exact_result_budget",
 };
 
 }  // namespace

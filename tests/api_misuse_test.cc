@@ -112,9 +112,11 @@ TEST(ApiMisuseTest, DecryptorRejectsMalformedCiphertexts) {
   Decryptor dec(d.ctx, d.sk);
   Ciphertext ct;
   EXPECT_FALSE(dec.Decrypt(ct).ok());
+  EXPECT_FALSE(dec.NoiseBudgetBits(ct).ok());
   ct = d.encryptor->Encrypt(d.encoder->EncodeScalar(1)).value();
   ct.level = 99;
   EXPECT_FALSE(dec.Decrypt(ct).ok());
+  EXPECT_FALSE(dec.NoiseBudgetBits(ct).ok());
 }
 
 TEST(ApiMisuseTest, WrongKeyDecryptsToGarbageNotCrash) {

@@ -15,6 +15,7 @@
 #include "core/session.h"
 #include "data/generators.h"
 #include "knn/knn.h"
+#include "noise_reference.h"
 
 // End-to-end tests of the secure k-NN protocol: exactness against the
 // plaintext reference on both layouts, edge cases, metrics, and the
@@ -660,9 +661,69 @@ TEST(SecureKnnTest, RetrieveNoiseEstimateBoundsExactBudget) {
   }
   EXPECT_EQ(SortedDistances(neighbours, point),
             ReferenceDistances(dataset, point, cfg.k));
+  // The client's own decryptions publish the same minimum.
+  const double client_exact =
+      MetricsRegistry::Global()
+          .GetGauge("bgv.noise.client.exact_result_budget")
+          ->value();
+  EXPECT_EQ(client_exact, min_exact);
+  EXPECT_GE(client_exact, estimate);
   // Both readings land in --gtest_output=xml, for tracking the margin.
   RecordProperty("retrieve_estimate_bits", std::to_string(estimate));
   RecordProperty("retrieve_exact_min_bits", std::to_string(min_exact));
+}
+
+// The live noise contract on Party B's side: after FindNeighbours, the
+// exact gauge is the minimum of the BigUint reference budget over every
+// unit B decrypted, and the estimated `party_a.permute` gauge never
+// exceeds it. Packed (several units) and per-point layouts.
+TEST(SecureKnnTest, PartyBExactBudgetIsMinimumOverEveryUnit) {
+  struct Case {
+    Layout layout;
+    size_t points;
+    size_t dims;
+  };
+  for (const Case& c : {Case{Layout::kPacked, 600, 3},
+                        Case{Layout::kPerPoint, 12, 2}}) {
+    SCOPED_TRACE(c.layout == Layout::kPacked ? "packed" : "per-point");
+    ProtocolConfig cfg = SmallConfig(c.layout);
+    cfg.dims = c.dims;
+    // One level above the minimum: at the minimum the worst-case estimate
+    // sits at its floor of 0 bits, and the check below would be vacuous.
+    cfg.levels = cfg.MinimumLevels() + 1;
+    data::Dataset dataset = data::UniformDataset(c.points, c.dims, 15, 81);
+    auto d = Deployment::Derive(cfg, dataset, 82, /*role_a=*/true);
+    ASSERT_TRUE(d.ok()) << d.status();
+    ASSERT_GE(d->layout.num_units(), 2u);
+    PartyA a(d->ctx, cfg, d->layout, d->pk, d->relin, d->galois,
+             d->party_a_seed);
+    ASSERT_TRUE(a.LoadEncryptedDatabase(d->encrypted_db).ok());
+    PartyB b(d->ctx, cfg, d->layout, d->sk, d->pk, d->party_b_seed);
+    Client client(d->ctx, cfg, d->layout, d->pk, d->sk, d->client_seed);
+    MetricsRegistry& registry = MetricsRegistry::Global();
+    MetricsRegistry::Gauge* exact =
+        registry.GetGauge("bgv.noise.party_b.exact_distance_budget");
+    MetricsRegistry::Gauge* permute =
+        registry.GetGauge("bgv.noise.party_a.permute");
+    exact->Set(-1);
+    permute->Set(-1);
+    auto query_ct = client.EncryptQuery(data::UniformQuery(c.dims, 15, 83));
+    ASSERT_TRUE(query_ct.ok()) << query_ct.status();
+    auto query = a.StartQuery(query_ct.value());
+    ASSERT_TRUE(query.ok()) << query.status();
+    const std::vector<bgv::Ciphertext>& units = (*query)->distances();
+    ASSERT_TRUE(b.FindNeighbours(units, cfg.k).ok());
+    double min_reference = -1;
+    for (const bgv::Ciphertext& unit : units) {
+      const double budget =
+          bgv::ReferenceDecrypt(*d->ctx, d->sk, unit).budget_bits;
+      if (min_reference < 0 || budget < min_reference) min_reference = budget;
+    }
+    EXPECT_GT(min_reference, 0.0);
+    EXPECT_EQ(exact->value(), min_reference);
+    EXPECT_GT(permute->value(), 0.0);
+    EXPECT_GE(exact->value(), permute->value());
+  }
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 #   3. every metric the serving layer exports (GetCounter/GetGauge/
 #      GetHistogram literals plus the SocketCounter/ServerCounter/
 #      HttpCounter wrappers in src/net/socket_link.cc, src/core/server.cc
-#      and src/obs/telemetry_http.cc) must appear in the README's metric
+#      and src/obs/telemetry_http.cc), and every "bgv.noise.*" gauge
+#      literal anywhere under src/, must appear in the README's metric
 #      inventory,
 #   4. every MessageType enumerator in src/net/frame.h must appear in
 #      PROTOCOL.md's socket-transport section, and
@@ -70,12 +71,14 @@ done
 # 3. Serving-layer metric names must be documented in the README inventory.
 #    Direct Get{Counter,Gauge,Histogram}("...") literals export the name
 #    verbatim; ServerCounter("...") is a passthrough; SocketCounter("...")
-#    prefixes "net.socket.".
+#    prefixes "net.socket.". Noise gauges are set by the parties and the
+#    client rather than the serving layer, so any "bgv.noise.*" literal
+#    under src/ counts too.
 metric_sources="src/net/socket_link.cc src/core/server.cc src/obs/telemetry_http.cc"
 while IFS= read -r metric; do
   [ -z "$metric" ] && continue
   if ! grep -qF "\`$metric\`" README.md; then
-    echo "README.md: undocumented metric \`$metric\` (exported by the serving layer)"
+    echo "README.md: undocumented metric \`$metric\` (exported under src/)"
     fail=1
   fi
 done < <(
@@ -88,6 +91,7 @@ done < <(
       | sed 's/.*("\(.*\)")/net.socket.\1/'
     grep -hoE 'HttpCounter\("[^"]+"\)' $metric_sources \
       | sed 's/.*("\(.*\)")/\1/'
+    grep -rhoE '"bgv\.noise\.[a-z0-9_.]+"' src | tr -d '"'
   } | sort -u
 )
 
