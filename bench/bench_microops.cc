@@ -105,6 +105,45 @@ void BM_NttDispatchAvx512(benchmark::State& state) {
 }
 BENCHMARK(BM_NttDispatchAvx512)->Arg(1024)->Arg(4096)->Arg(8192);
 
+// One rescale of a limb (lift + combine) under a pinned kernel table: the
+// 60-bit special prime dropped onto a 58-bit data prime, lazy input, as in
+// key switching's mod-down.
+void RescaleDispatchBench(benchmark::State& state, simd::Isa isa) {
+  if (!simd::IsaAvailable(isa)) {
+    state.SkipWithError("ISA not available on this CPU/build");
+    return;
+  }
+  const size_t n = static_cast<size_t>(state.range(0));
+  const uint64_t p = GenerateNttPrimes(60, 2 * n, 1).value()[0];
+  const uint64_t q = GenerateNttPrimes(58, 2 * n, 1).value()[0];
+  const uint64_t p_inv = InvModPrime(p % q, q);
+  const uint64_t t_p_inv = MulModSlow(65537, p_inv, q);
+  Chacha20Rng rng(uint64_t{23});
+  std::vector<uint64_t> r, a, out(n);
+  rng.SampleUniformMod(p, n, &r);
+  rng.SampleUniformMod(2 * q, n, &a);
+  simd::ForceIsa(isa).ok();
+  const simd::KernelTable& kernels = simd::ActiveKernels();
+  for (auto _ : state) {
+    kernels.rescale_lift(out.data(), r.data(), n, p, p % q, q);
+    kernels.rescale_combine(out.data(), a.data(), n, q, p_inv,
+                            ShoupPrecompute(p_inv, q), t_p_inv,
+                            ShoupPrecompute(t_p_inv, q));
+    benchmark::DoNotOptimize(out.data());
+  }
+  simd::ResetIsaFromEnv();
+}
+
+void BM_RescaleDispatchScalar(benchmark::State& state) {
+  RescaleDispatchBench(state, simd::Isa::kScalar);
+}
+BENCHMARK(BM_RescaleDispatchScalar)->Arg(1024)->Arg(4096)->Arg(8192);
+
+void BM_RescaleDispatchAvx512(benchmark::State& state) {
+  RescaleDispatchBench(state, simd::Isa::kAvx512);
+}
+BENCHMARK(BM_RescaleDispatchAvx512)->Arg(1024)->Arg(4096)->Arg(8192);
+
 // The fused key-switch MAC (both accumulators, Shoup-multiplied key
 // columns), with and without the Galois gather — the inner loop of
 // relinearization and (with perm) rotations.

@@ -45,23 +45,22 @@ class BgvContext {
   const std::vector<size_t>& slot_index_map() const { return slot_index_map_; }
   size_t row_size() const { return params_.n / 2; }
 
-  // --- modulus switching constants ---
-  // Each multiplicative constant comes with a Shoup companion (`*_shoup`)
-  // so the rounding tails of key switching and modulus switching can run
-  // component-major with two-multiply Shoup products instead of Barrett.
-  // t^{-1} mod q_i (data prime i) and mod the special prime.
+  // --- rescale constants (modulus switching and key switching) ---
+  // Indexed by the dropped prime's key_base() index: data prime `dropped`
+  // for a modulus switch, special_index() for key switching's mod-down;
+  // j < dropped is a kept data prime. Each multiplicative constant comes
+  // with a Shoup companion (`*_shoup`) for the rescale kernels.
+  // t^{-1} mod key-base prime i (i <= special_index()).
   uint64_t t_inv_mod_q(size_t i) const { return t_inv_mod_q_[i]; }
   uint64_t t_inv_mod_q_shoup(size_t i) const { return t_inv_mod_q_shoup_[i]; }
-  uint64_t t_inv_mod_sp() const { return t_inv_mod_sp_; }
-  uint64_t t_inv_mod_sp_shoup() const { return t_inv_mod_sp_shoup_; }
-  // q_dropped^{-1} mod q_j, j < dropped.
+  // q_dropped^{-1} mod q_j.
   uint64_t q_inv_mod_q(size_t dropped, size_t j) const {
     return q_inv_mod_q_[dropped][j];
   }
   uint64_t q_inv_mod_q_shoup(size_t dropped, size_t j) const {
     return q_inv_mod_q_shoup_[dropped][j];
   }
-  // q_dropped mod q_j, j < dropped (signed-lift correction term).
+  // q_dropped mod q_j (signed-lift correction term).
   uint64_t q_mod_q(size_t dropped, size_t j) const {
     return q_mod_q_[dropped][j];
   }
@@ -73,16 +72,9 @@ class BgvContext {
   uint64_t t_q_inv_mod_q_shoup(size_t dropped, size_t j) const {
     return t_q_inv_mod_q_shoup_[dropped][j];
   }
-  // special^{-1} mod q_j.
-  uint64_t sp_inv_mod_q(size_t j) const { return sp_inv_mod_q_[j]; }
-  uint64_t sp_inv_mod_q_shoup(size_t j) const { return sp_inv_mod_q_shoup_[j]; }
-  // t * special^{-1} mod q_j (fused rounding factor for key switching).
-  uint64_t t_sp_inv_mod_q(size_t j) const { return t_sp_inv_mod_q_[j]; }
-  uint64_t t_sp_inv_mod_q_shoup(size_t j) const {
-    return t_sp_inv_mod_q_shoup_[j];
-  }
-  // special mod q_i (key generation payload factor).
-  uint64_t sp_mod_q(size_t i) const { return sp_mod_q_[i]; }
+  // special mod q_j (the key generation payload factor): the special-prime
+  // row of q_mod_q.
+  uint64_t sp_mod_q(size_t j) const { return q_mod_q(special_index(), j); }
   // t mod q_i / t mod special.
   uint64_t t_mod_q(size_t i) const { return t_mod_q_[i]; }
   uint64_t t_mod_sp() const { return t_mod_sp_; }
@@ -113,18 +105,11 @@ class BgvContext {
   std::vector<size_t> slot_index_map_;
   std::vector<uint64_t> t_inv_mod_q_;
   std::vector<uint64_t> t_inv_mod_q_shoup_;
-  uint64_t t_inv_mod_sp_ = 0;
-  uint64_t t_inv_mod_sp_shoup_ = 0;
   std::vector<std::vector<uint64_t>> q_inv_mod_q_;
   std::vector<std::vector<uint64_t>> q_inv_mod_q_shoup_;
   std::vector<std::vector<uint64_t>> q_mod_q_;
   std::vector<std::vector<uint64_t>> t_q_inv_mod_q_;
   std::vector<std::vector<uint64_t>> t_q_inv_mod_q_shoup_;
-  std::vector<uint64_t> sp_inv_mod_q_;
-  std::vector<uint64_t> sp_inv_mod_q_shoup_;
-  std::vector<uint64_t> t_sp_inv_mod_q_;
-  std::vector<uint64_t> t_sp_inv_mod_q_shoup_;
-  std::vector<uint64_t> sp_mod_q_;
   std::vector<uint64_t> t_mod_q_;
   uint64_t t_mod_sp_ = 0;
   std::vector<uint64_t> q_inv_mod_t_;

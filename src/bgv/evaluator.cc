@@ -185,13 +185,15 @@ StatusOr<Ciphertext> Evaluator::Multiply(const Ciphertext& a,
 }
 
 Evaluator::KSwitchDigits Evaluator::DecomposeForKeySwitch(
-    size_t level, const RnsPoly& target, const RnsPoly* target_ntt) const {
-  SKNN_CHECK(!target.ntt_form());
-  SKNN_CHECK_EQ(target.num_components(), level + 1);
+    size_t level, const RnsPoly& source) const {
+  SKNN_CHECK(source.ntt_form());
+  SKNN_CHECK_EQ(source.num_components(), level + 1);
   const size_t n = ctx_->n();
   const size_t ext = level + 2;
   const size_t sp_key_idx = ctx_->special_index();
   const RnsBase& base = ctx_->key_base();
+  RnsPoly target = source;
+  FromNttInplace(&target, base);
 
   KSwitchDigits out;
   out.level = level;
@@ -199,18 +201,17 @@ Evaluator::KSwitchDigits Evaluator::DecomposeForKeySwitch(
   for (size_t i = 0; i <= level; ++i) {
     // Lift digit i (integers < q_i) into every extended-base prime. Primes
     // at least as large as q_i take the residues verbatim. The diagonal
-    // component (j == i) equals the target's own residues mod q_i, so when
-    // the caller still holds the target in NTT form that component is
-    // copied pre-transformed and its forward NTT below is skipped.
+    // component (j == i) equals the source's own residues mod q_i, so it
+    // is copied pre-transformed and its forward NTT below is skipped.
     RnsPoly digit(n, ext, /*ntt_form=*/false);
     const uint64_t qi = base.modulus(i).value();
     const uint64_t* __restrict d = target.comp(i);
     for (size_t j = 0; j < ext; ++j) {
       const size_t key_idx = (j <= level) ? j : sp_key_idx;
       uint64_t* __restrict dst = digit.comp(j);
-      if (key_idx == i && target_ntt != nullptr) {
-        std::memcpy(dst, target_ntt->comp(i), n * sizeof(uint64_t));
-      } else if (key_idx == i || base.modulus(key_idx).value() >= qi) {
+      if (key_idx == i) {
+        std::memcpy(dst, source.comp(i), n * sizeof(uint64_t));
+      } else if (base.modulus(key_idx).value() >= qi) {
         std::memcpy(dst, d, n * sizeof(uint64_t));
       } else {
         const Modulus& mod = base.modulus(key_idx);
@@ -220,12 +221,12 @@ Evaluator::KSwitchDigits Evaluator::DecomposeForKeySwitch(
     out.digits.push_back(std::move(digit));
   }
 
-  // Forward NTT of all (level+1)*(level+2) digit components — the
-  // expensive half of a key switch, shared across every key the digits
-  // are later multiplied against.
+  // Forward NTT of the (level+1)*(level+1) off-diagonal digit components —
+  // the expensive half of a key switch, shared across every key the
+  // digits are later multiplied against.
   for (size_t i = 0; i <= level; ++i) {
     for (size_t j = 0; j < ext; ++j) {
-      if (j == i && target_ntt != nullptr) continue;  // already NTT form
+      if (j == i) continue;  // already NTT form
       const size_t key_idx = (j <= level) ? j : sp_key_idx;
       base.ntt(key_idx).ForwardNtt(out.digits[i].comp(j));
     }
@@ -237,7 +238,7 @@ Evaluator::KSwitchDigits Evaluator::DecomposeForKeySwitch(
 void Evaluator::KeySwitchInner(const KSwitchDigits& digits,
                                const KSwitchKey& ksk,
                                const uint32_t* perm_ntt, RnsPoly* u0,
-                               RnsPoly* u1, bool ntt_out) const {
+                               RnsPoly* u1) const {
   const size_t level = digits.level;
   const size_t n = ctx_->n();
   const size_t ext = level + 2;
@@ -250,9 +251,7 @@ void Evaluator::KeySwitchInner(const KSwitchDigits& digits,
   // every q is below 2^62 (NttTables::Create rejects larger), each
   // MulModShoupLazy term is in [0, 2q), the accumulator invariant is
   // [0, 2q), so term + accumulator < 4q < 2^64 never wraps and one
-  // conditional subtract of 2q per step restores the invariant. The
-  // [0, 2q) accumulators feed InverseNtt directly (its lazy butterflies
-  // tolerate inputs below 2q and fully reduce on output).
+  // conditional subtract of 2q per step restores the invariant.
   BufferPool::Scoped acc0_buf(ext * n), acc1_buf(ext * n);
   std::vector<uint64_t>& acc0 = acc0_buf.vector();
   std::vector<uint64_t>& acc1 = acc1_buf.vector();
@@ -279,56 +278,36 @@ void Evaluator::KeySwitchInner(const KSwitchDigits& digits,
     }
   }
 
-  // Inverse NTT all accumulator components (back to coefficient form;
-  // inputs are in [0, 2q), outputs fully reduced).
-  for (size_t j = 0; j < ext; ++j) {
-    const size_t key_idx = (j <= level) ? j : sp_key_idx;
-    base.ntt(key_idx).InverseNtt(acc0.data() + j * n);
-    base.ntt(key_idx).InverseNtt(acc1.data() + j * n);
-  }
+  // Mod-down by the special prime in the NTT domain: only its two
+  // accumulators are inverse-transformed (InverseNtt's lazy butterflies
+  // take the [0, 2q) accumulators and fully reduce); the data-prime
+  // accumulators feed the combine kernel as they are.
+  base.ntt(sp_key_idx).InverseNtt(acc0.data() + (level + 1) * n);
+  base.ntt(sp_key_idx).InverseNtt(acc1.data() + (level + 1) * n);
+  RescaleInto(acc0.data(), level + 1, sp_key_idx, u0);
+  RescaleInto(acc1.data(), level + 1, sp_key_idx, u1);
+}
 
-  // Divide by the special prime with t-preserving rounding:
-  //   delta = t * [acc_sp * t^{-1}]_sp (centered), out = (acc - delta)/sp,
-  // restructured component-major: the centered correction r is computed
-  // once per coefficient into the special-prime slot, then each data prime
-  // runs one linear pass out = acc*sp^{-1} - r*(t*sp^{-1}) using
-  // precomputed Shoup constants (no per-coefficient hardware division).
-  const uint64_t sp = base.modulus(sp_key_idx).value();
-  const uint64_t sp_half = sp >> 1;
-  const uint64_t t_inv_sp = ctx_->t_inv_mod_sp();
-  const uint64_t t_inv_sp_shoup = ctx_->t_inv_mod_sp_shoup();
-  *u0 = ZeroPoly(n, level + 1, /*ntt_form=*/false);
-  *u1 = ZeroPoly(n, level + 1, /*ntt_form=*/false);
-  for (int which = 0; which < 2; ++which) {
-    std::vector<uint64_t>& acc = which == 0 ? acc0 : acc1;
-    RnsPoly* out = which == 0 ? u0 : u1;
-    uint64_t* __restrict rsp = acc.data() + (level + 1) * n;
-    for (size_t c = 0; c < n; ++c) {
-      rsp[c] = MulModShoup(rsp[c], t_inv_sp, t_inv_sp_shoup, sp);
-    }
-    for (size_t j = 0; j <= level; ++j) {
-      const Modulus& mod = base.modulus(j);
-      const uint64_t q = mod.value();
-      const uint64_t sp_mod_qj = ctx_->sp_mod_q(j);
-      const uint64_t sp_inv = ctx_->sp_inv_mod_q(j);
-      const uint64_t sp_inv_shoup = ctx_->sp_inv_mod_q_shoup(j);
-      const uint64_t t_sp_inv = ctx_->t_sp_inv_mod_q(j);
-      const uint64_t t_sp_inv_shoup = ctx_->t_sp_inv_mod_q_shoup(j);
-      const uint64_t* __restrict av = acc.data() + j * n;
-      uint64_t* __restrict ov = out->comp(j);
-      for (size_t c = 0; c < n; ++c) {
-        const uint64_t r = rsp[c];
-        uint64_t rq = mod.Reduce(r);
-        if (r > sp_half) rq = SubMod(rq, sp_mod_qj, q);
-        const uint64_t lhs = MulModShoup(av[c], sp_inv, sp_inv_shoup, q);
-        const uint64_t rhs = MulModShoup(rq, t_sp_inv, t_sp_inv_shoup, q);
-        ov[c] = SubMod(lhs, rhs, q);
-      }
-    }
-  }
-  if (ntt_out) {
-    ToNttInplace(u0, base);
-    ToNttInplace(u1, base);
+void Evaluator::RescaleInto(uint64_t* limbs, size_t kept, size_t dropped,
+                            RnsPoly* out) const {
+  const size_t n = ctx_->n();
+  const RnsBase& base = ctx_->key_base();
+  const simd::KernelTable& kernels = simd::ActiveKernels();
+  const uint64_t p = base.modulus(dropped).value();
+  uint64_t* r = limbs + kept * n;
+  kernels.mod_mul_scalar(r, n, ctx_->t_inv_mod_q(dropped),
+                         ctx_->t_inv_mod_q_shoup(dropped), p);
+  *out = ZeroPoly(n, kept, /*ntt_form=*/true);
+  for (size_t j = 0; j < kept; ++j) {
+    const uint64_t q = base.modulus(j).value();
+    uint64_t* o = out->comp(j);
+    kernels.rescale_lift(o, r, n, p, ctx_->q_mod_q(dropped, j), q);
+    base.ntt(j).ForwardNtt(o);
+    kernels.rescale_combine(o, limbs + j * n, n, q,
+                            ctx_->q_inv_mod_q(dropped, j),
+                            ctx_->q_inv_mod_q_shoup(dropped, j),
+                            ctx_->t_q_inv_mod_q(dropped, j),
+                            ctx_->t_q_inv_mod_q_shoup(dropped, j));
   }
 }
 
@@ -338,11 +317,9 @@ Status Evaluator::RelinearizeInplace(Ciphertext* a,
   if (a->size() != 3) {
     return InvalidArgumentError("Relinearize requires a size-3 ciphertext");
   }
-  RnsPoly d2 = a->c[2];
-  FromNttInplace(&d2, ctx_->key_base());
   RnsPoly u0, u1;
-  KeySwitchInner(DecomposeForKeySwitch(a->level, d2, /*target_ntt=*/&a->c[2]),
-                 rk.key, /*perm_ntt=*/nullptr, &u0, &u1, /*ntt_out=*/true);
+  KeySwitchInner(DecomposeForKeySwitch(a->level, a->c[2]), rk.key,
+                 /*perm_ntt=*/nullptr, &u0, &u1);
   sknn::AddInplace(&a->c[0], u0, ctx_->key_base());
   sknn::AddInplace(&a->c[1], u1, ctx_->key_base());
   a->c.pop_back();
@@ -404,59 +381,23 @@ Status Evaluator::MultiplyScalarInplace(Ciphertext* a,
   return Status::Ok();
 }
 
-RnsPoly Evaluator::DropLastComponent(const RnsPoly& poly, size_t level) const {
-  SKNN_CHECK(!poly.ntt_form());
-  SKNN_CHECK_EQ(poly.num_components(), level + 1);
-  SKNN_CHECK_GE(level, 1u);
-  const size_t n = ctx_->n();
-  const RnsBase& base = ctx_->key_base();
-  const uint64_t q_last = base.modulus(level).value();
-  const uint64_t t_inv = ctx_->t_inv_mod_q(level);
-
-  // Component-major rounding (same restructuring as the key-switch tail):
-  // one pass computes the centered correction r = [last * t^{-1}]_{q_last}
-  // for all coefficients, then each surviving prime runs a linear pass
-  // out = a*q_last^{-1} - r*(t*q_last^{-1}) on Shoup constants.
-  const uint64_t half = q_last >> 1;
-  const uint64_t t_inv_shoup = ctx_->t_inv_mod_q_shoup(level);
-  BufferPool::Scoped r_buf(n, /*zeroed=*/false);
-  uint64_t* __restrict r = r_buf.data();
-  const uint64_t* __restrict last = poly.comp(level);
-  for (size_t c = 0; c < n; ++c) {
-    r[c] = MulModShoup(last[c], t_inv, t_inv_shoup, q_last);
-  }
-  RnsPoly out = ZeroPoly(n, level, /*ntt_form=*/false);
-  for (size_t j = 0; j < level; ++j) {
-    const Modulus& mod = base.modulus(j);
-    const uint64_t q = mod.value();
-    const uint64_t q_last_mod_qj = ctx_->q_mod_q(level, j);
-    const uint64_t q_inv = ctx_->q_inv_mod_q(level, j);
-    const uint64_t q_inv_shoup = ctx_->q_inv_mod_q_shoup(level, j);
-    const uint64_t t_q_inv = ctx_->t_q_inv_mod_q(level, j);
-    const uint64_t t_q_inv_shoup = ctx_->t_q_inv_mod_q_shoup(level, j);
-    const uint64_t* __restrict av = poly.comp(j);
-    uint64_t* __restrict ov = out.comp(j);
-    for (size_t c = 0; c < n; ++c) {
-      uint64_t rq = mod.Reduce(r[c]);
-      if (r[c] > half) rq = SubMod(rq, q_last_mod_qj, q);
-      const uint64_t lhs = MulModShoup(av[c], q_inv, q_inv_shoup, q);
-      const uint64_t rhs = MulModShoup(rq, t_q_inv, t_q_inv_shoup, q);
-      ov[c] = SubMod(lhs, rhs, q);
-    }
-  }
-  return out;
-}
-
 Status Evaluator::ModSwitchToNextInplace(Ciphertext* a) const {
   SKNN_COUNT_EVALUATOR_OP("mod_switch");
   SKNN_RETURN_IF_ERROR(CheckCt(*a));
   if (a->level == 0) {
     return FailedPreconditionError("already at the lowest level");
   }
+  // In the NTT domain: only the dropped limb is inverse-transformed, and
+  // its lifted correction is forward-transformed into each kept limb. (A
+  // coefficient-form part, which a frame may carry, is transformed first;
+  // the rescale commutes with the NTT, so the result is the same.)
+  const RnsBase& base = ctx_->key_base();
   for (RnsPoly& p : a->c) {
-    FromNttInplace(&p, ctx_->key_base());
-    p = DropLastComponent(p, a->level);
-    ToNttInplace(&p, ctx_->key_base());
+    ToNttInplace(&p, base);
+    base.ntt(a->level).InverseNtt(p.comp(a->level));
+    RnsPoly out;
+    RescaleInto(p.data(), a->level, a->level, &out);
+    p = std::move(out);
   }
   a->noise_bits = noise_.ModSwitch(a->noise_bits, a->level, a->size());
   a->scale = ctx_->plain_modulus().MulMod(a->scale, ctx_->q_inv_mod_t(a->level));
@@ -491,12 +432,9 @@ Status Evaluator::ApplyGaloisInplace(Ciphertext* a, uint64_t galois_elt,
   // permuted gather of its digits (decompose commutes with tau, so the
   // permuted digits are a valid decomposition of tau(c1)).
   const RnsBase& base = ctx_->key_base();
-  RnsPoly c1 = a->c[1];
-  FromNttInplace(&c1, base);
   RnsPoly u0, u1;
-  KeySwitchInner(DecomposeForKeySwitch(a->level, c1, /*target_ntt=*/&a->c[1]),
-                 it->second, base.GaloisPermTableNtt(galois_elt).data(), &u0,
-                 &u1, /*ntt_out=*/true);
+  KeySwitchInner(DecomposeForKeySwitch(a->level, a->c[1]), it->second,
+                 base.GaloisPermTableNtt(galois_elt).data(), &u0, &u1);
   sknn::AddInplace(&u0, ApplyGaloisNtt(a->c[0], galois_elt, base), base);
   a->c[0] = std::move(u0);
   a->c[1] = std::move(u1);
@@ -507,58 +445,21 @@ Status Evaluator::ApplyGaloisInplace(Ciphertext* a, uint64_t galois_elt,
 Status Evaluator::ApplyGaloisChainInplace(
     Ciphertext* a, const std::vector<uint64_t>& galois_elts,
     const GaloisKeys& gk) const {
-  if (galois_elts.empty()) return Status::Ok();
-  if (galois_elts.size() == 1) {
-    return ApplyGaloisInplace(a, galois_elts[0], gk);
-  }
-  SKNN_RETURN_IF_ERROR(CheckCt(*a));
-  if (a->size() != 2) {
-    return InvalidArgumentError("ApplyGalois requires a size-2 ciphertext");
-  }
-  // Validate every key before mutating the ciphertext.
+  // Validate every key before mutating the ciphertext; each hop checks
+  // the ciphertext before changing it.
   for (uint64_t elt : galois_elts) {
     if (!gk.Has(elt)) {
       return NotFoundError("missing Galois key for element " +
                            std::to_string(elt));
     }
   }
-  // Chain in coefficient form: each hop decomposes the current c1 and
-  // replaces (c0, c1) with the hop's result. Only the final result pays a
-  // ToNtt conversion, so h hops cost h decomposes plus 2 conversions
-  // instead of the ~5h conversions of repeated ApplyGaloisInplace.
-  const RnsBase& base = ctx_->key_base();
-  RnsPoly c0 = a->c[0];
-  RnsPoly c1 = a->c[1];
-  FromNttInplace(&c0, base);
-  FromNttInplace(&c1, base);
-  // The first hop can reuse the still-NTT-form input c1 for the diagonal
-  // digit components; later hops only have the coefficient form.
-  const RnsPoly* c1_ntt = &a->c[1];
+  // Hop by hop in the NTT domain. With the NTT-domain mod-down a hop costs
+  // the same NTT count as a coefficient-form one (DESIGN.md §3.2), so
+  // carrying the chain in coefficient form would only add conversions.
   for (uint64_t elt : galois_elts) {
-    RnsPoly h0, h1;
-    GaloisHopCoeff(a->level, elt, gk.keys.at(elt), c0, c1, c1_ntt, &h0, &h1);
-    c1_ntt = nullptr;
-    c0 = std::move(h0);
-    c1 = std::move(h1);
-    a->noise_bits = noise_.KeySwitch(a->noise_bits, a->level);
+    SKNN_RETURN_IF_ERROR(ApplyGaloisInplace(a, elt, gk));
   }
-  ToNttInplace(&c0, base);
-  ToNttInplace(&c1, base);
-  a->c[0] = std::move(c0);
-  a->c[1] = std::move(c1);
   return Status::Ok();
-}
-
-void Evaluator::GaloisHopCoeff(size_t level, uint64_t galois_elt,
-                               const KSwitchKey& key, const RnsPoly& c0,
-                               const RnsPoly& c1, const RnsPoly* c1_ntt,
-                               RnsPoly* h0, RnsPoly* h1) const {
-  SKNN_COUNT_EVALUATOR_OP("galois_automorphism");
-  const RnsBase& base = ctx_->key_base();
-  KeySwitchInner(DecomposeForKeySwitch(level, c1, c1_ntt), key,
-                 base.GaloisPermTableNtt(galois_elt).data(), h0, h1,
-                 /*ntt_out=*/false);
-  sknn::AddInplace(h0, ApplyGaloisCoeff(c0, galois_elt, base), base);
 }
 
 std::vector<uint64_t> Evaluator::RotationGaloisElts(
@@ -605,11 +506,6 @@ Status Evaluator::FoldRowsInplace(Ciphertext* a, size_t block,
   if (block > ctx_->row_size()) {
     return InvalidArgumentError("fold block exceeds row size");
   }
-  if (block == 1) return Status::Ok();
-  SKNN_RETURN_IF_ERROR(CheckCt(*a));
-  if (a->size() != 2) {
-    return InvalidArgumentError("FoldRows requires a size-2 ciphertext");
-  }
   // Every stage needs its power-of-two step key (the standard set), so
   // validate them all before mutating the ciphertext.
   for (size_t step = 1; step < block; step <<= 1) {
@@ -619,33 +515,15 @@ Status Evaluator::FoldRowsInplace(Ciphertext* a, size_t block,
                            std::to_string(elt));
     }
   }
-  // Keep the running sum in coefficient form across the whole log2(block)
-  // fold. Each stage adds one Galois hop of the current sum to it
-  // (a += tau_step(a)); only the final result pays a ToNtt, so the fold
-  // does one NTT conversion set instead of one per stage.
-  const RnsBase& base = ctx_->key_base();
-  RnsPoly c0 = a->c[0];
-  RnsPoly c1 = a->c[1];
-  FromNttInplace(&c0, base);
-  FromNttInplace(&c1, base);
-  // Stage 1 can reuse the still-NTT-form input c1 for the diagonal digit
-  // components; later stages only have the coefficient form.
-  const RnsPoly* c1_ntt = &a->c[1];
+  // Each stage adds one Galois hop of the running sum to it
+  // (a += tau_step(a)); the first hop checks the ciphertext before `a`
+  // changes.
   for (size_t step = 1; step < block; step <<= 1) {
-    SKNN_COUNT_EVALUATOR_OP("add");
-    const uint64_t elt = ctx_->GaloisEltForRotation(static_cast<int>(step));
-    RnsPoly h0, h1;
-    GaloisHopCoeff(a->level, elt, gk.keys.at(elt), c0, c1, c1_ntt, &h0, &h1);
-    c1_ntt = nullptr;
-    sknn::AddInplace(&c0, h0, base);
-    sknn::AddInplace(&c1, h1, base);
-    a->noise_bits = noise_.Add(
-        a->noise_bits, noise_.KeySwitch(a->noise_bits, a->level));
+    Ciphertext rotated = *a;
+    SKNN_RETURN_IF_ERROR(ApplyGaloisInplace(
+        &rotated, ctx_->GaloisEltForRotation(static_cast<int>(step)), gk));
+    SKNN_RETURN_IF_ERROR(AddInplace(a, rotated));
   }
-  ToNttInplace(&c0, base);
-  ToNttInplace(&c1, base);
-  a->c[0] = std::move(c0);
-  a->c[1] = std::move(c1);
   return Status::Ok();
 }
 

@@ -63,6 +63,9 @@ class Evaluator {
   Status MultiplyScalarInplace(Ciphertext* a, uint64_t scalar_mod_t) const;
 
   // --- level management ---
+  // Drops the last prime with t-preserving rounding, in the NTT domain:
+  // per part, one inverse NTT of the dropped limb and one forward NTT of
+  // the correction per kept limb (DESIGN.md §3.2).
   Status ModSwitchToNextInplace(Ciphertext* a) const;
   Status ModSwitchToLevelInplace(Ciphertext* a, size_t level) const;
 
@@ -74,10 +77,10 @@ class Evaluator {
   // Applies an arbitrary Galois automorphism (a key for it must exist).
   Status ApplyGaloisInplace(Ciphertext* a, uint64_t galois_elt,
                             const GaloisKeys& gk) const;
-  // Applies a sequence of automorphisms (all keys must exist), keeping the
-  // intermediate ciphertext in coefficient form so a chain of h hops pays
-  // 2 NTT conversions instead of 2h. The workhorse behind multi-hop
-  // rotations and Party A's permute/absorb sweeps.
+  // Applies a sequence of automorphisms (all keys must exist; none
+  // missing is checked before the ciphertext changes), one NTT-domain hop
+  // each. The workhorse behind multi-hop rotations and Party A's
+  // permute/absorb sweeps.
   Status ApplyGaloisChainInplace(Ciphertext* a,
                                  const std::vector<uint64_t>& galois_elts,
                                  const GaloisKeys& gk) const;
@@ -112,33 +115,30 @@ class Evaluator {
   Status Equalize(Ciphertext* a, Ciphertext* b) const;
   // Rescales a's content so it carries b's scale factor (no-op when equal).
   Status MatchScale(Ciphertext* a, const Ciphertext& b) const;
-  // The hoisted half of a key switch: digit lift + per-prime forward NTTs
-  // of `target` (coefficient form, level+1 components). When the caller
-  // still holds the same polynomial in NTT form, passing it as
-  // `target_ntt` lets the diagonal digit components (digit i mod prime i)
-  // skip their forward NTT — they equal the NTT-form residues verbatim.
-  KSwitchDigits DecomposeForKeySwitch(size_t level, const RnsPoly& target,
-                                      const RnsPoly* target_ntt =
-                                          nullptr) const;
+  // The hoisted half of a key switch of `source` (NTT form, level+1
+  // components): one inverse NTT per component, the digit lift, and the
+  // forward NTTs of the off-diagonal digit components. The diagonal ones
+  // (digit i mod prime i) are the source's NTT-form residues verbatim.
+  KSwitchDigits DecomposeForKeySwitch(size_t level,
+                                      const RnsPoly& source) const;
   // The cheap half: inner product of prepared digits against `ksk` with
   // lazy [0, 2q) accumulation, optional NTT-domain Galois permutation of
   // the digits (perm_ntt from RnsBase::GaloisPermTableNtt, may be null),
-  // inverse NTTs and the special-prime rounding division. Outputs have
-  // level+1 components, NTT form iff `ntt_out`.
+  // and the mod-down by the special prime, in the NTT domain: only the two
+  // special-prime accumulators are inverse-transformed. Outputs have
+  // level+1 components in NTT form.
   void KeySwitchInner(const KSwitchDigits& digits, const KSwitchKey& ksk,
-                      const uint32_t* perm_ntt, RnsPoly* u0, RnsPoly* u1,
-                      bool ntt_out) const;
-  // One key-switched Galois hop in coefficient form, the step shared by
-  // the chain and the fold: (h0, h1) = (tau(c0) + u0, u1), where (u0, u1)
-  // key-switches tau(c1) back to the secret key. `c1_ntt` (may be null) is
-  // c1 in NTT form, reused for the diagonal digits as in
-  // DecomposeForKeySwitch.
-  void GaloisHopCoeff(size_t level, uint64_t galois_elt, const KSwitchKey& key,
-                      const RnsPoly& c0, const RnsPoly& c1,
-                      const RnsPoly* c1_ntt, RnsPoly* h0, RnsPoly* h1) const;
-  // Drops the last RNS component of a poly with BGV rounding (coefficient
-  // form in, coefficient form out).
-  RnsPoly DropLastComponent(const RnsPoly& poly, size_t level) const;
+                      const uint32_t* perm_ntt, RnsPoly* u0,
+                      RnsPoly* u1) const;
+  // The t-preserving rescale of key and modulus switching (DESIGN.md
+  // §3.3): out = (in - lift(r)·t) / p on limbs 0..kept-1, r = [last·t^{-1}]_p.
+  // limbs[0..kept) are the kept limbs (data primes 0..kept-1, NTT form,
+  // may be lazy in [0, 2q)); limb `kept` is the dropped one, prime
+  // key-base index `dropped`, in coefficient form; it is overwritten with
+  // r. Each kept limb pays one forward NTT of the correction; `out` is in
+  // NTT form.
+  void RescaleInto(uint64_t* limbs, size_t kept, size_t dropped,
+                   RnsPoly* out) const;
 
   std::shared_ptr<const BgvContext> ctx_;
   NoiseModel noise_;

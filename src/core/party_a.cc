@@ -172,8 +172,8 @@ StatusOr<bgv::Ciphertext> PartyA::DistanceForUnit(
   }
   {
     trace::TraceSpan span("permute");
-    // Packed mode: the intra-unit part of the permutation, as one
-    // coefficient-form Galois chain.
+    // Packed mode: the intra-unit part of the permutation, as one Galois
+    // chain.
     const std::vector<uint64_t> elts = TransformGaloisElts(transform, unit);
     ops->rotations += elts.size();
     SKNN_RETURN_IF_ERROR(evaluator_.ApplyGaloisChainInplace(&u, elts, galois_));

@@ -91,6 +91,28 @@ struct KernelTable {
                     const uint32_t* perm, const uint64_t* kb,
                     const uint64_t* kb_shoup, const uint64_t* ka,
                     const uint64_t* ka_shoup, size_t n, uint64_t q);
+
+  // The t-preserving rescale by a dropped prime p: key switching's
+  // mod-down by the special prime and modulus switching's drop of the last
+  // data prime (Evaluator, DESIGN.md §3.3). For kept prime q,
+  //   out = (a - lift(r)·t) / p = a·p^{-1} - lift(r)·(t·p^{-1})  (mod q),
+  // where r = [last·t^{-1}]_p is the dropped limb's correction. Two steps,
+  // because the NTT-domain callers forward-transform lift(r) between them
+  // (the correction is linear mod q, so it commutes with the NTT). The
+  // AVX2 table runs the scalar code here (no 64-bit vector multiply).
+  //
+  // rescale_lift: dst[i] = r[i] lifted centered from Z_p into Z_q, i.e.
+  // r[i] mod q when r[i] <= p/2 (p >> 1), else (r[i] - p) mod q. Input
+  // r[i] in [0, p); p_mod_q = p mod q; p may be larger or smaller than q.
+  void (*rescale_lift)(uint64_t* dst, const uint64_t* r, size_t n, uint64_t p,
+                       uint64_t p_mod_q, uint64_t q);
+  // rescale_combine: x[i] = (a[i]·p_inv - x[i]·t_p_inv) mod q, with the
+  // Shoup companions of p_inv = p^{-1} and t_p_inv = t·p^{-1} mod q. a[i]
+  // may be lazy in [0, 2q) (the key-switch accumulators); x[i] holds
+  // lift(r), reduced; the output is reduced.
+  void (*rescale_combine)(uint64_t* x, const uint64_t* a, size_t n, uint64_t q,
+                          uint64_t p_inv, uint64_t p_inv_shoup,
+                          uint64_t t_p_inv, uint64_t t_p_inv_shoup);
 };
 
 // The table selected for this process: the widest ISA the CPU and build

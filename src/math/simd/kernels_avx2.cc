@@ -375,6 +375,21 @@ void FusedMacAvx2(uint64_t* acc0, uint64_t* acc1, const uint64_t* d,
   }
 }
 
+// No vector form of the rescale kernels: built from 32-bit vpmuludq
+// partials, an AVX2 version timed no faster than the scalar loop with its
+// native 64-bit multiplies, so this table runs the scalar code.
+void RescaleLiftAvx2(uint64_t* dst, const uint64_t* r, size_t n, uint64_t p,
+                     uint64_t p_mod_q, uint64_t q) {
+  ScalarKernels()->rescale_lift(dst, r, n, p, p_mod_q, q);
+}
+
+void RescaleCombineAvx2(uint64_t* x, const uint64_t* a, size_t n, uint64_t q,
+                        uint64_t p_inv, uint64_t p_inv_shoup, uint64_t t_p_inv,
+                        uint64_t t_p_inv_shoup) {
+  ScalarKernels()->rescale_combine(x, a, n, q, p_inv, p_inv_shoup, t_p_inv,
+                                   t_p_inv_shoup);
+}
+
 const KernelTable kAvx2Table = {
     /*name=*/"avx2",
     /*ntt_forward=*/NttForwardAvx2,
@@ -386,6 +401,8 @@ const KernelTable kAvx2Table = {
     /*mod_add_mul=*/ModAddMulAvx2,
     /*mod_mul_scalar=*/ModMulScalarAvx2,
     /*fused_mac=*/FusedMacAvx2,
+    /*rescale_lift=*/RescaleLiftAvx2,
+    /*rescale_combine=*/RescaleCombineAvx2,
 };
 
 }  // namespace

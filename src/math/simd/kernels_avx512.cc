@@ -323,6 +323,53 @@ void FusedMacAvx512(uint64_t* acc0, uint64_t* acc1, const uint64_t* d,
   }
 }
 
+// Shoup by 1 (companion floor(2^64 / q)) reduces r exactly: the product
+// r·1 is r itself, so only the quotient estimate needs a multiply.
+void RescaleLiftAvx512(uint64_t* dst, const uint64_t* r, size_t n, uint64_t p,
+                       uint64_t p_mod_q, uint64_t q) {
+  const __m512i qv = Set1(q);
+  const __m512i halfv = Set1(p >> 1);
+  const __m512i pmqv = Set1(p_mod_q);
+  const __m512i one_shoup = Set1(ShoupPrecompute(1, q));
+  size_t i = 0;
+  for (; i + kWidth <= n; i += kWidth) {
+    const __m512i rv = Load(r + i);
+    const __m512i v = CondSub(
+        _mm512_sub_epi64(rv, _mm512_mullo_epi64(MulHi64(rv, one_shoup), qv)),
+        qv);
+    const __m512i sub =
+        _mm512_maskz_mov_epi64(_mm512_cmpgt_epu64_mask(rv, halfv), pmqv);
+    const __m512i d = _mm512_sub_epi64(v, sub);
+    Store(dst + i,
+          _mm512_mask_add_epi64(d, _mm512_cmplt_epu64_mask(v, sub), d, qv));
+  }
+  if (i < n) {
+    ScalarKernels()->rescale_lift(dst + i, r + i, n - i, p, p_mod_q, q);
+  }
+}
+
+void RescaleCombineAvx512(uint64_t* x, const uint64_t* a, size_t n, uint64_t q,
+                          uint64_t p_inv, uint64_t p_inv_shoup,
+                          uint64_t t_p_inv, uint64_t t_p_inv_shoup) {
+  const __m512i qv = Set1(q);
+  const __m512i two_qv = Set1(q << 1);
+  const __m512i pinv = Set1(p_inv);
+  const __m512i pinv_sh = Set1(p_inv_shoup);
+  const __m512i tpinv = Set1(t_p_inv);
+  const __m512i tpinv_sh = Set1(t_p_inv_shoup);
+  size_t i = 0;
+  for (; i + kWidth <= n; i += kWidth) {
+    const __m512i lhs = ShoupLazy(Load(a + i), pinv, pinv_sh, qv);
+    const __m512i rhs = ShoupLazy(Load(x + i), tpinv, tpinv_sh, qv);
+    const __m512i v = _mm512_sub_epi64(_mm512_add_epi64(lhs, two_qv), rhs);
+    Store(x + i, CondSub(CondSub(v, two_qv), qv));
+  }
+  if (i < n) {
+    ScalarKernels()->rescale_combine(x + i, a + i, n - i, q, p_inv,
+                                     p_inv_shoup, t_p_inv, t_p_inv_shoup);
+  }
+}
+
 const KernelTable kAvx512Table = {
     /*name=*/"avx512",
     /*ntt_forward=*/NttForwardAvx512,
@@ -334,6 +381,8 @@ const KernelTable kAvx512Table = {
     /*mod_add_mul=*/ModAddMulAvx512,
     /*mod_mul_scalar=*/ModMulScalarAvx512,
     /*fused_mac=*/FusedMacAvx512,
+    /*rescale_lift=*/RescaleLiftAvx512,
+    /*rescale_combine=*/RescaleCombineAvx512,
 };
 
 }  // namespace

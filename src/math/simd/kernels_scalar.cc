@@ -167,6 +167,34 @@ void FusedMacScalar(uint64_t* acc0, uint64_t* acc1, const uint64_t* d,
   }
 }
 
+// Shoup by the operand 1 (companion floor(2^64 / q)) reduces any 64-bit
+// value exactly, so r mod q needs no Barrett and no division per element,
+// whether p is above or below q.
+void RescaleLiftScalar(uint64_t* dst, const uint64_t* r, size_t n, uint64_t p,
+                       uint64_t p_mod_q, uint64_t q) {
+  const uint64_t half = p >> 1;
+  const uint64_t one_shoup = ShoupPrecompute(1, q);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t v = MulModShoup(r[i], 1, one_shoup, q);
+    dst[i] = SubMod(v, r[i] > half ? p_mod_q : 0, q);
+  }
+}
+
+// Both Shoup products stay lazy in [0, 2q): lhs + 2q - rhs lies in
+// (0, 4q) < 2^64, and two conditional subtracts reduce it.
+void RescaleCombineScalar(uint64_t* x, const uint64_t* a, size_t n, uint64_t q,
+                          uint64_t p_inv, uint64_t p_inv_shoup,
+                          uint64_t t_p_inv, uint64_t t_p_inv_shoup) {
+  const uint64_t two_q = q << 1;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t v = MulModShoupLazy(a[i], p_inv, p_inv_shoup, q) + two_q -
+                 MulModShoupLazy(x[i], t_p_inv, t_p_inv_shoup, q);
+    if (v >= two_q) v -= two_q;
+    if (v >= q) v -= q;
+    x[i] = v;
+  }
+}
+
 const KernelTable kScalarTable = {
     /*name=*/"scalar",
     /*ntt_forward=*/NttForwardScalar,
@@ -178,6 +206,8 @@ const KernelTable kScalarTable = {
     /*mod_add_mul=*/ModAddMulScalar,
     /*mod_mul_scalar=*/ModMulScalarConst,
     /*fused_mac=*/FusedMacScalar,
+    /*rescale_lift=*/RescaleLiftScalar,
+    /*rescale_combine=*/RescaleCombineScalar,
 };
 
 }  // namespace

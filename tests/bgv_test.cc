@@ -106,7 +106,9 @@ TEST_F(BgvTest, ContextConstantsAreConsistent) {
     const uint64_t q = ctx_->params().data_primes[i];
     EXPECT_EQ(MulModSlow(ctx_->t_inv_mod_q(i), t % q, q), 1u);
     EXPECT_EQ(ctx_->sp_mod_q(i), ctx_->params().special_prime % q);
-    EXPECT_EQ(MulModSlow(ctx_->sp_inv_mod_q(i), ctx_->sp_mod_q(i), q), 1u);
+    EXPECT_EQ(MulModSlow(ctx_->q_inv_mod_q(ctx_->special_index(), i),
+                         ctx_->sp_mod_q(i), q),
+              1u);
   }
   // q_inv_mod_t really inverts each prime mod t.
   for (size_t i = 0; i < ctx_->num_data_primes(); ++i) {

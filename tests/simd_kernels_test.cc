@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,8 @@ TEST(SimdDispatchTest, EveryCompiledTableIsFullyPopulated) {
     EXPECT_NE(t->mod_add_mul, nullptr);
     EXPECT_NE(t->mod_mul_scalar, nullptr);
     EXPECT_NE(t->fused_mac, nullptr);
+    EXPECT_NE(t->rescale_lift, nullptr);
+    EXPECT_NE(t->rescale_combine, nullptr);
   }
 }
 
@@ -309,6 +312,66 @@ TEST_F(SimdKernelEqualityTest, FusedMacMatchesScalar) {
           ASSERT_LT(got0[i], two_q);
           ASSERT_LT(got1[i], two_q);
         }
+      }
+    }
+  }
+}
+
+// The rescale kernels on every table, scalar included, against an
+// independent per-element formula (CenterMod lift, hardware-division
+// products) and against scalar: a dropped prime above the kept one (the
+// 60-bit special prime over 58-bit data primes) and below it, corrections
+// on the centering boundary, lazy inputs in [q, 2q), odd tails.
+TEST_F(SimdKernelEqualityTest, RescaleKernelsMatchReferenceAndScalar) {
+  const uint64_t p60 = q_;
+  auto data = GenerateNttPrimes(58, 2 * 1024, 2);
+  ASSERT_TRUE(data.ok()) << data.status();
+  const uint64_t q58a = data.value()[0];
+  const uint64_t q58b = data.value()[1];
+  const uint64_t t = 65537;
+  struct Drop {
+    uint64_t p;  // dropped prime
+    uint64_t q;  // kept prime
+  };
+  const Drop drops[] = {{p60, q58a}, {q58a, p60}, {q58b, q58a}};
+  const KernelTable* scalar = ScalarKernels();
+  for (const Drop& drop : drops) {
+    const uint64_t p = drop.p;
+    const uint64_t q = drop.q;
+    SCOPED_TRACE("p=" + std::to_string(p) + " q=" + std::to_string(q));
+    const uint64_t p_inv = InvModPrime(p % q, q);
+    const uint64_t t_p_inv = MulModSlow(t, p_inv, q);
+    const uint64_t p_inv_shoup = ShoupPrecompute(p_inv, q);
+    const uint64_t t_p_inv_shoup = ShoupPrecompute(t_p_inv, q);
+    const uint64_t boundary[] = {0, 1, p >> 1, (p >> 1) + 1, p - 1};
+    for (size_t n : kLengths) {
+      SCOPED_TRACE("n=" + std::to_string(n));
+      std::vector<uint64_t> r = Random(n, p, 17 * n + 1);
+      std::vector<uint64_t> a = Random(n, 2 * q, 17 * n + 2);
+      for (size_t i = 0; i < n; ++i) {
+        if (i % 2 == 0) r[i] = boundary[(i / 2) % std::size(boundary)];
+        if (i % 3 == 0) a[i] = q + a[i] % q;  // lazy, in [q, 2q)
+      }
+      a[n - 1] = 2 * q - 1;
+      std::vector<uint64_t> want_lift(n), want(n);
+      for (size_t i = 0; i < n; ++i) {
+        want_lift[i] = ToUnsignedMod(CenterMod(r[i], p), q);
+        want[i] = SubMod(MulModSlow(a[i] % q, p_inv, q),
+                         MulModSlow(want_lift[i], t_p_inv, q), q);
+      }
+      std::vector<uint64_t> scalar_got(n);
+      scalar->rescale_lift(scalar_got.data(), r.data(), n, p, p % q, q);
+      scalar->rescale_combine(scalar_got.data(), a.data(), n, q, p_inv,
+                              p_inv_shoup, t_p_inv, t_p_inv_shoup);
+      for (const KernelTable* table : CompiledTables()) {
+        SCOPED_TRACE(table->name);
+        std::vector<uint64_t> got(n);
+        table->rescale_lift(got.data(), r.data(), n, p, p % q, q);
+        EXPECT_EQ(got, want_lift) << "rescale_lift";
+        table->rescale_combine(got.data(), a.data(), n, q, p_inv, p_inv_shoup,
+                               t_p_inv, t_p_inv_shoup);
+        EXPECT_EQ(got, want) << "rescale_combine";
+        EXPECT_EQ(got, scalar_got) << "against scalar";
       }
     }
   }
