@@ -43,7 +43,7 @@ int RunOne(const data::Dataset& dataset, Layout layout, size_t degree,
   }
   std::printf("%-10s %2zu %7zu %12.2f %12.2f %14s %14s\n",
               LayoutName(layout), degree, cfg.levels,
-              r->timings.total_query_seconds(),
+              r->seconds(),
               (*session)->setup_report().setup_seconds,
               bench::HumanBytes(r->ab_link.total_bytes()).c_str(),
               bench::HumanBytes((*session)->setup_report().encrypted_db_bytes)
@@ -52,7 +52,7 @@ int RunOne(const data::Dataset& dataset, Layout layout, size_t degree,
   row.Str("layout", LayoutName(layout))
       .Int("degree", degree)
       .Int("levels", cfg.levels)
-      .Num("query_seconds", r->timings.total_query_seconds())
+      .Num("query_seconds", r->seconds())
       .Num("setup_seconds", (*session)->setup_report().setup_seconds)
       .Int("wire_bytes", r->ab_link.total_bytes())
       .Int("db_bytes", (*session)->setup_report().encrypted_db_bytes);

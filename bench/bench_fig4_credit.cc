@@ -62,7 +62,7 @@ int Run(const bench::BenchArgs& args) {
                      result.status().ToString().c_str());
         return 1;
       }
-      total += result->timings.total_query_seconds();
+      total += result->seconds();
       last = std::move(result).value();
     }
     std::printf("%6zu %12.2f %14s %14s %12llu %12llu\n", k,

@@ -320,16 +320,6 @@ void BM_BgvMultiplyRelin(benchmark::State& state) {
 }
 BENCHMARK(BM_BgvMultiplyRelin)->Arg(1024)->Arg(4096);
 
-void BM_BgvRotate(benchmark::State& state) {
-  BgvFixture f(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    bgv::Ciphertext ct = f.ct_a;
-    f.evaluator->RotateRowsInplace(&ct, 1, f.gk).ok();
-    benchmark::DoNotOptimize(ct);
-  }
-}
-BENCHMARK(BM_BgvRotate)->Arg(1024)->Arg(4096);
-
 // ---------- Key-switch path (tracked like the NTT: rotation-heavy ops
 // dominate the protocol's distance phase, so each kernel gets its own
 // series in BENCH_microops.json) ----------

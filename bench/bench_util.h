@@ -234,7 +234,7 @@ inline int RunSyntheticSweep(const char* paper_note,
                      result.status().ToString().c_str());
         return 1;
       }
-      total += result->timings.total_query_seconds();
+      total += result->seconds();
       last = std::move(result).value();
     }
     std::printf("%9zu %4zu %4zu %12.2f %10.2f %14s %14s\n", p.n, p.d, p.k,

@@ -56,7 +56,7 @@ int Run(const bench::BenchArgs& args) {
         .Int("n", n)
         .Int("d", d)
         .Int("k", k)
-        .Num("query_seconds", r.timings.total_query_seconds())
+        .Num("query_seconds", r.seconds())
         .Int("rounds", (r.ab_link.rounds + 1) / 2)
         .Int("bytes", r.ab_link.total_bytes());
     out.EndRow(std::move(row));
@@ -80,8 +80,8 @@ int Run(const bench::BenchArgs& args) {
   }
   ours_row("ours_packed", *ours);
 
-  const double ours_pp_s = ours_pp->timings.total_query_seconds();
-  const double ours_s = ours->timings.total_query_seconds();
+  const double ours_pp_s = ours_pp->seconds();
+  const double ours_s = ours->seconds();
   // Round trips = direction flips / 2.
   const uint64_t ours_rounds = (ours->ab_link.rounds + 1) / 2;
 

@@ -53,7 +53,7 @@ int main() {
 
   std::printf("%zu most similar client profiles found in %.1f s\n",
               result->neighbours.size(),
-              result->timings.total_query_seconds());
+              result->seconds());
   std::printf("first returned profile (quantized features): ");
   for (uint64_t v : result->neighbours[0]) {
     std::printf("%llu ", static_cast<unsigned long long>(v));

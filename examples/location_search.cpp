@@ -57,7 +57,7 @@ int main() {
                   static_cast<unsigned long long>(taxi[1]));
     }
     std::printf("   [%.2f s, 1 round]\n",
-                result->timings.total_query_seconds());
+                result->seconds());
   }
   std::printf(
       "\neach query used a fresh masking polynomial and permutation, so\n"

@@ -58,12 +58,10 @@ int main(int argc, char** argv) {
 
   std::printf("retrieved the %zu most similar patient records\n",
               result->neighbours.size());
-  std::printf("query time: %.1f s (distances %.1f s, selection %.1f s, "
-              "retrieval %.1f s)\n",
-              result->timings.total_query_seconds(),
-              result->timings.compute_distances_seconds,
-              result->timings.find_neighbours_seconds,
-              result->timings.return_knn_seconds);
+  std::printf("query time: %.1f s\n", result->seconds());
+  for (const FlightRecord::Phase& phase : result->record.phases) {
+    std::printf("  %-18s %.2f s\n", phase.name.c_str(), phase.seconds);
+  }
 
   // Cross-check against the plaintext reference.
   const Status exact =

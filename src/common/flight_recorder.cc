@@ -1,10 +1,26 @@
 #include "common/flight_recorder.h"
 
+#include <algorithm>
+
 #include "common/json_writer.h"
 #include "common/logging.h"
 #include "common/trace_id.h"
 
 namespace sknn {
+
+void FlightRecord::AddToPhase(std::string_view name, double seconds,
+                              uint64_t bytes, double min_noise_budget_bits) {
+  auto it = std::find_if(phases.begin(), phases.end(),
+                         [&](const Phase& p) { return p.name == name; });
+  Phase& phase =
+      it != phases.end() ? *it : phases.emplace_back(Phase{std::string(name)});
+  phase.seconds += seconds;
+  phase.bytes += bytes;
+  double& min = phase.min_noise_budget_bits;
+  if (min_noise_budget_bits >= 0 && (min < 0 || min_noise_budget_bits < min)) {
+    min = min_noise_budget_bits;
+  }
+}
 
 std::string FlightRecord::Json() const {
   std::vector<std::string> phase_rows;

@@ -5,14 +5,17 @@
 #include <deque>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 // Bounded ring of per-query structured records — the protocol's black box.
 //
-// `core::SecureKnnSession::RunQuery` appends one record per query: the
-// replay seed, problem shape, per-phase durations/bytes, the re-execution
-// and injected-fault counts the query incurred, the minimum estimated
-// noise margin per phase, and the final status. The ring keeps the last
+// Each process a query runs on (the in-process session, Party A's worker,
+// Party B's connection) appends one record for it: the replay seed,
+// problem shape, the phases the protocol drivers (core/exchange.h) filled
+// with their durations, received bytes and noise minima, the
+// re-execution and injected-fault counts, and the final status. A served
+// query's records on A and B share its trace id. The ring keeps the last
 // `capacity` queries (default 256), so a failure deep into a soak run
 // still has its context. When a record with a non-OK status is added the
 // recorder dumps it to the log automatically — a chaos failure is
@@ -49,6 +52,11 @@ struct FlightRecord {
   };
   std::vector<Phase> phases;
 
+  // Adds one call to phase `name` (appended if new): seconds and bytes
+  // add up, `min_noise_budget_bits` joins the minimum (negative = none).
+  void AddToPhase(std::string_view name, double seconds, uint64_t bytes,
+                  double min_noise_budget_bits);
+
   // Whole-query re-executions after a transient failure (attempts - 1),
   // and the injected faults the query incurred across all attempts.
   uint64_t reexecutions = 0;
@@ -71,7 +79,7 @@ class FlightRecorder {
  public:
   explicit FlightRecorder(size_t capacity = 256);
 
-  // The process-wide recorder core::Session populates.
+  // The process-wide recorder the session and the servers populate.
   static FlightRecorder& Global();
 
   // Appends a record, evicting the oldest when full. Non-OK records are

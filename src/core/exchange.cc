@@ -30,15 +30,32 @@ bool ParseTracePreamble(const std::string& preamble, uint64_t* trace_id) {
   return *trace_id != 0;
 }
 
-// "deadline budget_ms=N"; false on malformed.
+// "deadline budget_ms=N", N <= kMaxDeadlineBudgetMs; false on malformed.
 bool ParseDeadlinePreamble(const std::string& preamble, uint64_t* budget_ms) {
   const size_t prefix_len = std::string(kDeadlinePrefix).size();
   if (preamble.rfind(kDeadlinePrefix, 0) != 0) return false;
   const char* b = preamble.data() + prefix_len;
   const char* e = preamble.data() + preamble.size();
   auto [ptr, ec] = std::from_chars(b, e, *budget_ms);
-  return ec == std::errc() && ptr == e && b != e;
+  return ec == std::errc() && ptr == e && b != e &&
+         *budget_ms <= kMaxDeadlineBudgetMs;
 }
+
+// Adds one driver call to phase `name` of `record` (if any) on every exit
+// path: its wall time, received bytes and noise minimum (-1 = none).
+struct PhaseScope {
+  using Clock = std::chrono::steady_clock;
+  FlightRecord* record;
+  const char* name;
+  uint64_t bytes_received = 0;
+  double min_budget_bits = -1;
+  Clock::time_point start = Clock::now();
+  ~PhaseScope() {
+    if (!record) return;
+    const std::chrono::duration<double> seconds = Clock::now() - start;
+    record->AddToPhase(name, seconds.count(), bytes_received, min_budget_bits);
+  }
+};
 
 StatusOr<bgv::Ciphertext> DecodeIndicator(const bgv::BgvContext& ctx,
                                           std::vector<uint8_t> bytes) {
@@ -111,8 +128,19 @@ bool MayReexecute(const Status& status, int reexecutions,
   return status.IsTransient() && reexecutions < policy.max_query_reexecutions;
 }
 
+StatusOr<std::unique_ptr<PartyA::Query>> StartQuery(
+    PartyA* party_a, const bgv::Ciphertext& query_ct,
+    const PartyA::CancelCheck& cancel, FlightRecord* record) {
+  PhaseScope phase{record, kComputeDistancesPhase};
+  SKNN_ASSIGN_OR_RETURN(std::unique_ptr<PartyA::Query> query,
+                        party_a->StartQuery(query_ct, cancel));
+  phase.min_budget_bits = query->distance_budget();
+  return query;
+}
+
 Status SendDistances(const PartyA::Query& query, uint64_t trace_id,
-                     net::ResilientChannel* ch) {
+                     net::ResilientChannel* ch, FlightRecord* record) {
+  PhaseScope phase{record, kFindNeighboursPhase};
   trace::TraceSpan span("transfer.distances");
   SKNN_RETURN_IF_ERROR(SendPreambles(trace_id, /*budget_ms=*/0, ch));
   for (const bgv::Ciphertext& ct : query.distances()) {
@@ -122,8 +150,16 @@ Status SendDistances(const PartyA::Query& query, uint64_t trace_id,
   return Status::Ok();
 }
 
+Status BeginReturnPhase(size_t k, PartyA::Query* query,
+                        FlightRecord* record) {
+  PhaseScope phase{record, kReturnKnnPhase};
+  return query->BeginReturnPhase(k);
+}
+
 Status AbsorbIndicatorRow(const bgv::BgvContext& ctx, size_t j,
-                          PartyA::Query* query, net::ResilientChannel* ch) {
+                          PartyA::Query* query, net::ResilientChannel* ch,
+                          FlightRecord* record) {
+  PhaseScope phase{record, kReturnKnnPhase};
   const size_t units = query->distances().size();
   for (size_t pos = 0; pos < units; ++pos) {
     std::vector<uint8_t> bytes;
@@ -132,17 +168,21 @@ Status AbsorbIndicatorRow(const bgv::BgvContext& ctx, size_t j,
       SKNN_ASSIGN_OR_RETURN(
           bytes, ch->ReceiveMessage(net::MessageType::kIndicators));
     }
+    phase.bytes_received += net::kFrameHeaderBytes + bytes.size();
     SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext indicator,
                           DecodeIndicator(ctx, std::move(bytes)));
     SKNN_RETURN_IF_ERROR(query->AbsorbIndicator(j, pos, indicator));
   }
+  phase.min_budget_bits = query->absorb_budget();
   return Status::Ok();
 }
 
 StatusOr<std::vector<std::vector<uint8_t>>> FinalizeResults(
-    size_t k, PartyA::Query* query) {
+    size_t k, PartyA::Query* query, FlightRecord* record) {
+  PhaseScope phase{record, kReturnKnnPhase};
   SKNN_ASSIGN_OR_RETURN(std::vector<bgv::Ciphertext> results,
                         query->FinalizeResults(k));
+  phase.min_budget_bits = query->retrieve_budget();
   std::vector<std::vector<uint8_t>> payloads;
   payloads.reserve(k);
   for (const bgv::Ciphertext& ct : results) payloads.push_back(CtToBytes(ct));
@@ -151,7 +191,8 @@ StatusOr<std::vector<std::vector<uint8_t>>> FinalizeResults(
 
 StatusOr<size_t> ReceiveDistancesAndSelect(
     size_t units, size_t k, PartyB* party_b, net::ResilientChannel* ch,
-    std::optional<std::vector<uint8_t>> first_payload) {
+    FlightRecord* record, std::optional<std::vector<uint8_t>> first_payload) {
+  PhaseScope phase{record, kFindNeighboursPhase};
   std::vector<bgv::Ciphertext> received;
   received.reserve(units);
   {
@@ -165,14 +206,20 @@ StatusOr<size_t> ReceiveDistancesAndSelect(
         SKNN_ASSIGN_OR_RETURN(
             bytes, ch->ReceiveMessage(net::MessageType::kDistances));
       }
+      phase.bytes_received += net::kFrameHeaderBytes + bytes.size();
       SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext ct, CtFromBytes(std::move(bytes)));
       received.push_back(std::move(ct));
     }
   }
-  return party_b->FindNeighbours(received, k);
+  SKNN_ASSIGN_OR_RETURN(size_t effective_k,
+                        party_b->FindNeighbours(received, k));
+  phase.min_budget_bits = party_b->exact_distance_budget();
+  return effective_k;
 }
 
-Status SendIndicatorRow(size_t j, PartyB* party_b, net::ResilientChannel* ch) {
+Status SendIndicatorRow(size_t j, PartyB* party_b, net::ResilientChannel* ch,
+                        FlightRecord* record) {
+  PhaseScope phase{record, kFindNeighboursPhase};
   // B encrypts the whole row in one parallel batch (per-position RNG
   // forks keep the transcript deterministic), then streams it, one frame
   // per indicator.

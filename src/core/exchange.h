@@ -3,12 +3,14 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bgv/ciphertext.h"
 #include "bgv/context.h"
+#include "common/flight_recorder.h"
 #include "common/status.h"
 #include "common/statusor.h"
 #include "core/party_a.h"
@@ -40,6 +42,15 @@
 namespace sknn {
 namespace core {
 
+// Each driver, and the StartQuery and BeginReturnPhase calls around them,
+// adds its wall time, received frame bytes and noise minimum to one phase
+// of the caller's FlightRecord (if any), on every exit path and process:
+// compute_distances is StartQuery; find_neighbours is SendDistances and
+// B's two drivers; return_knn is A's other three.
+inline constexpr char kComputeDistancesPhase[] = "compute_distances";
+inline constexpr char kFindNeighboursPhase[] = "find_neighbours";
+inline constexpr char kReturnKnnPhase[] = "return_knn";
+
 // The ciphertext codec of messages 1, 2 and 4.
 std::vector<uint8_t> CtToBytes(const bgv::Ciphertext& ct);
 StatusOr<bgv::Ciphertext> CtFromBytes(std::vector<uint8_t> bytes);
@@ -56,6 +67,10 @@ StatusOr<bgv::Ciphertext> FreshCtFromBytes(const bgv::BgvContext& ctx,
 // distributed trace id) and "deadline budget_ms=N" (a relative
 // end-to-end budget). Both are optional and order-free; an exchange that
 // carries neither is byte-identical to the original protocol.
+
+// The largest budget a deadline preamble may carry (one day); a larger
+// one is malformed, as anchoring it to a clock could overflow.
+inline constexpr uint64_t kMaxDeadlineBudgetMs = 24ull * 60 * 60 * 1000;
 
 // Sends the trace-id preamble when `trace_id` != 0, then the deadline
 // preamble when `budget_ms` > 0.
@@ -86,22 +101,30 @@ bool MayReexecute(const Status& status, int reexecutions,
 
 // --- Party A --------------------------------------------------------------
 
+// Algorithm 1 (labels 5-6): PartyA::StartQuery.
+StatusOr<std::unique_ptr<PartyA::Query>> StartQuery(
+    PartyA* party_a, const bgv::Ciphertext& query_ct,
+    const PartyA::CancelCheck& cancel, FlightRecord* record);
+
 // Message 2: the trace-id preamble (only when `trace_id` != 0), then the
 // u masked distance frames.
 Status SendDistances(const PartyA::Query& query, uint64_t trace_id,
-                     net::ResilientChannel* ch);
+                     net::ResilientChannel* ch, FlightRecord* record = nullptr);
+
+// PartyA::Query::BeginReturnPhase.
+Status BeginReturnPhase(size_t k, PartyA::Query* query, FlightRecord* record);
 
 // Message 3, row j: receives the u seed-compressed indicator frames,
-// expands each and absorbs it into `query`. Call query->BeginReturnPhase
-// first.
+// expands each and absorbs it into `query`. Call BeginReturnPhase first.
 Status AbsorbIndicatorRow(const bgv::BgvContext& ctx, size_t j,
-                          PartyA::Query* query, net::ResilientChannel* ch);
+                          PartyA::Query* query, net::ResilientChannel* ch,
+                          FlightRecord* record = nullptr);
 
 // Message 4 payloads: the k finalized result ciphertexts
 // (PartyA::Query::FinalizeResults, one batch on A's pool), serialized in
 // j order.
 StatusOr<std::vector<std::vector<uint8_t>>> FinalizeResults(
-    size_t k, PartyA::Query* query);
+    size_t k, PartyA::Query* query, FlightRecord* record = nullptr);
 
 // --- Party B --------------------------------------------------------------
 
@@ -111,11 +134,13 @@ StatusOr<std::vector<std::vector<uint8_t>>> FinalizeResults(
 // the effective k.
 StatusOr<size_t> ReceiveDistancesAndSelect(
     size_t units, size_t k, PartyB* party_b, net::ResilientChannel* ch,
+    FlightRecord* record,
     std::optional<std::vector<uint8_t>> first_payload = std::nullopt);
 
 // Message 3, row j: encrypts the u seed-compressed indicators of result j
 // and sends them.
-Status SendIndicatorRow(size_t j, PartyB* party_b, net::ResilientChannel* ch);
+Status SendIndicatorRow(size_t j, PartyB* party_b, net::ResilientChannel* ch,
+                        FlightRecord* record);
 
 }  // namespace core
 }  // namespace sknn

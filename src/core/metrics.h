@@ -7,9 +7,9 @@
 
 #include "common/metrics_registry.h"
 
-// Operation counters and phase timings shared by the new protocol and the
-// baseline. These regenerate the computational-overhead columns of the
-// paper's Table 1 from actual executions. OpCounts remains the per-party
+// Operation counters shared by the new protocol and the baseline. These
+// regenerate the computational-overhead columns of the paper's Table 1
+// from actual executions. OpCounts remains the per-party
 // aggregate carried in QueryResult; ExportTo maps it into the named
 // MetricsRegistry taxonomy (core.<party>.<op>) for trace/JSON output.
 
@@ -67,21 +67,6 @@ struct OpCounts {
        << ", modswitch=" << mod_switches << ", enc=" << encryptions
        << ", dec=" << decryptions << "}";
     return os.str();
-  }
-};
-
-struct PhaseTimings {
-  double setup_seconds = 0;
-  double query_encrypt_seconds = 0;
-  double compute_distances_seconds = 0;  // Party A, phase 1
-  double find_neighbours_seconds = 0;    // Party B
-  double return_knn_seconds = 0;         // Party A, phase 2
-  double client_decrypt_seconds = 0;
-
-  double total_query_seconds() const {
-    return query_encrypt_seconds + compute_distances_seconds +
-           find_neighbours_seconds + return_knn_seconds +
-           client_decrypt_seconds;
   }
 };
 

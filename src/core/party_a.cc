@@ -294,6 +294,9 @@ StatusOr<std::vector<bgv::Ciphertext>> PartyA::DistanceSweep(
   registry.GetGauge("bgv.noise.party_a.square_fold")->Set(worst.square_fold);
   registry.GetGauge("bgv.noise.party_a.mask")->Set(worst.mask);
   registry.GetGauge("bgv.noise.party_a.permute")->Set(worst.permute);
+  query->min_distance_budget_ = MinBudget(
+      query->min_distance_budget_,
+      MinBudget(worst.square_fold, MinBudget(worst.mask, worst.permute)));
 
   // Apply the unit permutation: output position p carries original unit
   // perm[p].
@@ -373,9 +376,6 @@ Status PartyA::Query::AbsorbIndicator(size_t j, size_t transformed_unit_pos,
   min_absorb_budget_ =
       MinBudget(min_absorb_budget_,
                 a.evaluator_.noise_model().EstimatedBudgetBits(acc_[j]));
-  MetricsRegistry::Global()
-      .GetGauge("bgv.noise.party_a.absorb")
-      ->Set(min_absorb_budget_);
   return Status::Ok();
 }
 
@@ -399,6 +399,9 @@ StatusOr<bgv::Ciphertext> PartyA::Query::RelinearizedSum(size_t j) {
   SKNN_RETURN_IF_ERROR(CheckAbsorbed(j));
   SKNN_ASSIGN_OR_RETURN(bgv::Ciphertext sum, TakeSum(j, acc_[j].level));
   ops_.relinearizations += 1;
+  MetricsRegistry::Global()
+      .GetGauge("bgv.noise.party_a.absorb")
+      ->Set(min_absorb_budget_);
   return sum;
 }
 
@@ -443,13 +446,13 @@ StatusOr<std::vector<bgv::Ciphertext>> PartyA::Query::FinalizeRange(
     ops_.mod_switches += levels[i];
     min_retrieve_budget_ = MinBudget(min_retrieve_budget_,
                                      noise.EstimatedBudgetBits(results[i]));
-    MetricsRegistry::Global()
-        .GetGauge("bgv.noise.party_a.retrieve")
-        ->Set(min_retrieve_budget_);
     // The client must decrypt this ciphertext; warn before it gets the
     // chance to fail.
     noise.WarnIfThin(results[i], "party_a.retrieve");
   }
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.GetGauge("bgv.noise.party_a.absorb")->Set(min_absorb_budget_);
+  registry.GetGauge("bgv.noise.party_a.retrieve")->Set(min_retrieve_budget_);
   return results;
 }
 

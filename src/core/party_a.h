@@ -126,6 +126,12 @@ class PartyA {
     // before it consumes any accumulator.
     StatusOr<std::vector<bgv::Ciphertext>> FinalizeResults(size_t k);
 
+    // Minimum estimated budget (bits; negative = none) of this query's
+    // distances, absorbed accumulators and finalized results.
+    double distance_budget() const { return min_distance_budget_; }
+    double absorb_budget() const { return min_absorb_budget_; }
+    double retrieve_budget() const { return min_retrieve_budget_; }
+
     // HE work performed by this query so far (distance phase included).
     const OpCounts& ops() const { return ops_; }
     const QueryTransform& transform() const { return *transform_; }
@@ -159,8 +165,9 @@ class PartyA {
     // T^j by result; empty (no parts) until its first indicator is
     // absorbed and again once it is consumed.
     std::vector<bgv::Ciphertext> acc_;
-    // Running minima for the return phase (reset by BeginReturnPhase),
-    // exported as `bgv.noise.party_a.{absorb,retrieve}`.
+    double min_distance_budget_ = -1;
+    // Reset by BeginReturnPhase; exported as
+    // `bgv.noise.party_a.{absorb,retrieve}` when the results are taken.
     double min_absorb_budget_ = -1;
     double min_retrieve_budget_ = -1;
     OpCounts ops_;

@@ -10,19 +10,6 @@
 
 namespace sknn {
 namespace core {
-namespace {
-
-// Estimated budget of a fresh (symmetric) indicator encryption at `level`
-// — a constant of the parameter set, exported as
-// `bgv.noise.party_b.indicator` so operators can see how much headroom
-// A's absorb/retrieve phase starts from.
-double FreshIndicatorBudget(const bgv::NoiseModel& model, size_t level) {
-  const double budget =
-      model.LogQ(level) - 1.0 - model.FreshSymmetricNoiseBits();
-  return budget > 0.0 ? budget : 0.0;
-}
-
-}  // namespace
 
 PartyB::PartyB(std::shared_ptr<const bgv::BgvContext> ctx,
                ProtocolConfig config, SlotLayout layout, bgv::SecretKey sk,
@@ -61,11 +48,16 @@ StatusOr<size_t> PartyB::FindNeighbours(
       observed_[pos * ppu + p] = slots[layout_.PayloadSlot(p)];
     }
   }
-  if (!units.empty()) {
-    MetricsRegistry::Global()
-        .GetGauge("bgv.noise.party_b.exact_distance_budget")
-        ->Set(min_budget);
-  }
+  exact_distance_budget_ = units.empty() ? -1 : min_budget;
+  // Once per query. The indicators are fresh symmetric encryptions at a
+  // fixed level, so their budget is a constant of the parameter set: the
+  // headroom A's return phase starts from.
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.GetGauge("bgv.noise.party_b.exact_distance_budget")
+      ->Set(exact_distance_budget_);
+  registry.GetGauge("bgv.noise.party_b.indicator")
+      ->Set(std::max(0.0, noise_.LogQ(config_.indicator_level) - 1.0 -
+                              noise_.FreshSymmetricNoiseBits()));
   const size_t effective_k = std::min(k, layout_.num_points());
   const std::vector<size_t> flat =
       knn::SelectKSmallest(observed_, effective_k);
@@ -122,9 +114,6 @@ PartyB::EmitIndicatorsCompressedForResult(size_t j) const {
   });
   for (const Status& s : status) SKNN_RETURN_IF_ERROR(s);
   ops_.encryptions += units;
-  MetricsRegistry::Global()
-      .GetGauge("bgv.noise.party_b.indicator")
-      ->Set(FreshIndicatorBudget(noise_, config_.indicator_level));
   return out;
 }
 

@@ -50,6 +50,9 @@ class PartyB {
   StatusOr<size_t> FindNeighbours(const std::vector<bgv::Ciphertext>& units,
                                   size_t k);
 
+  // That minimum for the last successful FindNeighbours (-1 before one).
+  double exact_distance_budget() const { return exact_distance_budget_; }
+
   // Message 3, row j: the indicators for result j across ALL transformed
   // unit positions, in unit-position order. Position `unit_pos` encrypts
   // the 0/1 block selector (all zeros when result j does not live in that
@@ -92,6 +95,7 @@ class PartyB {
   mutable ThreadPool pool_;
   mutable OpCounts ops_;
 
+  double exact_distance_budget_ = -1;
   std::vector<uint64_t> observed_;
   // (transformed unit position, payload index) per selected neighbour.
   std::vector<std::pair<size_t, size_t>> selected_;

@@ -6,7 +6,6 @@
 #include <functional>
 #include <sstream>
 
-#include "common/flight_recorder.h"
 #include "common/metrics_registry.h"
 #include "common/trace.h"
 #include "common/trace_id.h"
@@ -111,6 +110,9 @@ constexpr int kReconnectAttemptTimeoutMs = 250;
 // bounds a silent network; it sits far above the slowest served query
 // measured (n=200000, EXPERIMENTS.md Fig. 5).
 constexpr int64_t kDefaultQueryDeadlineMs = 10 * 60 * 1000;
+
+// Party A's whole execution of a query (the drivers count the bytes).
+constexpr char kServerQueryPhase[] = "server.query";
 
 Clock::time_point DeadlineIn(int64_t ms) {
   return Clock::now() + std::chrono::milliseconds(ms);
@@ -514,15 +516,23 @@ Status PartyBServer::ServeExchange(PartyB* party_b, ExchangeHead head,
     return DataLossError("expected a kDistances or kHeartbeat frame");
   }
   trace::TraceSpan query_span("b.serve_query");
-  SKNN_ASSIGN_OR_RETURN(
-      size_t k, ReceiveDistancesAndSelect(deployment_.layout.num_units(),
-                                          deployment_.config.k, party_b, ch,
-                                          std::move(head.frame.payload)));
-  for (size_t j = 0; j < k; ++j) {
-    SKNN_RETURN_IF_ERROR(SendIndicatorRow(j, party_b, ch));
+  // B's record, on every exit path, under the trace id the loop scoped.
+  FlightRecord record;
+  record.num_points = deployment_.layout.num_points();
+  record.dims = deployment_.layout.dims();
+  record.k = deployment_.config.k;
+  StatusOr<size_t> k = ReceiveDistancesAndSelect(
+      deployment_.layout.num_units(), deployment_.config.k, party_b, ch,
+      &record, std::move(head.frame.payload));
+  Status status = k.status();
+  for (size_t j = 0; status.ok() && j < *k; ++j) {
+    status = SendIndicatorRow(j, party_b, ch, &record);
   }
-  ServerCounter("server.b.queries_served")->Increment();
-  return Status::Ok();
+  record.ok = status.ok();
+  record.status = status.ok() ? "ok" : status.message();
+  FlightRecorder::Global().Add(std::move(record));
+  if (status.ok()) ServerCounter("server.b.queries_served")->Increment();
+  return status;
 }
 
 // ---------------------------------------------------------------------------
@@ -707,7 +717,8 @@ void PartyAServer::FinishJob(const std::shared_ptr<Job>& job, Status status) {
   job->cv.notify_all();
 }
 
-Status PartyAServer::RunQueryOnWorker(size_t worker_index, Job* job) {
+Status PartyAServer::RunQueryOnWorker(size_t worker_index, Job* job,
+                                      FlightRecord* record) {
   // Test hook: a pending injected fault aborts before the B connection is
   // touched, so the supervised recovery path (close, reconnect,
   // re-execute) runs deterministically in tests.
@@ -738,25 +749,27 @@ Status PartyAServer::RunQueryOnWorker(size_t worker_index, Job* job) {
     }
     return Status::Ok();
   };
-  SKNN_ASSIGN_OR_RETURN(std::unique_ptr<PartyA::Query> query,
-                        party_a_->StartQuery(job->query_ct, cancel));
+  SKNN_ASSIGN_OR_RETURN(
+      std::unique_ptr<PartyA::Query> query,
+      StartQuery(party_a_.get(), job->query_ct, cancel, record));
   SKNN_RETURN_IF_ERROR(cancel());
   // The distributed trace id rides ahead of the distance frames, so B's
-  // spans for this query carry the same id as the client's and ours.
-  SKNN_RETURN_IF_ERROR(SendDistances(*query, job->trace_id, &ch));
+  // spans and flight record carry the same id as the client's and ours.
+  SKNN_RETURN_IF_ERROR(SendDistances(*query, job->trace_id, &ch, record));
   // B clamps k to the point count the same way (party_b.cc); both sides
   // derive the indicator frame count without a control message.
   const size_t k =
       std::min<size_t>(deployment_.config.k, deployment_.layout.num_points());
   SKNN_RETURN_IF_ERROR(cancel());
-  SKNN_RETURN_IF_ERROR(query->BeginReturnPhase(k));
+  SKNN_RETURN_IF_ERROR(BeginReturnPhase(k, query.get(), record));
   for (size_t j = 0; j < k; ++j) {
     SKNN_RETURN_IF_ERROR(cancel());
     SKNN_RETURN_IF_ERROR(
-        AbsorbIndicatorRow(*deployment_.ctx, j, query.get(), &ch));
+        AbsorbIndicatorRow(*deployment_.ctx, j, query.get(), &ch, record));
   }
   SKNN_RETURN_IF_ERROR(cancel());
-  SKNN_ASSIGN_OR_RETURN(job->result_payloads, FinalizeResults(k, query.get()));
+  SKNN_ASSIGN_OR_RETURN(job->result_payloads,
+                        FinalizeResults(k, query.get(), record));
   job->effective_k = k;
   return Status::Ok();
 }
@@ -872,19 +885,14 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
     // RetryPolicy::max_query_reexecutions times and never past the
     // deadline.
     const auto t0 = Clock::now();
-    uint64_t bytes_moved = 0;
     Status status;
     int attempt = 0;
+    // One flight record per server-side query, its phases summed over
+    // every attempt (OPERATIONS.md "The flight recorder").
+    FlightRecord record;
     trace::TraceSpan exec_span("server.query");
     for (;; ++attempt) {
-      const uint64_t bytes_before = b_raw_[worker_index]->bytes_sent() +
-                                    b_raw_[worker_index]->bytes_received();
-      status = RunQueryOnWorker(worker_index, job.get());
-      // Capture this attempt's byte delta BEFORE any close/reconnect
-      // swaps b_raw_ for a fresh connection whose counters say nothing
-      // about this query.
-      bytes_moved += b_raw_[worker_index]->bytes_sent() +
-                     b_raw_[worker_index]->bytes_received() - bytes_before;
+      status = RunQueryOnWorker(worker_index, job.get(), &record);
       if (status.ok()) break;
       // The worker's B connection may hold half a query's frames; the
       // only cross-process drain is a fresh connection (PROTOCOL.md).
@@ -912,16 +920,11 @@ void PartyAServer::WorkerLoop(size_t worker_index) {
         expired_queries->Increment();
       }
     }
-    // One flight record per server-side query: shape, A-side duration
-    // and A<->B bytes moved across every attempt, re-executions, outcome
-    // (OPERATIONS.md "Reading the flight recorder").
-    FlightRecord record;
     record.num_points = deployment_.layout.num_points();
     record.dims = deployment_.layout.dims();
     record.k = deployment_.config.k;
-    record.phases.push_back({"server.query", seconds, bytes_moved, -1});
+    record.AddToPhase(kServerQueryPhase, seconds, 0, -1);
     record.reexecutions = static_cast<uint64_t>(attempt);
-    record.trace_id = job->trace_id;  // 0: recorder derives a unique one
     record.ok = status.ok();
     record.status = status.ok() ? "ok" : status.message();
     FlightRecorder::Global().Add(std::move(record));
@@ -1043,6 +1046,10 @@ StatusOr<std::vector<std::vector<uint64_t>>> RemoteClient::Query(
   // error, so a healthy server's reply lands inside the grace window and
   // the connection stays clean. Only a server that is itself dead or
   // stalled runs the window out.
+  if (deadline_ms > kMaxDeadlineBudgetMs) {
+    return InvalidArgumentError("deadline_ms=" + std::to_string(deadline_ms) +
+                                " exceeds kMaxDeadlineBudgetMs");
+  }
   const int64_t budget_ms = deadline_ms > 0
                                 ? static_cast<int64_t>(deadline_ms)
                                 : kDefaultQueryDeadlineMs;

@@ -13,6 +13,7 @@
 #include "bgv/ciphertext.h"
 #include "bgv/context.h"
 #include "bgv/keys.h"
+#include "common/flight_recorder.h"
 #include "core/client.h"
 #include "core/deployment.h"
 #include "core/layout.h"
@@ -116,7 +117,8 @@ class AdmissionQueue {
 // Party B as a server: accepts connections from Party A workers, runs
 // FindNeighbours + indicator emission per query, one thread and one
 // PartyB instance per connection (per-connection isolation: a connection
-// never shares selection state or RNG draws with another).
+// never shares selection state or RNG draws with another). Appends one
+// flight record per query, under the trace id A forwarded.
 class PartyBServer {
  public:
   static StatusOr<std::unique_ptr<PartyBServer>> Start(
@@ -204,7 +206,8 @@ class PartyAServer {
   void WorkerLoop(size_t worker_index);
   // The A side of one query against B on this worker's channel. Fills
   // job->result_payloads on success.
-  Status RunQueryOnWorker(size_t worker_index, Job* job);
+  Status RunQueryOnWorker(size_t worker_index, Job* job,
+                          FlightRecord* record);
   Status ConnectWorkerToB(size_t worker_index, int connect_timeout_ms);
   // One kHeartbeat round-trip on the worker's B connection, bounded by
   // kHeartbeatTimeoutMs.
@@ -251,7 +254,8 @@ class RemoteClient {
   // waits, so a query can never outlive its deadline on either end.
   // 0 sends no preamble (the wire is byte-identical to the pre-deadline
   // protocol); the server then applies its default deadline of 10 min,
-  // and so does the client to its own waits.
+  // and so does the client to its own waits. Above kMaxDeadlineBudgetMs
+  // it is kInvalidArgument.
   StatusOr<std::vector<std::vector<uint64_t>>> Query(
       const std::vector<uint64_t>& query, uint64_t deadline_ms = 0);
 

@@ -1,12 +1,10 @@
 #include "core/session.h"
 
-#include <algorithm>
 #include <chrono>
 #include <string>
 
 #include "bgv/noise_model.h"
 #include "bgv/serialization.h"
-#include "common/flight_recorder.h"
 #include "common/metrics_registry.h"
 #include "common/trace.h"
 #include "core/exchange.h"
@@ -22,32 +20,9 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Sum of every `net.faults.*` counter — the flight recorder stores the
-// delta across a query as "faults this query incurred".
-uint64_t TotalInjectedFaults() {
-  uint64_t total = 0;
-  for (const auto& [name, value] :
-       MetricsRegistry::Global().CounterValues()) {
-    if (name.rfind("net.faults.", 0) == 0) total += value;
-  }
-  return total;
-}
-
-// min over budgets where negative means "not observed".
-double MinBudget(double a, double b) {
-  if (a < 0) return b;
-  if (b < 0) return a;
-  return std::min(a, b);
-}
-
-// The per-query noise gauges; reset to "unobserved" at query start so a
-// flight record never inherits a previous query's margins.
-constexpr const char* kNoiseGauges[] = {
-    "bgv.noise.party_a.square_fold", "bgv.noise.party_a.mask",
-    "bgv.noise.party_a.permute",     "bgv.noise.party_a.absorb",
-    "bgv.noise.party_a.retrieve",    "bgv.noise.party_b.exact_distance_budget",
-    "bgv.noise.party_b.indicator",   "bgv.noise.client.exact_result_budget",
-};
+// The phases only the session runs: the client's query and results legs.
+constexpr char kQueryEncryptPhase[] = "query_encrypt";
+constexpr char kClientDecryptPhase[] = "client_decrypt";
 
 }  // namespace
 
@@ -115,66 +90,28 @@ StatusOr<std::unique_ptr<SecureKnnSession>> SecureKnnSession::Create(
 StatusOr<QueryResult> SecureKnnSession::RunQuery(
     const std::vector<uint64_t>& query) {
   MetricsRegistry& registry = MetricsRegistry::Global();
-  for (const char* name : kNoiseGauges) registry.GetGauge(name)->Set(-1);
-  const uint64_t faults_before = TotalInjectedFaults();
-  const uint64_t pool_misses_before =
-      registry.GetCounter("bgv.alloc.pool_misses")->value();
-  const uint64_t pool_hits_before =
-      registry.GetCounter("bgv.alloc.pool_hits")->value();
-  // The FaultyLink seed of this query's first attempt (0 when injection
-  // is off) — the replay key of the flight record.
-  const uint64_t replay_seed =
-      fault_spec_.any() ? fault_seed_ + attempts_run_ : 0;
+  MetricsRegistry::Counter* misses =
+      registry.GetCounter("bgv.alloc.pool_misses");
+  MetricsRegistry::Counter* hits = registry.GetCounter("bgv.alloc.pool_hits");
+  const uint64_t misses_before = misses->value();
+  const uint64_t hits_before = hits->value();
 
   QueryResult result;
-  const Status status = RunQueryInternal(query, &result);
-
-  auto gauge = [&](const char* name) {
-    return registry.GetGauge(name)->value();
-  };
-  const bgv::NoiseModel noise_model(*ctx_);
-  const double fresh_query_budget =
-      std::max(0.0, noise_model.LogQ(ctx_->max_level()) - 1.0 -
-                        noise_model.FreshPkNoiseBits());
-  const double distance_margin =
-      MinBudget(gauge("bgv.noise.party_a.square_fold"),
-                MinBudget(gauge("bgv.noise.party_a.mask"),
-                          gauge("bgv.noise.party_a.permute")));
-  const double return_margin = MinBudget(
-      gauge("bgv.noise.party_a.absorb"), gauge("bgv.noise.party_a.retrieve"));
-
-  FlightRecord record;
-  record.seed = replay_seed;
+  FlightRecord& record = result.record;
+  // The FaultyLink seed of this query's first attempt (0 when injection
+  // is off) — the replay key of the flight record.
+  record.seed = fault_spec_.any() ? fault_seed_ + attempts_run_ : 0;
   record.num_points = layout_.num_points();
   record.dims = layout_.dims();
   record.k = config_.k;
-  record.phases.push_back({"query_encrypt",
-                           result.timings.query_encrypt_seconds,
-                           result.client_bytes_sent, fresh_query_budget});
-  record.phases.push_back({"compute_distances",
-                           result.timings.compute_distances_seconds, 0,
-                           distance_margin});
-  record.phases.push_back(
-      {"find_neighbours", result.timings.find_neighbours_seconds,
-       result.ab_link.bytes_a_to_b,
-       gauge("bgv.noise.party_b.exact_distance_budget")});
-  record.phases.push_back({"return_knn", result.timings.return_knn_seconds,
-                           result.ab_link.bytes_b_to_a, return_margin});
-  record.phases.push_back({"client_decrypt",
-                           result.timings.client_decrypt_seconds,
-                           result.client_bytes_received,
-                           gauge("bgv.noise.party_a.retrieve")});
+  const Status status = RunQueryInternal(query, &result);
+
   record.reexecutions = result.reexecutions;
-  record.faults_injected = TotalInjectedFaults() - faults_before;
-  record.heap_allocs =
-      registry.GetCounter("bgv.alloc.pool_misses")->value() -
-      pool_misses_before;
-  record.pool_requests = record.heap_allocs +
-                         registry.GetCounter("bgv.alloc.pool_hits")->value() -
-                         pool_hits_before;
+  record.heap_allocs = misses->value() - misses_before;
+  record.pool_requests = record.heap_allocs + hits->value() - hits_before;
   record.ok = status.ok();
   record.status = status.ok() ? "ok" : status.message();
-  FlightRecorder::Global().Add(std::move(record));
+  FlightRecorder::Global().Add(record);
 
   if (!status.ok()) return status;
   return result;
@@ -196,7 +133,7 @@ Status SecureKnnSession::RunQueryInternal(const std::vector<uint64_t>& query,
                         client_->EncryptQuery(query));
   std::vector<uint8_t> query_bytes =
       net::EncodeFrame(net::MessageType::kQuery, 0, CtToBytes(query_ct));
-  result.client_bytes_sent = query_bytes.size();
+  const size_t query_frame_bytes = query_bytes.size();
   bgv::Ciphertext query_at_a;
   {
     // The client->A leg is not carried by `ab_link`, so attribute its bytes
@@ -212,7 +149,9 @@ Status SecureKnnSession::RunQueryInternal(const std::vector<uint64_t>& query,
     SKNN_ASSIGN_OR_RETURN(query_at_a,
                           FreshCtFromBytes(*ctx_, std::move(frame.payload)));
   }
-  result.timings.query_encrypt_seconds = SecondsSince(t0);
+  result.record.AddToPhase(
+      kQueryEncryptPhase, SecondsSince(t0), query_frame_bytes,
+      bgv::NoiseModel(*ctx_).EstimatedBudgetBits(query_at_a));
 
   // Labels 5-9, re-executed whole on a transient failure under the same
   // bound as the servers' workers (DESIGN.md §8.2).
@@ -230,10 +169,11 @@ Status SecureKnnSession::RunQueryInternal(const std::vector<uint64_t>& query,
   // is not carried by `ab_link`; count its bytes against the transfer span
   // manually.
   t0 = std::chrono::steady_clock::now();
+  uint64_t result_frame_bytes = 0;
   for (size_t j = 0; j < result_payloads.size(); ++j) {
     std::vector<uint8_t> bytes =
         net::EncodeFrame(net::MessageType::kResults, j, result_payloads[j]);
-    result.client_bytes_received += bytes.size();
+    result_frame_bytes += bytes.size();
     bgv::Ciphertext ct;
     {
       trace::TraceSpan span("transfer.results");
@@ -250,7 +190,8 @@ Status SecureKnnSession::RunQueryInternal(const std::vector<uint64_t>& query,
                           client_->DecryptNeighbour(ct));
     result.neighbours.push_back(std::move(point));
   }
-  result.timings.client_decrypt_seconds = SecondsSince(t0);
+  result.record.AddToPhase(kClientDecryptPhase, SecondsSince(t0),
+                           result_frame_bytes, -1);
 
   result.party_b_ops = party_b_->ops();
   result.client_ops = client_->ops();
@@ -290,49 +231,49 @@ Status SecureKnnSession::RunAttempt(
   net::ResilientChannel a_ch(a_raw, retry_policy_, 2 * attempts_run_, "A");
   net::ResilientChannel b_ch(b_raw, retry_policy_, 2 * attempts_run_ + 1,
                              "B");
-  // Every attempt's link bytes count toward the query, on every exit path.
-  struct AddLinkStatsOnExit {
+  // Every attempt's link bytes and injected faults count toward the query,
+  // on every exit path.
+  struct AddAttemptOnExit {
     const net::LinkStats& stats;
-    net::LinkStats* total;
-    ~AddLinkStatsOnExit() { *total += stats; }
-  } add_link_stats{sock_link ? sock_link->stats() : mem_link.stats(),
-                   &result->ab_link};
+    const net::FaultyLink* faulty;
+    QueryResult* result;
+    ~AddAttemptOnExit() {
+      result->ab_link += stats;
+      if (faulty) result->record.faults_injected += faulty->faults_injected();
+    }
+  } add_attempt{sock_link ? sock_link->stats() : mem_link.stats(),
+                faulty.get(), result};
 
   // Party A: Compute Distances (Algorithm 1, labels 5-6) with a fresh
   // mask and permutation per attempt. All of A's per-query state lives in
   // the Query object, so concurrent sessions on one PartyA stay isolated
   // (DESIGN.md §9).
-  auto t0 = std::chrono::steady_clock::now();
-  SKNN_ASSIGN_OR_RETURN(std::unique_ptr<PartyA::Query> a_query,
-                        party_a_->StartQuery(query_at_a));
-  result->timings.compute_distances_seconds += SecondsSince(t0);
+  FlightRecord* record = &result->record;
+  SKNN_ASSIGN_OR_RETURN(
+      std::unique_ptr<PartyA::Query> a_query,
+      StartQuery(party_a_.get(), query_at_a, PartyA::CancelCheck(), record));
 
   // Message 2: A streams the masked distance bundle to B; B runs Find
   // Neighbours (Algorithm 2, label 7).
-  t0 = std::chrono::steady_clock::now();
-  SKNN_RETURN_IF_ERROR(SendDistances(*a_query, /*trace_id=*/0, &a_ch));
+  SKNN_RETURN_IF_ERROR(
+      SendDistances(*a_query, /*trace_id=*/0, &a_ch, record));
   SKNN_ASSIGN_OR_RETURN(
       size_t k, ReceiveDistancesAndSelect(layout_.num_units(), config_.k,
-                                          party_b_.get(), &b_ch));
-  result->timings.find_neighbours_seconds += SecondsSince(t0);
+                                          party_b_.get(), &b_ch, record));
   result->k = k;
 
   // Message 3, one row at a time: B sends the indicators of result j
   // (label 8), A absorbs them into the oblivious dot products (label 9).
-  t0 = std::chrono::steady_clock::now();
-  SKNN_RETURN_IF_ERROR(a_query->BeginReturnPhase(k));
-  result->timings.return_knn_seconds += SecondsSince(t0);
+  SKNN_RETURN_IF_ERROR(BeginReturnPhase(k, a_query.get(), record));
   for (size_t j = 0; j < k; ++j) {
-    t0 = std::chrono::steady_clock::now();
-    SKNN_RETURN_IF_ERROR(SendIndicatorRow(j, party_b_.get(), &b_ch));
-    result->timings.find_neighbours_seconds += SecondsSince(t0);
-    t0 = std::chrono::steady_clock::now();
-    SKNN_RETURN_IF_ERROR(AbsorbIndicatorRow(*ctx_, j, a_query.get(), &a_ch));
-    result->timings.return_knn_seconds += SecondsSince(t0);
+    SKNN_RETURN_IF_ERROR(SendIndicatorRow(j, party_b_.get(), &b_ch, record));
+    SKNN_RETURN_IF_ERROR(
+        AbsorbIndicatorRow(*ctx_, j, a_query.get(), &a_ch, record));
   }
-  t0 = std::chrono::steady_clock::now();
-  SKNN_ASSIGN_OR_RETURN(*result_payloads, FinalizeResults(k, a_query.get()));
-  result->timings.return_knn_seconds += SecondsSince(t0);
+  SKNN_ASSIGN_OR_RETURN(*result_payloads,
+                        FinalizeResults(k, a_query.get(), record));
+  // The results' budget is what the client decrypts next.
+  record->AddToPhase(kClientDecryptPhase, 0, 0, a_query->retrieve_budget());
   result->party_a_ops = a_query->ops();
   return Status::Ok();
 }

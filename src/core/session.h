@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/flight_recorder.h"
 #include "core/client.h"
 #include "core/deployment.h"
 #include "core/metrics.h"
@@ -26,7 +27,8 @@
 // one complete query (labels 4-10, messages 1-4 of PROTOCOL.md) — one
 // A<->B round trip. The A<->B link is a real byte-counted channel; the
 // client<->A legs are in-process handoffs whose serialized sizes are
-// still accounted (QueryResult::client_bytes_*).
+// still accounted (the query_encrypt and client_decrypt phases of
+// QueryResult::record).
 //
 // When `trace::Tracer::Global()` is enabled, setup records under the
 // `setup/...` span tree and each query under `query/...` (the exact
@@ -55,14 +57,17 @@ struct QueryResult {
   OpCounts client_ops;
   // Bytes/messages/rounds on the A<->B link during this query.
   net::LinkStats ab_link;
-  // Bytes from client to A (query) and A to client (results).
-  uint64_t client_bytes_sent = 0;
-  uint64_t client_bytes_received = 0;
   // Whole-query re-executions after a transient transport error (0 on a
   // clean run; see "Frame envelope & recovery" in PROTOCOL.md). `ab_link`
-  // and the timings cover every attempt.
+  // and the record's phases cover every attempt.
   int reexecutions = 0;
-  PhaseTimings timings;
+  // The query's flight record (ids unstamped) and its phases' sum.
+  FlightRecord record;
+  double seconds() const {
+    double total = 0;
+    for (const FlightRecord::Phase& p : record.phases) total += p.seconds;
+    return total;
+  }
 };
 
 struct SetupReport {
@@ -101,8 +106,9 @@ class SecureKnnSession {
   // nothing the theorems do not already cover (DESIGN.md §8.3).
   //
   // Observability: every call — success or failure — appends one record
-  // to `FlightRecorder::Global()` (replay seed, per-phase timings/bytes,
-  // transport counter deltas, minimum noise margins); failed queries dump
+  // to `FlightRecorder::Global()`: replay seed, counter deltas, the
+  // query_encrypt and client_decrypt phases, and the phases the protocol
+  // drivers add as on the servers (core/exchange.h). Failed queries dump
   // their record to the log automatically.
   StatusOr<QueryResult> RunQuery(const std::vector<uint64_t>& query);
 
@@ -137,14 +143,14 @@ class SecureKnnSession {
  private:
   SecureKnnSession() = default;
 
-  // The protocol body of RunQuery; partial progress (timings, byte
-  // counts) lands in `*result` even on error so the flight record built
-  // by the public wrapper reflects how far the query got.
+  // The protocol body of RunQuery; partial progress (phases, link bytes)
+  // lands in `*result` even on error so the flight record the public
+  // wrapper appends reflects how far the query got.
   Status RunQueryInternal(const std::vector<uint64_t>& query,
                           QueryResult* result);
   // One attempt at labels 5-9 on a fresh transport stack: StartQuery,
-  // then the A<->B exchange (core/exchange.h). Adds its link bytes and
-  // phase times to `*result`; fills `*result_payloads` on success.
+  // then the A<->B exchange (core/exchange.h). Adds its link bytes,
+  // faults and phases to `*result`; fills `*result_payloads` on success.
   Status RunAttempt(const bgv::Ciphertext& query_at_a, QueryResult* result,
                     std::vector<std::vector<uint8_t>>* result_payloads);
 

@@ -127,7 +127,6 @@ Status SocketChannel::Send(std::vector<uint8_t> message) {
                         strerror(errno) + ") after " + std::to_string(off) +
                         "/" + std::to_string(message.size()) + " bytes sent");
   }
-  bytes_sent_ += message.size();
   SocketCounter("bytes_sent")->Add(message.size());
   return Status::Ok();
 }
@@ -140,7 +139,6 @@ StatusOr<bool> SocketChannel::ReadAvailable() {
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n > 0) {
       buf_.insert(buf_.end(), chunk, chunk + n);
-      bytes_received_ += static_cast<uint64_t>(n);
       SocketCounter("bytes_received")->Add(static_cast<uint64_t>(n));
       read_any = true;
       continue;

@@ -77,9 +77,6 @@ class SocketChannel : public Channel {
   // one Receive waits.
   void set_io_poll_ms(int ms) { io_poll_ms_ = ms; }
 
-  uint64_t bytes_sent() const { return bytes_sent_; }
-  uint64_t bytes_received() const { return bytes_received_; }
-
  private:
   // Appends whatever the kernel holds to buf_ without waiting; true when
   // it read any bytes. Sets peer_eof_ when the peer is gone.
@@ -92,8 +89,6 @@ class SocketChannel : public Channel {
   int io_poll_ms_ = 20;
   bool peer_eof_ = false;
   std::vector<uint8_t> buf_;  // partial-frame reassembly
-  uint64_t bytes_sent_ = 0;
-  uint64_t bytes_received_ = 0;
 };
 
 class SocketListener {

@@ -10,13 +10,16 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/flight_recorder.h"
 #include "common/metrics_registry.h"
+#include "common/trace_id.h"
 #include "core/exchange.h"
 #include "data/generators.h"
 #include "knn/knn.h"
@@ -517,6 +520,10 @@ TEST_F(ServerTest, ControlPreamblesAreServedOrDropTheConnection) {
   Servers servers = StartServers(/*workers=*/1, /*queue_capacity=*/4);
   const std::string trace = "trace id=00000000000000ab";
   const std::string deadline = "deadline budget_ms=30000";
+  const std::string at_bound =
+      "deadline budget_ms=" + std::to_string(kMaxDeadlineBudgetMs);
+  const std::string above_bound =
+      "deadline budget_ms=" + std::to_string(kMaxDeadlineBudgetMs + 1);
   struct Case {
     const char* name;
     bool to_b;
@@ -528,6 +535,18 @@ TEST_F(ServerTest, ControlPreamblesAreServedOrDropTheConnection) {
       {"A: deadline, trace", false, {deadline, trace}, true},
       {"A: four preambles", false, {trace, deadline, trace, deadline}, true},
       {"A: malformed deadline", false, {"deadline budget_ms=soon"}, false},
+      // A budget is bounded: anchored to a steady clock, a larger one
+      // would overflow into the past.
+      {"A: deadline at the bound", false, {at_bound}, true},
+      {"A: deadline above the bound", false, {above_bound}, false},
+      {"A: deadline of 10^13 ms",
+       false,
+       {"deadline budget_ms=10000000000000"},
+       false},
+      {"A: deadline of 2^64-1 ms",
+       false,
+       {"deadline budget_ms=18446744073709551615"},
+       false},
       {"A: unknown preamble", false, {"priority level=1"}, false},
       {"A: fifth preamble",
        false,
@@ -581,6 +600,93 @@ TEST_F(ServerTest, ControlPreamblesAreServedOrDropTheConnection) {
                         query),
         ReferenceDistances(*dataset_, query, k));
   }
+}
+
+// RemoteClient refuses a deadline above the bound before it sends
+// anything, and the connection stays usable.
+TEST_F(ServerTest, ClientRefusesDeadlineAboveTheBound) {
+  Servers servers = StartServers(/*workers=*/1, /*queue_capacity=*/4);
+  auto client = RemoteClient::Connect(*deployment_b_, "127.0.0.1",
+                                      servers.a->port(), ServerOptions());
+  ASSERT_TRUE(client.ok()) << client.status();
+  MetricsRegistry::Counter* accepted =
+      MetricsRegistry::Global().GetCounter("server.queries.accepted");
+  const uint64_t accepted_before = accepted->value();
+  const std::vector<uint64_t> query = data::UniformQuery(2, 15, 1357);
+  for (uint64_t budget_ms : {kMaxDeadlineBudgetMs + 1,
+                             uint64_t{10000000000000},
+                             std::numeric_limits<uint64_t>::max()}) {
+    SCOPED_TRACE(budget_ms);
+    auto answer = (*client)->Query(query, budget_ms);
+    ASSERT_FALSE(answer.ok());
+    EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument)
+        << answer.status();
+  }
+  EXPECT_EQ(accepted->value(), accepted_before) << "a refused query was sent";
+  auto answer = (*client)->Query(query, kMaxDeadlineBudgetMs);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(SortedDistances(answer.value(), query),
+            ReferenceDistances(*dataset_, query, ServerConfig().k));
+}
+
+// A served query leaves one flight record on Party A and one on Party B,
+// joined by the client's trace id. A's holds server.query and the three
+// driver phases; B's holds find_neighbours, with the distance bytes B
+// received and B's exact noise budget.
+TEST_F(ServerTest, ServedQueryRecordsOnBothPartiesJoinByTraceId) {
+  Servers servers = StartServers(/*workers=*/1, /*queue_capacity=*/4);
+  auto client = RemoteClient::Connect(*deployment_b_, "127.0.0.1",
+                                      servers.a->port(), ServerOptions());
+  ASSERT_TRUE(client.ok()) << client.status();
+  constexpr uint64_t kTraceId = 0x5eed00000000f00dull;
+  const std::vector<uint64_t> query = data::UniformQuery(2, 15, 8642);
+  {
+    trace::ScopedTraceId scoped_trace(kTraceId);
+    auto answer = (*client)->Query(query);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    EXPECT_EQ(SortedDistances(answer.value(), query),
+              ReferenceDistances(*dataset_, query, ServerConfig().k));
+  }
+  ASSERT_EQ((*client)->last_trace_id(), kTraceId);
+
+  // B adds its record after sending its last indicator frame, which may
+  // be after A has answered the client.
+  std::vector<FlightRecord> records;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  do {
+    records.clear();
+    for (FlightRecord& r : FlightRecorder::Global().Records()) {
+      if (r.trace_id == kTraceId) records.push_back(std::move(r));
+    }
+    if (records.size() >= 2) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  } while (std::chrono::steady_clock::now() < give_up);
+  ASSERT_EQ(records.size(), 2u);
+
+  const auto phase = [](const FlightRecord& r, const std::string& name) {
+    const FlightRecord::Phase* found = nullptr;
+    for (const FlightRecord::Phase& p : r.phases) {
+      if (p.name == name) found = &p;
+    }
+    return found;
+  };
+  const bool a_first = phase(records[0], "server.query") != nullptr;
+  const FlightRecord& a = records[a_first ? 0 : 1];
+  const FlightRecord& b = records[a_first ? 1 : 0];
+  EXPECT_TRUE(a.ok) << a.status;
+  EXPECT_TRUE(b.ok) << b.status;
+  for (const char* name : {"server.query", kComputeDistancesPhase,
+                           kFindNeighboursPhase, kReturnKnnPhase}) {
+    EXPECT_NE(phase(a, name), nullptr) << "A's record lacks " << name;
+  }
+  ASSERT_EQ(b.phases.size(), 1u);
+  EXPECT_EQ(b.phases[0].name, kFindNeighboursPhase);
+  EXPECT_GT(b.phases[0].bytes, 0u);
+  EXPECT_GE(b.phases[0].min_noise_budget_bits, 0.0);
+  // A's return phase received B's indicator frames.
+  ASSERT_NE(phase(a, kReturnKnnPhase), nullptr);
+  EXPECT_GT(phase(a, kReturnKnnPhase)->bytes, 0u);
 }
 
 // A draining Party B finishes the exchange already in flight, and never

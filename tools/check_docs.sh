@@ -21,7 +21,12 @@
 #   6. every metric an OPERATIONS.md alert rule (`expr:`) watches must be
 #      exported by some src/ file other than src/core/session.cc — no
 #      server binary runs the in-process session, so an alert on a
-#      session-only metric can never fire.
+#      session-only metric can never fire, and
+#   7. every flight-record phase that code under src/ records (declared
+#      as `constexpr char k...Phase[] = "name"`, or a literal passed to
+#      FlightRecord::AddToPhase) must appear, backticked, in OPERATIONS.md
+#      "The flight recorder", so an operator reading /flightz can look
+#      every phase up.
 #
 # Only the hand-written docs are scanned; SNIPPETS.md and PAPERS.md quote
 # other repositories and would produce false positives.
@@ -134,6 +139,27 @@ while IFS= read -r metric; do
 done < <(sed -n 's/^[[:space:]]*expr:[[:space:]]*//p' OPERATIONS.md \
            | sed 's/{[^}]*}//g' | grep -oE '[A-Za-z0-9_.]+' \
            | grep -E '^[A-Za-z_]' | sort -u)
+
+# 7. Every recorded flight-record phase must be documented in OPERATIONS.md
+#    "The flight recorder" (the section up to the next "## " heading).
+flight_section=$(sed -n '/^### The flight recorder/,/^## /p' OPERATIONS.md)
+phases=$(
+  {
+    grep -rhoE 'k[A-Za-z]+Phase\[\] = "[^"]+"' src | sed 's/.*"\(.*\)"/\1/'
+    grep -rhoE 'AddToPhase\("[^"]+"' src | sed 's/.*("\(.*\)"/\1/'
+  } | sort -u
+)
+if [ -z "$phases" ]; then
+  echo "check_docs: found no flight-record phase under src/ (did the k...Phase[] convention change?)"
+  fail=1
+fi
+while IFS= read -r phase; do
+  [ -z "$phase" ] && continue
+  if ! grep -qF "\`$phase\`" <<< "$flight_section"; then
+    echo "OPERATIONS.md: flight-record phase \`$phase\` (recorded under src/) is not documented in \"The flight recorder\""
+    fail=1
+  fi
+done <<< "$phases"
 
 # 4. Every MessageType on the wire must be specified in PROTOCOL.md.
 while IFS= read -r msg; do

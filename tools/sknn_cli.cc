@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baseline/elmehdwi.h"
@@ -47,6 +48,7 @@
 #include "common/trace.h"
 #include "common/trace_id.h"
 #include "core/config_advisor.h"
+#include "core/exchange.h"
 #include "core/server.h"
 #include "core/session.h"
 #include "data/generators.h"
@@ -83,6 +85,14 @@ bool ReportAnswer(const data::Dataset& dataset,
               exact.ok() ? "yes (matches plaintext brute force)"
                          : exact.ToString().c_str());
   return exact.ok();
+}
+
+// Seconds a query's flight record holds for `phase` (0 if it never ran).
+double PhaseSeconds(const FlightRecord& record, std::string_view phase) {
+  for (const FlightRecord::Phase& p : record.phases) {
+    if (p.name == phase) return p.seconds;
+  }
+  return 0;
 }
 
 int RunKnn(const Flags& flags) {
@@ -136,13 +146,14 @@ int RunKnn(const Flags& flags) {
       if (fault_spec_str.empty()) return 1;
       continue;
     }
+    const FlightRecord& record = result->record;
     std::printf(
         "query %d: %.2fs (dist %.2f, select %.2f, return %.2f), "
         "%llu rounds, A->B %.2f MB, B->A %.2f MB\n",
-        q, result->timings.total_query_seconds(),
-        result->timings.compute_distances_seconds,
-        result->timings.find_neighbours_seconds,
-        result->timings.return_knn_seconds,
+        q, result->seconds(),
+        PhaseSeconds(record, core::kComputeDistancesPhase),
+        PhaseSeconds(record, core::kFindNeighboursPhase),
+        PhaseSeconds(record, core::kReturnKnnPhase),
         static_cast<unsigned long long>((result->ab_link.rounds + 1) / 2),
         static_cast<double>(result->ab_link.bytes_a_to_b) / 1e6,
         static_cast<double>(result->ab_link.bytes_b_to_a) / 1e6);
